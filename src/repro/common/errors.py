@@ -56,3 +56,9 @@ class ConfigError(ReproError):
 
 class SimulationError(ReproError):
     """The simulator reached an inconsistent state (internal invariant)."""
+
+
+class AnalyticPreconditionError(SimulationError):
+    """A precondition an analytic exact replay relied on did not hold
+    for this trace; the exact kernels, on a fresh regime, give the
+    result instead."""

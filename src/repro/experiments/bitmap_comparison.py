@@ -25,8 +25,8 @@ from repro.experiments.runner import get_context
 from repro.kernel.simulator import run_trace
 from repro.seccomp.bitmap_cache import SeccompBitmapRegime
 
-#: A representative subset (full catalog works but is slow: the bitmap
-#: build emulates the filter for all 347 syscalls per profile).
+#: A representative subset of the catalog.  Any workload works: the
+#: bitmap build costs one abstract pass per attached filter.
 DEFAULT_WORKLOADS = ("nginx", "redis", "pwgen", "pipe-ipc", "unixbench-syscall")
 
 

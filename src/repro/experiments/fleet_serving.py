@@ -19,14 +19,16 @@ extrapolated to a million containers.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.common.rng import DEFAULT_SEED
 from repro.experiments.results import ExperimentResult
 from repro.experiments.stages import FleetPlan
 from repro.kernel.fleet import (
     POLICIES,
+    ClassCost,
     FleetParams,
+    Invocation,
     calibrate_classes,
     generate_load,
     simulate_fleet,
@@ -72,7 +74,7 @@ def _eval_key(params: FleetParams, policy: str) -> Tuple[int, int, int, str]:
 #: Stage-seeded evaluation payloads (see :func:`seed_eval`) and the
 #: per-process memo of shared calibration/load inputs.
 _SEEDED: Dict[Tuple[int, int, int, str], Dict[str, Any]] = {}
-_SHARED: Dict[Tuple[int, int, int], Tuple[Any, Any]] = {}
+_SHARED: Dict[Tuple[int, int, int], Dict[str, Any]] = {}
 
 
 def seed_eval(dep_params: Mapping[str, Any], payload: Dict[str, Any]) -> None:
@@ -88,19 +90,38 @@ def seed_eval(dep_params: Mapping[str, Any], payload: Dict[str, Any]) -> None:
     _SEEDED[key] = payload
 
 
+def _shared(params: FleetParams, name: str, build: Callable[[FleetParams], Any]) -> Any:
+    key = (params.tenants, params.invocations, params.seed)
+    if key not in _SHARED:
+        _SHARED.clear()  # one fleet scenario in memory at a time
+        _SHARED[key] = {}
+    inputs = _SHARED[key]
+    if name not in inputs:
+        inputs[name] = build(params)
+    return inputs[name]
+
+
+def fleet_load(params: FleetParams) -> Tuple[Invocation, ...]:
+    """The scenario's invocation stream, built once per process (the
+    ``fleet-load`` stage builds it, the ``fleet-eval`` stages reuse it)."""
+    return _shared(params, "load", generate_load)
+
+
+def fleet_classes(params: FleetParams) -> Tuple[ClassCost, ...]:
+    """The scenario's class calibrations, built once per process (the
+    ``fleet-calibration`` stage builds them, ``fleet-eval`` reuses them)."""
+    return _shared(params, "classes", calibrate_classes)
+
+
 def eval_payload(params: FleetParams, policy: str) -> Dict[str, Any]:
     """Compute one policy's
     :meth:`~repro.kernel.fleet.FleetResult.to_json_dict` (always runs
     the simulation — the ``fleet-eval`` stage executor, and the flat
     path's fallback; staged seeds are consumed by :func:`run` only)."""
-    shared_key = (params.tenants, params.invocations, params.seed)
-    shared = _SHARED.get(shared_key)
-    if shared is None:
-        shared = (calibrate_classes(params), generate_load(params))
-        _SHARED.clear()  # one fleet scenario in memory at a time
-        _SHARED[shared_key] = shared
-    classes, load = shared
-    return simulate_fleet(params, policy, classes=classes, load=load).to_json_dict()
+    result = simulate_fleet(
+        params, policy, classes=fleet_classes(params), load=fleet_load(params)
+    )
+    return result.to_json_dict()
 
 
 def run(

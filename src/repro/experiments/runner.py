@@ -22,7 +22,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.common import storage, telemetry
 from repro.common.analytic import analytic_enabled
-from repro.common.errors import ConfigError
+from repro.common.errors import AnalyticPreconditionError, ConfigError
 from repro.common.memo import memo_insert
 from repro.common.rng import DEFAULT_SEED
 from repro.cpu.params import (
@@ -273,7 +273,9 @@ class WorkloadContext:
         memoised per context; overrides (unhashable cost objects) always
         run fresh.  Seccomp regimes are additionally served by replaying
         the persistent per-(trace, profile) filter sweep when the
-        context cache allows it.
+        context cache allows it.  When an analytic replay finds its
+        precondition broken (a VAT eviction under software Draco), the
+        exact kernels rerun the trace on a fresh regime.
         """
         key = None
         if not overrides:
@@ -283,17 +285,28 @@ class WorkloadContext:
                 return hit
         result = self._replay(regime_name) if not overrides else None
         if result is None:
-            regime = self.make_regime(regime_name, **overrides)
-            result = run_trace(
-                self.trace,
-                regime,
-                work_cycles_per_syscall=self.work_cycles,
-                syscall_base_cycles=self.syscall_base_cycles,
-                workload_name=self.spec.name,
-            )
+            try:
+                result = self._run(regime_name, overrides)
+            except AnalyticPreconditionError:
+                result = self._run(regime_name, overrides, analytic=False)
         if key is not None:
             self._eval_memo[key] = result
         return result
+
+    def _run(
+        self,
+        regime_name: str,
+        overrides: Dict[str, object],
+        analytic: Optional[bool] = None,
+    ) -> RunResult:
+        return run_trace(
+            self.trace,
+            self.make_regime(regime_name, **overrides),
+            work_cycles_per_syscall=self.work_cycles,
+            syscall_base_cycles=self.syscall_base_cycles,
+            workload_name=self.spec.name,
+            analytic=analytic,
+        )
 
     def seed_evaluation(self, regime_name: str, result: RunResult) -> None:
         """Inject a precomputed no-override evaluation into the memo.

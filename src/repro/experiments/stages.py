@@ -82,9 +82,11 @@ KIND_EVAL = "eval"
 KIND_ANALYSIS = "analysis"
 KIND_EXPERIMENT = "experiment"  # monolithic fallback: the whole run()
 #: Fleet-serving stage kinds (see :class:`FleetPlan`): load and
-#: calibration are provenance manifests (their outputs are cheap, pure
-#: functions of the stage params that downstream stages recompute
-#: in-process), one ``fleet-eval`` per dispatch policy carries the full
+#: calibration are provenance manifests (their outputs are pure
+#: functions of the stage params, kept in the in-process memo of
+#: :mod:`repro.experiments.fleet_serving` that the eval stages read,
+#: and rebuilt only by a process that has not built them), one
+#: ``fleet-eval`` per dispatch policy carries the full
 #: :meth:`~repro.kernel.fleet.FleetResult.to_json_dict` payload.
 KIND_FLEET_LOAD = "fleet-load"
 KIND_FLEET_CALIBRATION = "fleet-calibration"
@@ -452,11 +454,11 @@ def _run_fleet_params(params: Mapping[str, Any]):
 
 
 def _run_fleet_load_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from repro.kernel.fleet import generate_load
+    from repro.experiments import fleet_serving
 
-    load = generate_load(_run_fleet_params(params))
-    # Provenance manifest only: the load is a pure function of the
-    # stage params, which the eval stages regenerate in-process.
+    load = fleet_serving.fleet_load(_run_fleet_params(params))
+    # Provenance manifest only: the eval stages read the load itself
+    # from fleet_serving's in-process memo.
     return {
         "invocations": len(load),
         "last_arrival_ms": round(load[-1].arrival_ms, 3),
@@ -464,9 +466,9 @@ def _run_fleet_load_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 def _run_fleet_calibration_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from repro.kernel.fleet import calibrate_classes
+    from repro.experiments import fleet_serving
 
-    classes = calibrate_classes(_run_fleet_params(params))
+    classes = fleet_serving.fleet_classes(_run_fleet_params(params))
     return {
         "classes": len(classes),
         "footprint_bytes": [c.footprint_bytes for c in classes],

@@ -7,10 +7,12 @@ motivated by the same locality observation as Draco, but it caches only
 argument-**independent** allows: any syscall whose verdict depends on
 arguments still runs the full filter every time.
 
-This module builds the bitmap exactly as the kernel does — by emulating
-the filter per syscall number with unknown arguments
-(:mod:`repro.bpf.abstract`) — and exposes it as a checking regime, so
-the Draco-vs-bitmap comparison the paper implies can be measured:
+This module builds the bitmap the kernel's per-number emulation builds
+(the filter run with ``nr`` pinned and unknown arguments), computed in
+one abstract pass per attached filter over the whole syscall table
+(:func:`repro.bpf.abstract.constant_actions`), and exposes it as a
+checking regime, so the Draco-vs-bitmap comparison the paper implies
+can be measured:
 
 * on ``syscall-noargs``-style profiles, the bitmap is as good as Draco;
 * on ``syscall-complete`` profiles, the bitmap degenerates to plain
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
-from repro.bpf.abstract import constant_action_for
+from repro.bpf.abstract import constant_actions
 from repro.common import analytic as analytic_backend
 from repro.common.bulk import bulk_enabled
 from repro.core.software import CheckOutcome
@@ -59,22 +61,21 @@ class SeccompActionCache:
         module: SeccompKernelModule,
         table: SyscallTable = LINUX_X86_64,
     ) -> None:
-        self._allow_bitmap: Set[int] = set()
-        self._considered = 0
-        # The kernel prepares the cache at filter-attach time by running
-        # the emulator for every native syscall number.
-        for entry in table:
-            self._considered += 1
-            if self._always_allows(module, entry.sid):
-                self._allow_bitmap.add(entry.sid)
-
-    @staticmethod
-    def _always_allows(module: SeccompKernelModule, sid: int) -> bool:
+        numbers = [entry.sid for entry in table]
+        self._considered = len(numbers)
+        # The kernel prepares the cache at filter-attach time by
+        # emulating the filters for every native syscall number; a
+        # number keeps its bit only while every filter, in attach
+        # order, always allows it, so later filters see only survivors.
+        allowed: Set[int] = set(numbers) if module.filters else set()
         for attached in module.filters:
-            action = constant_action_for(attached.program, sid)
-            if action is None or action_of(action) != SECCOMP_RET_ALLOW:
-                return False
-        return bool(module.filters)
+            actions = constant_actions(attached.program, allowed)
+            allowed = {
+                nr
+                for nr, action in actions.items()
+                if action is not None and action_of(action) == SECCOMP_RET_ALLOW
+            }
+        self._allow_bitmap = allowed
 
     def hit(self, sid: int) -> bool:
         return sid in self._allow_bitmap

@@ -51,6 +51,34 @@ def _as_json(result):
 # -- exact tier: value-identical to the RLE bulk kernel -----------------
 
 
+def test_evaluate_falls_back_to_exact_kernels_on_vat_eviction():
+    """On seed 4's elasticsearch trace software Draco's VAT evicts an
+    entry, which breaks the analytic replay's no-eviction precondition:
+    the replay raises, and ``evaluate`` returns the exact-kernel result
+    of a fresh regime instead of failing the experiment."""
+    from repro.common.errors import AnalyticPreconditionError
+    from repro.experiments.runner import get_context
+    from repro.kernel.simulator import run_trace
+
+    ctx = get_context("elasticsearch", seed=4)
+
+    def run(analytic):
+        return run_trace(
+            ctx.trace,
+            ctx.make_regime("draco-sw-complete"),
+            work_cycles_per_syscall=ctx.work_cycles,
+            syscall_base_cycles=ctx.syscall_base_cycles,
+            workload_name=ctx.spec.name,
+            analytic=analytic,
+        )
+
+    with pytest.raises(AnalyticPreconditionError):
+        run(analytic=True)
+    exact = run(analytic=False)
+    assert exact.normalized_time == pytest.approx(1.0529, abs=1e-4)
+    assert _as_json(ctx.evaluate("draco-sw-complete")) == _as_json(exact)
+
+
 @pytest.mark.parametrize("workload", EXACT_WORKLOADS)
 @pytest.mark.parametrize("regime", EXACT_REGIMES)
 def test_exact_tier_value_identical(workload, regime, monkeypatch):

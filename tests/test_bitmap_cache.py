@@ -2,14 +2,16 @@
 
 import pytest
 
+from repro.bpf.abstract import constant_action_for
 from repro.kernel.simulator import run_trace
-from repro.kernel.regimes import DracoSwRegime, SeccompRegime
+from repro.kernel.regimes import DracoSwRegime, SeccompRegime, _attach
+from repro.seccomp.actions import SECCOMP_RET_ALLOW, action_of
 from repro.seccomp.bitmap_cache import SeccompActionCache, SeccompBitmapRegime
 from repro.seccomp.engine import SeccompKernelModule
 from repro.seccomp.compiler import compile_linear
 from repro.seccomp.toolkit import generate_complete, generate_noargs
 from repro.syscalls.events import SyscallTrace, make_event
-from repro.syscalls.table import sid
+from repro.syscalls.table import LINUX_X86_64, sid
 
 
 @pytest.fixture
@@ -38,6 +40,28 @@ class TestActionCache:
         cache = SeccompActionCache(module)
         assert not cache.hit(sid("read"))      # argument-dependent
         assert cache.hit(sid("getppid"))       # no checkable args
+
+    @pytest.mark.parametrize("times", [1, 2])
+    @pytest.mark.parametrize("compiler", ["linear", "binary_tree"])
+    def test_bitmap_equals_per_number_emulation(self, training_trace, times, compiler):
+        """One pass per filter sets exactly the bits the kernel's
+        per-number emulation of every attached filter sets, for a stack
+        of the complete profile (once or twice) under a noargs filter."""
+        module = _attach(generate_complete(training_trace, "t"), times, compiler)
+        for attached in _attach(generate_noargs(training_trace, "n"), 1, compiler).filters:
+            module.attach(attached.program)
+        expected = {
+            entry.sid
+            for entry in LINUX_X86_64
+            if all(
+                (action := constant_action_for(f.program, entry.sid)) is not None
+                and action_of(action) == SECCOMP_RET_ALLOW
+                for f in module.filters
+            )
+        }
+        cache = SeccompActionCache(module)
+        assert {e.sid for e in LINUX_X86_64 if cache.hit(e.sid)} == expected
+        assert expected
 
     def test_no_filters_caches_nothing(self):
         cache = SeccompActionCache(SeccompKernelModule())

@@ -255,6 +255,35 @@ class TestExperiment:
             == staged.results["fleet"].format_table()
         )
 
+    def test_staged_run_builds_load_and_calibrations_once(self, tmp_path, monkeypatch):
+        """The fleet-load and fleet-calibration stages build the inputs
+        the fleet-eval stages then reuse from the in-process memo."""
+        from repro.experiments import fleet_serving
+        from repro.experiments.engine import run_suite
+        from repro.kernel import fleet
+
+        calls = {"generate_load": 0, "calibrate_classes": 0}
+
+        def counted(name, build):
+            def wrapper(params):
+                calls[name] += 1
+                return build(params)
+            return wrapper
+
+        monkeypatch.setenv("REPRO_STAGE_GRAPH", "1")
+        monkeypatch.setattr(fleet_serving, "_SHARED", {})
+        for name, build in (
+            ("generate_load", generate_load),
+            ("calibrate_classes", calibrate_classes),
+        ):
+            wrapper = counted(name, build)
+            for module in (fleet, fleet_serving):
+                monkeypatch.setattr(module, name, wrapper)
+        run = run_suite(["fleet"], events=1200, cache_dir=str(tmp_path))
+        assert not run.failures
+        assert run.outcomes[0].record.simulation["stages"]["counters"]["executed"] == 5
+        assert calls == {"generate_load": 1, "calibrate_classes": 1}
+
     def test_summary_renders_fleet_counters(self):
         from repro.experiments.engine import run_suite
 
