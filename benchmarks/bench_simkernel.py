@@ -10,7 +10,7 @@ the same trace —
 
 asserting byte-identical :class:`RunResult`\\ s between the two (the
 differential gate), plus the cold end-to-end wall time of the
-experiment suite and the serial-vs-sharded wall of ``fig12``, and
+experiment suite and the serial-vs-parallel wall of ``fig12``, and
 writes ``BENCH_simkernel.json``.  The kernel loop runs on a
 run-length-amplified trace (each event repeated ``--run-length``
 times), which is the locality regime the fast path exploits — Figure 3
@@ -160,12 +160,13 @@ def bench_cold_suite(events: int) -> dict:
 
 
 def bench_fig12_sharding(jobs: int) -> dict:
-    """fig12 wall time serial vs sharded, each in a fresh interpreter
+    """fig12 wall time serial vs ``--jobs``, each in a fresh interpreter
     (cold cache and cold in-process memos both times).
 
-    On a single-core host the sharded run pays process spawn for no
+    On a single-core host the parallel run pays process spawn for no
     parallel win — the recorded numbers say so honestly; on multi-core
-    CI runners sharding is where the ``--jobs`` speedup comes from.
+    CI runners the stage graph's per-(workload, regime) eval stages are
+    where the ``--jobs`` speedup comes from.
     """
     import subprocess
 
@@ -173,7 +174,7 @@ def bench_fig12_sharding(jobs: int) -> dict:
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     walls = {}
     for label, extra in (
-        ("serial", ["--serial", "--no-shard"]),
+        ("serial", ["--serial"]),
         (f"jobs{jobs}", ["--jobs", str(jobs)]),
     ):
         cmd = [

@@ -1,4 +1,4 @@
-"""Benchmark for the stage-graph orchestrator (``REPRO_STAGE_GRAPH``).
+"""Benchmark for the stage-graph orchestrator.
 
 Measures end-to-end suite wall times, each in a fresh subprocess (cold
 in-process memos; only the shared on-disk cache carries over):
@@ -8,17 +8,14 @@ in-process memos; only the shared on-disk cache carries over):
 * ``warm_refresh`` — ``--refresh`` on the warm cache: analysis stages
   recompute while trace/calibration/eval stages are served from the
   ``stages/`` tier;
-* ``flat_refresh`` — the same refresh on the flat engine
-  (``REPRO_STAGE_GRAPH=0``), which recomputes every simulation — the
-  baseline the stage-scoped refresh is measured against;
 * ``incremental`` — one experiment's ``events`` perturbed: its stage
   subgraph recomputes while every other experiment's intermediates hit.
 
-and writes ``BENCH_stages.json``.  ``--check`` gates on the
-machine-robust *ratios* (refresh speedup, warm-hit speedup) against the
-committed baseline with a 30% tolerance, and hard-fails if the
-incremental run re-executed any stage outside the perturbed
-experiment's subgraph; ``--update`` refreshes the baseline in place.
+and writes ``BENCH_stages.json``.  ``--check`` gates on the warm-hit
+speedup over the cold suite (an absolute floor, :data:`WARM_HIT_FLOOR`)
+and hard-fails if the incremental run re-executed any stage outside
+the perturbed experiment's subgraph; ``--update`` refreshes the
+baseline in place.
 
 Usage::
 
@@ -38,9 +35,6 @@ import tempfile
 from pathlib import Path
 
 DEFAULT_BASELINE = Path(__file__).resolve().parents[1] / "BENCH_stages.json"
-
-#: Allowed fractional speedup regression before --check fails.
-DEFAULT_TOLERANCE = 0.30
 
 #: The experiment whose ``events`` the incremental phase perturbs, and
 #: the experiments that must stay fully cached when it does.
@@ -74,10 +68,9 @@ print(json.dumps({
 """
 
 
-def _run_child(cache_dir: str, config: dict, stage_graph: bool = True) -> dict:
+def _run_child(cache_dir: str, config: dict) -> dict:
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = cache_dir
-    env["REPRO_STAGE_GRAPH"] = "1" if stage_graph else "0"
     env.setdefault("PYTHONPATH", str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps(config)],
@@ -95,9 +88,6 @@ def measure(args) -> dict:
         cold = _run_child(cache_dir, dict(base, cache_mode="on"))
         warm = _run_child(cache_dir, dict(base, cache_mode="on"))
         refresh = _run_child(cache_dir, dict(base, cache_mode="refresh"))
-        flat_refresh = _run_child(
-            cache_dir, dict(base, cache_mode="refresh"), stage_graph=False
-        )
         # Incremental: perturb one experiment's events under --refresh —
         # its subgraph recomputes, everything else's intermediates hit.
         perturbed_events = (args.events or 12_000) + 37
@@ -126,7 +116,6 @@ def measure(args) -> dict:
             "wall_s": refresh["wall_s"],
             "stage_counters": refresh["stage_counters"],
         },
-        "flat_refresh": {"wall_s": flat_refresh["wall_s"]},
         "incremental": {
             "wall_s": incremental["wall_s"],
             "perturbed": PERTURBED,
@@ -134,9 +123,6 @@ def measure(args) -> dict:
         },
         "speedup": {
             "warm_hit_vs_cold": round(cold["wall_s"] / warm["wall_s"], 2),
-            "staged_vs_flat_refresh": round(
-                flat_refresh["wall_s"] / refresh["wall_s"], 2
-            ),
         },
     }
     return payload
@@ -176,32 +162,27 @@ def check_incremental(measured: dict) -> list:
 WARM_HIT_FLOOR = 50.0
 
 
-def check_regression(measured: dict, baseline: dict, tolerance: float) -> int:
+def check_regression(measured: dict, baseline: dict) -> int:
     failures = check_incremental(measured)
-    for name in ("warm_hit_vs_cold", "staged_vs_flat_refresh"):
-        current = measured["speedup"][name]
-        reference = baseline.get("speedup", {}).get(name)
-        if reference is None:
-            failures.append(f"speedup.{name}: missing from baseline")
-            continue
-        if name == "warm_hit_vs_cold":
-            floor = WARM_HIT_FLOOR
-        else:
-            floor = reference * (1.0 - tolerance)
-        status = "ok" if current >= floor else "REGRESSION"
+    current = measured["speedup"]["warm_hit_vs_cold"]
+    reference = baseline.get("speedup", {}).get("warm_hit_vs_cold")
+    if reference is None:
+        failures.append("speedup.warm_hit_vs_cold: missing from baseline")
+    else:
+        status = "ok" if current >= WARM_HIT_FLOOR else "REGRESSION"
         print(
-            f"speedup.{name:24s} {current:8.2f}x  (baseline {reference:.2f}x, "
-            f"floor {floor:.2f}x)  {status}"
+            f"speedup.warm_hit_vs_cold {current:8.2f}x  (baseline {reference:.2f}x, "
+            f"floor {WARM_HIT_FLOOR:.2f}x)  {status}"
         )
-        if current < floor:
+        if current < WARM_HIT_FLOOR:
             failures.append(
-                f"speedup.{name}: {current:.2f}x < {floor:.2f}x "
-                f"(baseline {reference:.2f}x, tolerance {tolerance:.0%})"
+                f"speedup.warm_hit_vs_cold: {current:.2f}x < {WARM_HIT_FLOOR:.2f}x "
+                f"(baseline {reference:.2f}x)"
             )
     if failures:
         print("FAIL: " + "; ".join(failures))
         return 1
-    print("stage-graph speedups within tolerance; incremental scoping exact")
+    print("warm hit above its floor; incremental scoping exact")
     return 0
 
 
@@ -213,7 +194,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE)
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     parser.add_argument(
         "--check", action="store_true",
         help="compare against the committed baseline; exit 1 on regression",
@@ -240,7 +220,7 @@ def main(argv=None) -> int:
         except (OSError, ValueError):
             print(f"no readable baseline at {args.baseline}; failing --check")
             return 1
-        return check_regression(measured, baseline, args.tolerance)
+        return check_regression(measured, baseline)
     return 0
 
 

@@ -426,8 +426,12 @@ def _compile_filter_source(source: str) -> types.CodeType:
     if code is None:
         code = compile(source, "<bpf-compiled-filter>", "exec")
         payload = marshal.dumps(code)
-        storage.atomic_write_bytes(path, hashlib.sha256(payload).digest() + payload)
-        telemetry.record_context_cache("bpf-code", "store")
+        try:
+            storage.atomic_write_bytes(path, hashlib.sha256(payload).digest() + payload)
+        except OSError:
+            telemetry.record_cache_store_skipped()  # unwritable cache dir
+        else:
+            telemetry.record_context_cache("bpf-code", "store")
     return code
 
 

@@ -34,26 +34,18 @@ CACHE_DISABLE_ENV = "REPRO_CACHE_DISABLE"
 #: unaffected.
 CONTEXT_CACHE_ENV = "REPRO_CONTEXT_CACHE"
 
-#: Kill switch for the stage-graph orchestrator
-#: (:mod:`repro.experiments.stages`).  ``0``/``off``/``false``/``no``
-#: falls back to the flat per-experiment engine, whose output is
-#: byte-identical by differential test.
-STAGE_GRAPH_ENV = "REPRO_STAGE_GRAPH"
-
 def _truthy(name: str) -> bool:
     return os.environ.get(name, "1").lower() not in ("0", "off", "false", "no")
 
 
 #: Context-local overrides for the cache directory and disable flag.
-#: The environment variables stay the *outer defaults*; the engine and
-#: the long-running experiment service apply per-run settings through
-#: :func:`cache_overrides` instead of mutating ``os.environ``, which is
-#: process-global and therefore unsafe once concurrent requests share a
-#: process.  ContextVars are per-thread (and per-task), so two service
-#: threads can run with different cache modes without racing.  Worker
-#: processes do NOT inherit these reliably across ``fork`` — engine
-#: worker entry points receive the settings as explicit task arguments
-#: and re-apply them.
+#: The environment variables stay the *outer defaults*; the engine
+#: applies per-run settings through :func:`cache_overrides` instead of
+#: mutating ``os.environ``, which is process-global.  ContextVars are
+#: per-thread (and per-task), so two threads can run with different
+#: cache modes without racing.  Worker processes do NOT inherit these
+#: reliably across ``fork`` — the stage worker entry point receives the
+#: settings as explicit task arguments and re-applies them.
 _CACHE_DIR_OVERRIDE: ContextVar[Optional[str]] = ContextVar(
     "repro_cache_dir_override", default=None
 )
@@ -110,17 +102,6 @@ def context_cache_enabled() -> bool:
     if not cache_enabled():
         return False
     return _truthy(CONTEXT_CACHE_ENV)
-
-
-def stage_graph_enabled() -> bool:
-    """True when the stage-graph orchestrator is active (the default).
-
-    Unlike the context cache this does not require the disk cache: the
-    scheduler passes stage payloads through the parent process, so the
-    graph (and its cross-experiment dedup) still works under
-    ``--no-cache`` — only the persistent ``stages/`` tier is skipped.
-    """
-    return _truthy(STAGE_GRAPH_ENV)
 
 
 def cache_root() -> Path:

@@ -70,6 +70,9 @@ class SimulationCounters:
     #: Fleet-serving counters, per dispatch policy: cold/warm starts,
     #: evictions, keep-alive expiries, cold-resume storms, pool peaks.
     fleet: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: Cache writes skipped because the cache directory refused them
+    #: (read-only, full, or not a directory).
+    cache_store_skipped: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
         flows: Dict[str, Any] = {}
@@ -122,6 +125,8 @@ class SimulationCounters:
                 policy: {k: counters[k] for k in sorted(counters)}
                 for policy, counters in sorted(self.fleet.items())
             }
+        if self.cache_store_skipped:
+            payload["cache_store_skipped"] = self.cache_store_skipped
         return payload
 
 
@@ -213,6 +218,11 @@ def record_context_cache(kind: str, outcome: str) -> None:
     bucket[outcome] = bucket.get(outcome, 0) + 1
 
 
+def record_cache_store_skipped() -> None:
+    """Account one cache write the cache directory refused."""
+    _COUNTERS.cache_store_skipped += 1
+
+
 def record_fleet(policy: str, counters: Mapping[str, float]) -> None:
     """Account one fleet serving run under *policy*.
 
@@ -229,7 +239,7 @@ def record_fleet(policy: str, counters: Mapping[str, float]) -> None:
 
 
 def merge_simulations(parts: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Combine per-shard simulation snapshots into one experiment-level
+    """Combine per-stage simulation snapshots into one experiment-level
     snapshot: numeric leaves are summed recursively (matching how the
     counters would have accumulated in a single process) and the
     derived ``mean_run_length`` is recomputed from the merged totals."""
@@ -281,10 +291,6 @@ class ExperimentRecord:
     status: str = "ok"  # "ok" | "failed"
     cache: str = CACHE_OFF
     wall_time_s: float = 0.0
-    #: Total compute time attributed to the experiment.  Differs from
-    #: ``wall_time_s`` when work ran concurrently: a shard merge
-    #: reports the *max* shard time as wall time and the sum here.
-    cpu_time_s: float = 0.0
     params_digest: str = ""
     error: str = ""
     simulation: Dict[str, Any] = field(default_factory=dict)
@@ -300,7 +306,6 @@ class ExperimentRecord:
             "status": self.status,
             "cache": self.cache,
             "wall_time_s": round(self.wall_time_s, 4),
-            "cpu_time_s": round(self.cpu_time_s, 4),
             "params_digest": self.params_digest,
             "error": self.error,
             "simulation": self.simulation,
@@ -314,7 +319,6 @@ class ExperimentRecord:
             status=payload.get("status", "ok"),
             cache=payload.get("cache", CACHE_OFF),
             wall_time_s=float(payload.get("wall_time_s", 0.0)),
-            cpu_time_s=float(payload.get("cpu_time_s", 0.0)),
             params_digest=payload.get("params_digest", ""),
             error=payload.get("error", ""),
             simulation=dict(payload.get("simulation", {})),
@@ -333,12 +337,6 @@ class RunReport:
     cache_dir: str = ""
     started_at: float = 0.0
     finished_at: float = 0.0
-    #: Experiment-service block (empty for plain CLI runs): request
-    #: totals, per-request latency percentiles, warm-pool and in-memory
-    #: stage-tier counters.  Written by
-    #: :mod:`repro.experiments.service`, rendered by
-    #: ``summary --service``.
-    service: Dict[str, Any] = field(default_factory=dict)
 
     # -- aggregates ----------------------------------------------------
 
@@ -376,6 +374,9 @@ class RunReport:
     def runs_coalesced(self) -> int:
         return sum(r.simulation.get("runs_coalesced", 0) for r in self.records)
 
+    def cache_store_skipped(self) -> int:
+        return sum(r.simulation.get("cache_store_skipped", 0) for r in self.records)
+
     def context_cache(self) -> Dict[str, Dict[str, int]]:
         """Per-kind context-cache counters summed across every record."""
         merged: Dict[str, Dict[str, int]] = {}
@@ -392,7 +393,7 @@ class RunReport:
 
     def stage_counters(self) -> Dict[str, int]:
         """Stage-graph hit/exec/dedup/store totals summed across records
-        (empty when the run used the flat engine)."""
+        (empty when every experiment was a whole-result cache hit)."""
         merged: Dict[str, int] = {}
         for record in self.records:
             block = record.simulation.get("stages", {})
@@ -495,7 +496,7 @@ class RunReport:
     # -- serialisation -------------------------------------------------
 
     def to_json_dict(self) -> Dict[str, Any]:
-        payload = {
+        return {
             "schema": "repro.run-report/1",
             "started_at": self.started_at,
             "finished_at": self.finished_at,
@@ -514,9 +515,6 @@ class RunReport:
             },
             "records": [r.to_json_dict() for r in self.records],
         }
-        if self.service:
-            payload["service"] = self.service
-        return payload
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, Any]) -> "RunReport":
@@ -529,7 +527,6 @@ class RunReport:
             cache_dir=payload.get("cache_dir", ""),
             started_at=float(payload.get("started_at", 0.0)),
             finished_at=float(payload.get("finished_at", 0.0)),
-            service=dict(payload.get("service", {})),
         )
 
     def write(self, path: Path) -> None:
@@ -611,6 +608,12 @@ class RunReport:
                 f"extrapolation (REPRO_ANALYTIC=1), max split-half error "
                 f"{self.max_error_estimate():.2%}"
             )
+        skipped = self.cache_store_skipped()
+        if skipped:
+            lines.append(
+                f"WARNING: {skipped} cache write(s) skipped — {self.cache_dir or 'the cache'} "
+                f"is not writable, so this run was effectively uncached"
+            )
         when = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(self.started_at))
         lines.append(f"started: {when}  code: {self.code_fingerprint or '?'}")
         for record in self.failures:
@@ -631,8 +634,8 @@ class RunReport:
         detail = self.stage_detail()
         if not detail:
             return (
-                "== stages\n(no stage telemetry recorded — run with "
-                "REPRO_STAGE_GRAPH=1, the default)"
+                "== stages\n(no stage telemetry recorded — every experiment "
+                "was a whole-result cache hit)"
             )
         by_kind: Dict[str, Dict[str, int]] = {}
         for row in detail:
@@ -653,7 +656,7 @@ class RunReport:
                 )
             )
         widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        lines = ["== stages (REPRO_STAGE_GRAPH)"]
+        lines = ["== stages"]
         for index, row in enumerate(rows):
             lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
             if index == 0:
@@ -726,65 +729,4 @@ class RunReport:
             lines.extend(f"  {p}" for p in problems)
         else:
             lines.append("conservation: ok (counts == events; cycles sum to totals)")
-        return "\n".join(lines)
-
-    def format_service(self) -> str:
-        """Experiment-service telemetry (the ``summary --service`` rendering).
-
-        Request totals, how each request was served (computed on the
-        warm pool, replayed from the request memo, or coalesced onto an
-        identical in-flight request), per-request latency percentiles,
-        and the warm-pool / in-memory stage-tier counters behind them.
-        """
-        block = self.service
-        if not block:
-            return (
-                "== service\n(no service telemetry recorded — reports "
-                "written by python -m repro.experiments.service carry it)"
-            )
-        lines = ["== service (warm pool + request memo)"]
-        served = block.get("served", {})
-        lines.append(
-            f"requests: {block.get('requests', 0)} "
-            f"({served.get('computed', 0)} computed / "
-            f"{served.get('memo', 0)} memo / "
-            f"{served.get('coalesced', 0)} coalesced, "
-            f"{block.get('errors', 0)} errors)"
-        )
-        latency = block.get("latency_ms", {})
-        if latency:
-            lines.append(
-                "latency: "
-                f"p50 {latency.get('p50', 0.0):.1f} ms / "
-                f"p95 {latency.get('p95', 0.0):.1f} ms / "
-                f"p99 {latency.get('p99', 0.0):.1f} ms "
-                f"(mean {latency.get('mean', 0.0):.1f}, "
-                f"max {latency.get('max', 0.0):.1f}, "
-                f"n={latency.get('count', 0)})"
-            )
-        pool = block.get("pool", {})
-        if pool:
-            lines.append(
-                f"warm pool: {pool.get('created', 0)} created / "
-                f"{pool.get('recycled', 0)} recycled / "
-                f"{pool.get('broken', 0)} broken, "
-                f"{pool.get('suites_served', 0)} suites on current pool "
-                f"(workers={pool.get('max_workers', '?')})"
-            )
-        memory = block.get("stage_memory", {})
-        if memory:
-            lines.append(
-                f"stage memory: {memory.get('hits', 0)} hit / "
-                f"{memory.get('misses', 0)} miss / "
-                f"{memory.get('stored', 0)} stored / "
-                f"{memory.get('evicted', 0)} evicted "
-                f"({memory.get('entries', 0)}/{memory.get('limit', 0)} entries)"
-            )
-        watch = block.get("watch", {})
-        if watch:
-            lines.append(
-                f"watch: {watch.get('checks', 0)} checks / "
-                f"{watch.get('runs', 0)} recomputes / "
-                f"{watch.get('code_drift', 0)} code-drift invalidations"
-            )
         return "\n".join(lines)

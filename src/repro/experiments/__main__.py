@@ -49,16 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     jobs.add_argument(
         "--serial", action="store_true", help="force sequential execution"
     )
-    parser.add_argument(
-        "--no-shard", action="store_true",
-        help="do not split shardable experiments (fig11/fig12/fig13) into "
-        "per-workload subtasks under --jobs (flat-engine path only)",
-    )
-    parser.add_argument(
-        "--no-stage-graph", action="store_true",
-        help="run the flat per-experiment engine instead of the stage-graph "
-        "orchestrator (equivalent to REPRO_STAGE_GRAPH=0)",
-    )
     cache_group = parser.add_mutually_exclusive_group()
     cache_group.add_argument(
         "--no-cache", action="store_true",
@@ -113,13 +103,6 @@ def _summary_main(argv) -> int:
         help="also render per-stage hit/exec/dedup counters and the "
         "slowest executed stages of the stage-graph orchestrator",
     )
-    parser.add_argument(
-        "--service", action="store_true",
-        help="also render the experiment-service block (request totals, "
-        "latency percentiles, warm-pool and stage-memory counters); "
-        "defaults to <cache>/runs/service-latest.json when no --report "
-        "is given",
-    )
     args = parser.parse_args(argv)
     if args.cache_dir:
         import os
@@ -127,8 +110,6 @@ def _summary_main(argv) -> int:
         os.environ[result_cache.CACHE_DIR_ENV] = args.cache_dir
     if args.report:
         path = Path(args.report)
-    elif args.service:
-        path = result_cache.cache_root() / "runs" / "service-latest.json"
     else:
         path = result_cache.cache_root() / "runs" / "latest.json"
     if not path.exists():
@@ -139,9 +120,6 @@ def _summary_main(argv) -> int:
     if args.stages:
         print()
         print(report.format_stages())
-    if args.service:
-        print()
-        print(report.format_service())
     if args.flows:
         print()
         print(report.format_flows())
@@ -170,27 +148,14 @@ def main(argv=None) -> int:
     else:
         cache_mode = engine.CACHE_ON
 
-    import os
-
-    saved_stage_graph = os.environ.get(result_cache.STAGE_GRAPH_ENV)
-    if args.no_stage_graph:
-        os.environ[result_cache.STAGE_GRAPH_ENV] = "0"
-    try:
-        run = engine.run_suite(
-            args.experiments or None,
-            events=args.events,
-            seed=args.seed,
-            jobs=1 if args.serial else max(args.jobs, 1),
-            cache_mode=cache_mode,
-            cache_dir=args.cache_dir,
-            shard=not args.no_shard,
-        )
-    finally:
-        if args.no_stage_graph:
-            if saved_stage_graph is None:
-                os.environ.pop(result_cache.STAGE_GRAPH_ENV, None)
-            else:
-                os.environ[result_cache.STAGE_GRAPH_ENV] = saved_stage_graph
+    run = engine.run_suite(
+        args.experiments or None,
+        events=args.events,
+        seed=args.seed,
+        jobs=1 if args.serial else max(args.jobs, 1),
+        cache_mode=cache_mode,
+        cache_dir=args.cache_dir,
+    )
 
     markdown_parts = []
     for outcome in run.outcomes:
@@ -209,9 +174,11 @@ def main(argv=None) -> int:
         header = "# Draco reproduction — regenerated evaluation\n\n"
         Path(args.markdown).write_text(header + "\n".join(markdown_parts))
 
-    report_path = engine.write_report(run, args.report)
     print(run.report.format_summary())
-    print(f"report: {report_path}")
+    try:
+        print(f"report: {engine.write_report(run, args.report)}")
+    except OSError as exc:
+        print(f"warning: run report not written ({exc})", file=sys.stderr)
 
     for outcome in run.failures:
         print(f"\n--- {outcome.experiment_id} failed ---", file=sys.stderr)

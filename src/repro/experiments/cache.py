@@ -34,8 +34,8 @@ payloads of the stage-graph orchestrator
 full evaluation ``RunResult`` JSON — keyed by content digests that
 fold each stage's parameters, its upstream stage digests, the code
 fingerprint, and ``STAGE_FORMAT_VERSION``.  Terminal analysis results
-do *not* live here: they store in ``results/`` under the flat
-per-experiment digest, so both engine paths share warm hits.
+do *not* live here: they store in ``results/`` under the
+whole-experiment digest, so a warm rerun is one read per experiment.
 
 Layout (under :func:`cache_root`, default ``~/.cache/repro-draco`` or
 ``$REPRO_CACHE_DIR``)::
@@ -55,7 +55,10 @@ Set ``REPRO_CACHE_DISABLE=1`` (or pass ``--no-cache`` to the CLI) to
 bypass both reads and writes.  ``REPRO_CONTEXT_CACHE=0`` disables only
 the context tier (results and calibration still cache).  All writes are
 atomic (temp-file-then-rename) so concurrent engine workers never
-observe a torn entry.
+observe a torn entry.  A write the cache directory refuses (read-only,
+full, or not a directory) is skipped and counted in the run's
+telemetry, so an unwritable cache degrades the run to uncached instead
+of failing it.
 """
 
 from __future__ import annotations
@@ -67,16 +70,15 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
 
 from repro.bpf.compile import COMPILER_VERSION
+from repro.common import telemetry
 from repro.common.analytic import ANALYTIC_VERSION, analytic_enabled
 from repro.common.storage import (
     CACHE_DIR_ENV,
     CACHE_DISABLE_ENV,
     CONTEXT_CACHE_ENV,
-    STAGE_GRAPH_ENV,
     cache_enabled,
     cache_root,
     context_cache_enabled,
-    stage_graph_enabled,
 )
 from repro.common.storage import atomic_write_text as _atomic_write
 from repro.common.storage import read_json as _read_json
@@ -93,7 +95,6 @@ __all__ = [
     "COMPILER_VERSION",
     "SIM_KERNEL_VERSION",
     "STAGE_FORMAT_VERSION",
-    "STAGE_GRAPH_ENV",
     "ResultCache",
     "cache_enabled",
     "cache_root",
@@ -102,7 +103,6 @@ __all__ = [
     "context_digest",
     "params_digest",
     "spec_payload",
-    "stage_graph_enabled",
 ]
 
 #: Version of the context-cache serialisation contract.  Bumped when
@@ -145,10 +145,22 @@ def params_digest(params: Mapping[str, Any]) -> str:
     return hashlib.sha256(encoded.encode()).hexdigest()[:20]
 
 
+def _store(path: Path, text: str) -> bool:
+    """Write one cache entry; False (and counted) when the cache
+    directory refuses it, so the run carries on uncached."""
+    try:
+        _atomic_write(path, text)
+    except OSError:
+        telemetry.record_cache_store_skipped()
+        return False
+    return True
 
 
 class ResultCache:
-    """On-disk store for :class:`ExperimentResult` payloads."""
+    """On-disk store for :class:`ExperimentResult` payloads.
+
+    Every ``store_*`` method returns whether the entry was written.
+    """
 
     def __init__(self, root: Optional[Path] = None) -> None:
         self.root = Path(root) if root is not None else cache_root()
@@ -176,15 +188,6 @@ class ResultCache:
     def result_path(self, experiment_id: str, digest: str) -> Path:
         return self.root / "results" / experiment_id / f"{digest}.json"
 
-    def has_result(self, experiment_id: str, digest: str) -> bool:
-        """Cheap stat-based existence probe, for callers that only need
-        to know *whether* a result is cached (the engine's pre-shard
-        check) without paying the JSON parse + deserialize of
-        :meth:`load_result`.  A torn entry can stat as present and
-        still read as a miss later — the existence answer is advisory,
-        never load-bearing."""
-        return self.result_path(experiment_id, digest).is_file()
-
     def load_result(self, experiment_id: str, digest: str) -> Optional[ExperimentResult]:
         payload = _read_json(self.result_path(experiment_id, digest))
         if payload is None:
@@ -196,8 +199,8 @@ class ResultCache:
 
     def store_result(
         self, experiment_id: str, digest: str, result: ExperimentResult
-    ) -> None:
-        _atomic_write(self.result_path(experiment_id, digest), result.to_json())
+    ) -> bool:
+        return _store(self.result_path(experiment_id, digest), result.to_json())
 
     # -- calibration values --------------------------------------------
 
@@ -210,8 +213,8 @@ class ResultCache:
             return float(payload)
         return None
 
-    def store_calibration(self, digest: str, value: float) -> None:
-        _atomic_write(self.calibration_path(digest), json.dumps(value))
+    def store_calibration(self, digest: str, value: float) -> bool:
+        return _store(self.calibration_path(digest), json.dumps(value))
 
     # -- context artifacts ---------------------------------------------
 
@@ -234,14 +237,14 @@ class ResultCache:
             return None
         return payload["data"]
 
-    def store_context(self, kind: str, digest: str, data: Any) -> None:
+    def store_context(self, kind: str, digest: str, data: Any) -> bool:
         document = {
             "format": _CONTEXT_FORMAT_NAME,
             "version": CONTEXT_FORMAT_VERSION,
             "kind": kind,
             "data": data,
         }
-        _atomic_write(
+        return _store(
             self.context_path(kind, digest),
             json.dumps(document, sort_keys=True, separators=(",", ":")),
         )
@@ -260,8 +263,8 @@ class ResultCache:
         except serialize.TraceFormatError:
             return None
 
-    def store_trace_context(self, digest: str, trace: SyscallTrace) -> None:
-        _atomic_write(
+    def store_trace_context(self, digest: str, trace: SyscallTrace) -> bool:
+        return _store(
             self.context_path("trace", digest, suffix=".jsonl"),
             serialize.dumps(trace, version=serialize.FORMAT_VERSION_RLE),
         )
@@ -287,14 +290,14 @@ class ResultCache:
             return None
         return payload["data"]
 
-    def store_stage(self, kind: str, digest: str, data: Any) -> None:
+    def store_stage(self, kind: str, digest: str, data: Any) -> bool:
         document = {
             "format": _STAGE_FORMAT_NAME,
             "version": STAGE_FORMAT_VERSION,
             "kind": kind,
             "data": data,
         }
-        _atomic_write(
+        return _store(
             self.stage_path(kind, digest),
             json.dumps(document, sort_keys=True, separators=(",", ":")),
         )

@@ -1,19 +1,20 @@
-"""Parallel experiment engine: process fan-out, caching, failure capture.
+"""Experiment engine: runs a suite through the stage graph.
 
-Runs registry entries across a :class:`~concurrent.futures.ProcessPoolExecutor`
-(or serially with the same code path when ``jobs=1``) with:
+Runs registry entries through the stage-graph orchestrator
+(:mod:`repro.experiments.stages`), serially when ``jobs=1`` or across
+a process pool otherwise, with:
 
 * **deterministic seeding** — with a root ``seed``, every experiment
   gets ``derive_seed(seed, experiment_id)``, so results depend only on
   the root seed and the experiment's identity, never on scheduling
   order or worker assignment.  Without a root seed each experiment
   keeps its module default, matching historical output exactly;
-* **result ordering** — outcomes are collected in registry order
+* **result ordering** — outcomes are collected in request order
   regardless of completion order, so ``--jobs N`` output is
   byte-identical to ``--serial``;
-* **failure isolation** — an experiment that raises produces a
-  ``failed`` record carrying the traceback; the rest of the suite
-  completes normally;
+* **failure isolation** — an experiment that raises, or whose worker
+  dies, produces a ``failed`` record carrying the traceback; the rest
+  of the suite completes normally;
 * **on-disk caching** — results are served from
   :class:`repro.experiments.cache.ResultCache` when the experiment's
   code fingerprint and parameters match a previous run.
@@ -21,31 +22,20 @@ Runs registry entries across a :class:`~concurrent.futures.ProcessPoolExecutor`
 Cache coordination is explicit: ``run_suite`` resolves the cache
 directory and mode once, applies them context-locally through
 :func:`repro.common.storage.cache_overrides` (never by mutating
-``os.environ``, which would race under the concurrent service), and
-threads them to every worker as task arguments — the worker entry
-points re-apply them, since context variables do not survive ``fork``
-into pool workers.  The environment variables remain the outer
-defaults for callers that set nothing.
+``os.environ``), and threads them to every worker as task arguments —
+the worker entry point re-applies them, since context variables do
+not survive ``fork`` into pool workers.  The environment variables
+remain the outer defaults for callers that set nothing.
 
 Parallel suites run on the persistent warm pool
 (:mod:`repro.experiments.pool`): workers are forked once per process
 lifetime with preloaded memos and reused across calls.
 ``REPRO_WARM_POOL=0`` restores a throwaway pool per suite.
-
-By default (``REPRO_STAGE_GRAPH=1``) the suite is executed by the
-stage-graph orchestrator (:mod:`repro.experiments.stages`): each
-experiment is decomposed into content-addressed trace / calibration /
-per-(workload, regime) evaluation / analysis stages, shared stages
-execute once per run, and ``--refresh`` recomputes only the analysis
-tier.  ``REPRO_STAGE_GRAPH=0`` falls back to the flat per-experiment
-path below — including its per-figure :data:`SHARDABLE` machinery —
-with byte-identical markdown output.
 """
 
 from __future__ import annotations
 
 import time
-import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
@@ -53,31 +43,14 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 from repro.common import storage, telemetry
 from repro.common.rng import derive_seed
 from repro.experiments import cache as result_cache
-from repro.experiments import fig11_draco_sw, fig12_draco_hw, fig13_hit_rates
-from repro.experiments import pool as warm_pool
 from repro.experiments import stages as stage_graph
 from repro.experiments.registry import REGISTRY, by_id
 from repro.experiments.results import ExperimentResult
-from repro.workloads.catalog import CATALOG
 
 #: Cache behaviour modes for one engine run.
 CACHE_ON = "on"
 CACHE_OFF = "off"
 CACHE_REFRESH = "refresh"  # recompute everything, then repopulate
-
-#: Experiments that accept a per-workload ``workloads`` tuple and
-#: provide a merge that reassembles the full-catalog result
-#: byte-identically from per-workload shards.  Under ``jobs > 1`` the
-#: engine splits these into one subtask per catalog workload so the
-#: longest experiments parallelise instead of serialising one worker.
-#: Only used on the flat (``REPRO_STAGE_GRAPH=0``) fallback path: the
-#: stage graph schedules per-(workload, regime) stages directly, so
-#: sharding falls out of the DAG with no per-figure special-casing.
-SHARDABLE = {
-    "fig11": fig11_draco_sw.merge_shards,
-    "fig12": fig12_draco_hw.merge_shards,
-    "fig13": fig13_hit_rates.merge_shards,
-}
 
 
 @dataclass
@@ -109,120 +82,6 @@ class SuiteRun:
         return [o for o in self.outcomes if not o.ok]
 
 
-def _execute_one(
-    experiment_id: str,
-    run_kwargs: Dict[str, Any],
-    cache_mode: str,
-    cache_dir: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Worker entry point: run (or cache-serve) one experiment.
-
-    ``cache_dir`` is the suite's resolved cache root, passed explicitly
-    because the warm pool's workers outlive any single suite: they must
-    not rely on environment inherited at fork time, and context-local
-    overrides do not cross the ``fork`` boundary.  Re-applying them
-    here makes the worker's cache view match the submitting suite's.
-
-    Returns a plain JSON-ready payload so results cross the process
-    boundary without pickling experiment internals.  Never raises:
-    failures are captured into the record.
-    """
-    with storage.cache_overrides(
-        cache_dir=cache_dir, disable=(cache_mode == CACHE_OFF)
-    ):
-        return _execute_one_inner(experiment_id, run_kwargs, cache_mode)
-
-
-def _execute_one_inner(
-    experiment_id: str, run_kwargs: Dict[str, Any], cache_mode: str
-) -> Dict[str, Any]:
-    experiment = by_id(experiment_id)
-    telemetry.reset_counters()
-    store = result_cache.ResultCache()
-    digest = store.result_key(experiment_id, run_kwargs)
-    record = telemetry.ExperimentRecord(
-        experiment_id=experiment_id,
-        title=experiment.title,
-        cache=telemetry.CACHE_OFF,
-        params_digest=digest,
-    )
-    started = time.perf_counter()
-    result: Optional[ExperimentResult] = None
-
-    if cache_mode == CACHE_ON:
-        result = store.load_result(experiment_id, digest)
-        record.cache = telemetry.CACHE_HIT if result is not None else telemetry.CACHE_MISS
-    elif cache_mode == CACHE_REFRESH:
-        record.cache = telemetry.CACHE_REFRESH
-
-    if result is None:
-        try:
-            result = experiment.run(**run_kwargs)
-        except Exception:
-            record.status = "failed"
-            record.error = traceback.format_exc()
-        else:
-            if cache_mode in (CACHE_ON, CACHE_REFRESH):
-                store.store_result(experiment_id, digest, result)
-
-    record.wall_time_s = time.perf_counter() - started
-    record.simulation = telemetry.counters_snapshot()
-    return {
-        "result": result.to_json_dict() if result is not None else None,
-        "record": record.to_json_dict(),
-    }
-
-
-def _merge_shard_payloads(
-    experiment_id: str,
-    run_kwargs: Dict[str, Any],
-    payloads: List[Dict[str, Any]],
-    cache_mode: str,
-) -> Dict[str, Any]:
-    """Reassemble per-workload shard payloads into one experiment payload.
-
-    The merged result is byte-identical to an unsharded run (see the
-    experiment's ``merge_shards``), so it is also stored under the
-    *unsharded* params digest — a later serial run is then a cache hit.
-    """
-    records = [telemetry.ExperimentRecord.from_json_dict(p["record"]) for p in payloads]
-    failures = [r for r in records if not r.ok]
-    statuses = {r.cache for r in records}
-    if statuses == {telemetry.CACHE_HIT}:
-        cache_status = telemetry.CACHE_HIT
-    elif telemetry.CACHE_OFF in statuses:
-        cache_status = telemetry.CACHE_OFF
-    elif telemetry.CACHE_REFRESH in statuses:
-        cache_status = telemetry.CACHE_REFRESH
-    else:
-        cache_status = telemetry.CACHE_MISS
-    store = result_cache.ResultCache()
-    digest = store.result_key(experiment_id, run_kwargs)
-    record = telemetry.ExperimentRecord(
-        experiment_id=experiment_id,
-        title=records[0].title,
-        status="failed" if failures else "ok",
-        cache=cache_status,
-        # Shards ran concurrently: the experiment's wall time is the
-        # slowest shard, while the summed time is compute (CPU) cost.
-        wall_time_s=max((r.wall_time_s for r in records), default=0.0),
-        cpu_time_s=sum(r.wall_time_s for r in records),
-        params_digest=digest,
-        error="\n".join(r.error for r in failures if r.error),
-        simulation=telemetry.merge_simulations([r.simulation for r in records]),
-    )
-    result: Optional[ExperimentResult] = None
-    if not failures:
-        parts = [ExperimentResult.from_json_dict(p["result"]) for p in payloads]
-        result = SHARDABLE[experiment_id](parts)
-        if cache_mode in (CACHE_ON, CACHE_REFRESH):
-            store.store_result(experiment_id, digest, result)
-    return {
-        "result": result.to_json_dict() if result is not None else None,
-        "record": record.to_json_dict(),
-    }
-
-
 def _task_kwargs(
     experiment_id: str,
     events: Optional[int],
@@ -248,19 +107,12 @@ def run_suite(
     cache_mode: str = CACHE_ON,
     cache_dir: Optional[str] = None,
     run_overrides: Optional[Mapping[str, Mapping[str, Any]]] = None,
-    shard: bool = True,
 ) -> SuiteRun:
     """Run a set of registry experiments, parallel when ``jobs > 1``.
 
     ``run_overrides`` maps experiment id to extra keyword arguments for
     its ``run()`` (e.g. a workload subset), applied after the shared
     ``events``/``seed``; unknown ids raise ``KeyError`` up front.
-
-    With ``shard`` (the default) and ``jobs > 1``, experiments in
-    :data:`SHARDABLE` are split into one subtask per catalog workload —
-    each cached independently — and their results reassembled in
-    catalog order, byte-identical to an unsharded run.  An experiment
-    given an explicit ``workloads`` override is never sharded.
     """
     ids = list(experiment_ids) if experiment_ids else [e.experiment_id for e in REGISTRY]
     for experiment_id in ids:
@@ -268,10 +120,8 @@ def run_suite(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
 
-    # Cache settings are context-local, never process-global: the
-    # service runs concurrent suites with different modes in one
-    # process, so mutating os.environ here would race.  Workers get
-    # the resolved root as an explicit task argument instead.
+    # Cache settings are context-local, never process-global; workers
+    # get the resolved root as an explicit task argument.
     with storage.cache_overrides(
         cache_dir=cache_dir, disable=(cache_mode == CACHE_OFF)
     ):
@@ -284,97 +134,15 @@ def run_suite(
             cache_dir=resolved_root,
             started_at=time.time(),
         )
-        if result_cache.stage_graph_enabled():
-            # Stage-graph path (the default): decompose experiments
-            # into content-addressed stages, dedup shared ones across
-            # experiments, and schedule the DAG over the pool.  The
-            # flat path below stays behind REPRO_STAGE_GRAPH=0 with
-            # byte-identical markdown output (differential test).
-            payloads = stage_graph.execute_suite(
-                [
-                    (experiment_id, _task_kwargs(experiment_id, events, seed, run_overrides))
-                    for experiment_id in ids
-                ],
-                jobs=jobs,
-                cache_mode=cache_mode,
-                cache_dir=resolved_root,
-            )
-            return _assemble_run(report, payloads)
-
-        # The plan is built under the cache overrides so the pre-shard
-        # cache probe below sees the right cache root.
-        # plan: (experiment_id, kwargs, shard_count); shard_count == 0
-        # means the experiment runs whole as one task.
-        store = result_cache.ResultCache()
-        plan: List[tuple] = []
-        tasks: List[tuple] = []
-        for experiment_id in ids:
-            kwargs = _task_kwargs(experiment_id, events, seed, run_overrides)
-            shardable = (
-                shard
-                and jobs > 1
-                and experiment_id in SHARDABLE
-                and "workloads" not in kwargs
-            )
-            if shardable and cache_mode == CACHE_ON:
-                digest = store.result_key(experiment_id, kwargs)
-                # A stat is enough here: the probe only decides whether
-                # to fan out, and a torn entry surfacing as "present"
-                # still reads as a miss in the unsharded worker, which
-                # then recomputes — correctness never rests on this.
-                if store.has_result(experiment_id, digest):
-                    shardable = False  # whole result cached: serve it directly
-            if shardable:
-                shards = [dict(kwargs, workloads=(name,)) for name in CATALOG]
-                plan.append((experiment_id, kwargs, len(shards)))
-                tasks.extend((experiment_id, shard_kwargs) for shard_kwargs in shards)
-            else:
-                plan.append((experiment_id, kwargs, 0))
-                tasks.append((experiment_id, kwargs))
-
-        parallel = jobs > 1 and len(tasks) > 1
-        if parallel and cache_mode == CACHE_ON:
-            # Probe *every* task (not just shardable ones, which the
-            # loop above already handled): when the whole suite is a
-            # warm cache hit there is nothing to fan out, and serving
-            # stat-warm JSON serially beats paying pool dispatch.  Same
-            # stat-only caveat as above — a wrong "present" answer only
-            # costs the serial path a recompute.
-            if all(
-                store.has_result(experiment_id, store.result_key(experiment_id, kwargs))
-                for experiment_id, kwargs in tasks
-            ):
-                parallel = False
-
-        if not parallel:
-            payloads = [
-                _execute_one(experiment_id, kwargs, cache_mode, resolved_root)
-                for experiment_id, kwargs in tasks
-            ]
-        else:
-            with warm_pool.suite_executor(jobs, len(tasks)) as executor:
-                futures = [
-                    executor.submit(
-                        _execute_one, experiment_id, kwargs, cache_mode, resolved_root
-                    )
-                    for experiment_id, kwargs in tasks
-                ]
-                payloads = [future.result() for future in futures]
-
-        merged: List[Dict[str, Any]] = []
-        cursor = 0
-        for experiment_id, kwargs, shard_count in plan:
-            if shard_count == 0:
-                merged.append(payloads[cursor])
-                cursor += 1
-            else:
-                group = payloads[cursor:cursor + shard_count]
-                cursor += shard_count
-                merged.append(
-                    _merge_shard_payloads(experiment_id, kwargs, group, cache_mode)
-                )
-        payloads = merged
-
+        payloads = stage_graph.execute_suite(
+            [
+                (experiment_id, _task_kwargs(experiment_id, events, seed, run_overrides))
+                for experiment_id in ids
+            ],
+            jobs=jobs,
+            cache_mode=cache_mode,
+            cache_dir=resolved_root,
+        )
         return _assemble_run(report, payloads)
 
 

@@ -9,14 +9,10 @@ syscall-complete, macro/micro averages drop from 1.14/1.25 (Seccomp) to
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.common.rng import DEFAULT_SEED
-from repro.experiments.results import (
-    ExperimentResult,
-    average_rows_by_kind,
-    merge_shard_rows,
-)
+from repro.experiments.results import ExperimentResult, average_rows_by_kind
 from repro.experiments.runner import get_context
 from repro.experiments.stages import EvalPlan
 from repro.workloads.catalog import CATALOG
@@ -39,7 +35,7 @@ PAPER_AVERAGES = {
 }
 
 #: Rounding applied to every value row (averages are computed from the
-#: rounded rows, so shard merges reproduce them exactly).
+#: rounded rows).
 ROW_DECIMALS = 3
 
 #: Stage-graph DAG: the six Seccomp/software-Draco regimes per
@@ -82,12 +78,6 @@ def run(
             for (kind, regime), value in sorted(PAPER_AVERAGES.items())
         ),
     )
-
-
-def merge_shards(parts: Sequence[ExperimentResult]) -> ExperimentResult:
-    """Merge per-workload shard results (catalog order) into the full
-    figure, byte-identical to an unsharded :func:`run`."""
-    return merge_shard_rows(parts, decimals=ROW_DECIMALS)
 
 
 def main() -> None:

@@ -8,14 +8,10 @@ for every profile, including the double-size checks.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.common.rng import DEFAULT_SEED
-from repro.experiments.results import (
-    ExperimentResult,
-    average_rows_by_kind,
-    merge_shard_rows,
-)
+from repro.experiments.results import ExperimentResult, average_rows_by_kind
 from repro.experiments.runner import get_context
 from repro.experiments.stages import EvalPlan
 from repro.workloads.catalog import CATALOG
@@ -34,7 +30,7 @@ STAGE_PLAN = EvalPlan(regimes=REGIMES)
 PAPER_AVERAGE_OVERHEAD = 0.01
 
 #: Rounding applied to every value row (averages are computed from the
-#: rounded rows, so shard merges reproduce them exactly).
+#: rounded rows).
 ROW_DECIMALS = 4
 
 
@@ -66,12 +62,6 @@ def run(
         rows=tuple(rows),
         notes=("paper: average overhead is ~1% for all three profiles",),
     )
-
-
-def merge_shards(parts: Sequence[ExperimentResult]) -> ExperimentResult:
-    """Merge per-workload shard results (catalog order) into the full
-    figure, byte-identical to an unsharded :func:`run`."""
-    return merge_shard_rows(parts, decimals=ROW_DECIMALS)
 
 
 def main() -> None:

@@ -18,10 +18,10 @@ back to driving a fresh regime and reading its counters directly.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.common.rng import DEFAULT_SEED
-from repro.experiments.results import ExperimentResult, merge_shard_rows
+from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import get_context
 from repro.experiments.stages import EvalPlan
 from repro.kernel.simulator import run_trace
@@ -119,12 +119,6 @@ def run(
             f"paper: SLB access 75-93% for {PAPER_LOW_SLB}, higher elsewhere",
         ),
     )
-
-
-def merge_shards(parts: Sequence[ExperimentResult]) -> ExperimentResult:
-    """Merge per-workload shard results (catalog order): a plain
-    row concatenation — this figure has no summary rows."""
-    return merge_shard_rows(parts)
 
 
 def main() -> None:

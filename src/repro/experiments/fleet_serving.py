@@ -56,9 +56,9 @@ def resolve_params(
     count when no explicit ``invocations`` override is given, so
     ``--events 2000`` smoke runs stay fast; the tenant population
     scales with it (≈1 tenant per 120 invocations, capped at the
-    default 1000).  Both the flat ``run()`` and the stage planner
+    default 1000).  Both a direct ``run()`` and the stage planner
     derive parameters through this one function, which is what keeps
-    staged and flat results byte-identical.
+    staged and direct results byte-identical.
     """
     if invocations is None:
         invocations = DEFAULT_INVOCATIONS if events is None else int(events)
@@ -116,8 +116,9 @@ def fleet_classes(params: FleetParams) -> Tuple[ClassCost, ...]:
 def eval_payload(params: FleetParams, policy: str) -> Dict[str, Any]:
     """Compute one policy's
     :meth:`~repro.kernel.fleet.FleetResult.to_json_dict` (always runs
-    the simulation — the ``fleet-eval`` stage executor, and the flat
-    path's fallback; staged seeds are consumed by :func:`run` only)."""
+    the simulation — the ``fleet-eval`` stage executor, and the
+    fallback of a direct :func:`run`; staged seeds are consumed by
+    :func:`run` only)."""
     result = simulate_fleet(
         params, policy, classes=fleet_classes(params), load=fleet_load(params)
     )
@@ -140,7 +141,7 @@ def run(
     for policy in POLICIES:
         # Stage-graph analysis runs consume the staged eval payloads —
         # once; telemetry was recorded when the eval stages executed.
-        # Flat runs (and any later run of the same params in this
+        # Direct runs (and any later run of the same params in this
         # process) compute them here.
         payload = _SEEDED.pop(_eval_key(params, policy), None)
         if payload is None:

@@ -1,12 +1,11 @@
 """Warm process pool: persistent, preloaded workers for the engine.
 
 Draco's discipline — validate once, serve repeats from a cache next to
-the hot path — applied to the experiment engine's own processes.  The
-flat engine and the stage scheduler used to spawn a throwaway
-:class:`~concurrent.futures.ProcessPoolExecutor` per suite, so every
-run paid process startup and every worker rebuilt its in-process memos
-(compiled filters, syscall tables, interned traces, contexts) from
-scratch.  This module keeps **one** pool alive across
+the hot path — applied to the experiment engine's own processes.  A
+throwaway :class:`~concurrent.futures.ProcessPoolExecutor` per suite
+makes every run pay process startup and every worker rebuild its
+in-process memos (compiled filters, syscall tables, interned traces,
+contexts) from scratch.  This module keeps **one** pool alive across
 ``run_suite``/``execute_suite`` calls:
 
 * workers run :func:`warm_worker` at startup, which imports the full
@@ -33,11 +32,9 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 #: Kill switch: ``0``/``off``/``false``/``no`` disables the persistent
@@ -98,13 +95,6 @@ def warm_worker() -> None:
                 compile_program(program)
 
 
-def _barrier_task(index: int, delay_s: float) -> int:
-    """Prestart probe: occupy one worker long enough that the executor
-    must spawn (and therefore warm) all of them."""
-    time.sleep(delay_s)
-    return index
-
-
 @dataclass
 class WarmPool:
     """One persistent executor plus the identity it was started under."""
@@ -112,34 +102,12 @@ class WarmPool:
     key: tuple
     max_workers: int
     executor: ProcessPoolExecutor
-    created_at: float
-    suites_served: int = 0
-    _warmed: bool = field(default=False, repr=False)
-
-    def prestart(self, delay_s: float = 0.05) -> float:
-        """Force every worker to spawn and finish :func:`warm_worker` now.
-
-        Submitting ``max_workers`` concurrent sleepers makes the lazy
-        executor fork its full complement; returns the wall time spent
-        waiting, 0.0 when the pool was already warm.
-        """
-        if self._warmed:
-            return 0.0
-        started = time.perf_counter()
-        futures = [
-            self.executor.submit(_barrier_task, index, delay_s)
-            for index in range(self.max_workers)
-        ]
-        for future in futures:
-            future.result()
-        self._warmed = True
-        return time.perf_counter() - started
 
 
 _LOCK = threading.Lock()
 _CURRENT: Optional[WarmPool] = None
 
-#: Lifetime counters, surfaced by the service's ``stats`` op.
+#: Lifetime counters, read through :func:`stats`.
 _STATS = {"created": 0, "recycled": 0, "broken": 0}
 
 
@@ -171,17 +139,14 @@ def get_pool(max_workers: int) -> WarmPool:
             max_workers=max(1, int(max_workers)), initializer=warm_worker
         )
         _CURRENT = WarmPool(
-            key=key,
-            max_workers=max(1, int(max_workers)),
-            executor=executor,
-            created_at=time.time(),
+            key=key, max_workers=max(1, int(max_workers)), executor=executor
         )
         _STATS["created"] += 1
         return _CURRENT
 
 
 def discard(executor: Optional[ProcessPoolExecutor] = None) -> None:
-    """Retire the current pool (e.g. after a BrokenProcessPool).
+    """Retire the current pool (after a BrokenProcessPool).
 
     With ``executor`` given, only discards if the current pool owns that
     executor — a later pool created by another thread is left alone.
@@ -198,7 +163,7 @@ def discard(executor: Optional[ProcessPoolExecutor] = None) -> None:
 
 
 def shutdown(wait: bool = True) -> None:
-    """Tear the warm pool down (tests, service shutdown)."""
+    """Tear the warm pool down (tests, benchmarks)."""
     global _CURRENT
     with _LOCK:
         if _CURRENT is not None:
@@ -213,8 +178,6 @@ def stats() -> dict:
         snapshot["active"] = _CURRENT is not None
         if _CURRENT is not None:
             snapshot["max_workers"] = _CURRENT.max_workers
-            snapshot["suites_served"] = _CURRENT.suites_served
-            snapshot["age_s"] = round(time.time() - _CURRENT.created_at, 3)
     return snapshot
 
 
@@ -223,18 +186,12 @@ def suite_executor(jobs: int, task_count: int) -> Iterator[ProcessPoolExecutor]:
     """An executor for one suite: the persistent warm pool when enabled,
     a throwaway ``ProcessPoolExecutor`` (shut down on exit) otherwise.
 
-    On :class:`BrokenProcessPool` the warm pool is discarded before the
-    error propagates, so the next suite forks a fresh one instead of
-    failing forever on dead workers.
+    A caller that sees :class:`~concurrent.futures.process.BrokenProcessPool`
+    must :func:`discard` the executor, so the next suite forks a fresh
+    pool instead of failing forever on dead workers.
     """
     if warm_pool_enabled():
-        pool = get_pool(jobs)
-        pool.suites_served += 1
-        try:
-            yield pool.executor
-        except BrokenProcessPool:
-            discard(pool.executor)
-            raise
+        yield get_pool(jobs).executor
     else:
         executor = ProcessPoolExecutor(max_workers=min(jobs, max(task_count, 1)))
         try:

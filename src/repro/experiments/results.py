@@ -9,7 +9,7 @@ number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 
 def average_rows_by_kind(
@@ -18,10 +18,7 @@ def average_rows_by_kind(
     """``average-{kind}`` summary rows over per-workload *rows*.
 
     Rows are ``(workload, kind, value, value, ...)``; averages are
-    computed from the (already rounded) row values in row order, so any
-    partition of the rows that is re-merged in the same order yields
-    bit-identical averages — the property per-workload sharding relies
-    on.
+    computed from the (already rounded) row values in row order.
     """
     sums: Dict[str, list] = {}
     counts: Dict[str, int] = {}
@@ -41,35 +38,6 @@ def average_rows_by_kind(
         + tuple(round(total / counts[kind], decimals) for total in sums[kind])
         for kind in ("macro", "micro")
         if counts.get(kind)
-    )
-
-
-def merge_shard_rows(
-    parts: Sequence["ExperimentResult"], decimals: Optional[int] = None
-) -> "ExperimentResult":
-    """Reassemble per-workload shard results into one result.
-
-    Concatenates the shards' non-summary rows in the given (catalog)
-    order; when *decimals* is set, ``average-{kind}`` rows are
-    recomputed from the merged rows via :func:`average_rows_by_kind`.
-    Identity metadata (id, title, columns, notes) comes from the first
-    shard.  Byte-identical to an unsharded run over the same workloads.
-    """
-    first = parts[0]
-    rows = [
-        row
-        for part in parts
-        for row in part.rows
-        if not str(row[0]).startswith("average-")
-    ]
-    if decimals is not None:
-        rows.extend(average_rows_by_kind(rows, decimals))
-    return ExperimentResult(
-        experiment_id=first.experiment_id,
-        title=first.title,
-        columns=first.columns,
-        rows=tuple(rows),
-        notes=first.notes,
     )
 
 

@@ -109,10 +109,9 @@ def _bundle_for(spec: WorkloadSpec, seed: int) -> ProfileBundle:
         )
     if bundle is None:
         bundle = generate_bundle(profile_trace(spec, seed=seed), spec.name)
-        if digest is not None:
-            result_cache.ResultCache().store_context(
-                "bundle", digest, bundle_to_payload(bundle)
-            )
+        if digest is not None and result_cache.ResultCache().store_context(
+            "bundle", digest, bundle_to_payload(bundle)
+        ):
             telemetry.record_context_cache("bundle", "store")
     memo_insert(_BUNDLE_MEMO, key, (spec, bundle), _BUNDLE_MEMO_LIMIT)
     return bundle
@@ -315,7 +314,7 @@ class WorkloadContext:
         computes per-(workload, regime) evaluations as standalone
         stages, then replays each experiment's analysis code unchanged;
         seeding the memo makes ``ctx.evaluate(regime)`` serve the staged
-        result, so row assembly is byte-identical to the flat engine.
+        result, so row assembly is byte-identical to a direct run.
         Keyed on the *current* runtime env knobs, same as
         :meth:`evaluate`.
         """
@@ -366,8 +365,9 @@ def _trace_for(spec: WorkloadSpec, events: int, seed: int) -> SyscallTrace:
         )
     if trace is None:
         trace = generate_trace(spec, events, seed=seed)
-        if digest is not None:
-            result_cache.ResultCache().store_trace_context(digest, trace)
+        if digest is not None and result_cache.ResultCache().store_trace_context(
+            digest, trace
+        ):
             telemetry.record_context_cache("trace", "store")
     memo_insert(_TRACE_MEMO, key, (spec, trace), _TRACE_MEMO_LIMIT)
     return trace
@@ -474,8 +474,7 @@ def calibrate_work_cycles(
     c_complete = probe.mean_check_cycles
     baseline = c_complete / (target - 1.0)
     work = max(baseline - costs.syscall_base_cycles, MIN_WORK_CYCLES)
-    if digest is not None:
-        result_cache.ResultCache().store_calibration(digest, work)
+    if digest is not None and result_cache.ResultCache().store_calibration(digest, work):
         telemetry.record_context_cache("calibration", "store")
     memo_insert(
         _CALIBRATION_MEMO, memo_key, (spec, trace, work), _CALIBRATION_MEMO_LIMIT

@@ -241,8 +241,8 @@ def sweep_for(
         if sweep is None:
             return None
         sweeps_built += 1
-        store.store_context("sweep", digest, _sweep_payload(sweep))
-        telemetry.record_context_cache("sweep", "store")
+        if store.store_context("sweep", digest, _sweep_payload(sweep)):
+            telemetry.record_context_cache("sweep", "store")
     memo_insert(_SWEEP_MEMO, memo_key, (trace, profile, sweep), _SWEEP_MEMO_LIMIT)
     return sweep
 

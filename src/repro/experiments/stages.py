@@ -1,10 +1,10 @@
 """Stage-graph orchestrator: experiments as DAGs of cacheable stages.
 
-The flat engine treats each registry entry as one opaque task, so a
-change that only affects an experiment's *analysis* still re-runs its
+Treating each registry entry as one opaque task would mean a change
+that only affects an experiment's *analysis* still re-runs its
 simulations, and two experiments that consume the same evaluation
 (fig13 and the flow-mix extension both read ``draco-hw-complete``)
-each recompute it.  This module decomposes the catalog-loop
+would each recompute it.  This module decomposes the catalog-loop
 experiments into a DAG of **stages**::
 
     trace ──► calibration ──► eval (one per workload × regime) ──► analysis
@@ -26,34 +26,32 @@ payload, and terminal stages return the experiment's
 :class:`~repro.experiments.results.ExperimentResult`.  Intermediate
 payloads persist in the ``stages/<kind>/<digest>.json`` tier of
 :class:`repro.experiments.cache.ResultCache`; terminal payloads are
-stored in the existing ``results/`` tier under the flat per-experiment
-digest, so warm runs, ``summary`` and every existing cache tool keep
-working unchanged.
+stored in the ``results/`` tier under the whole-experiment digest
+(:meth:`~repro.experiments.cache.ResultCache.result_key`), so warm
+runs, ``summary`` and every cache tool read one entry per experiment.
 
-Byte-identity with the flat engine is structural, not incidental: the
-analysis stage rebuilds each workload context and **seeds** the staged
-evaluations into its memo
+Byte-identity with the experiment's own ``run()`` is structural, not
+incidental: the analysis stage rebuilds each workload context and
+**seeds** the staged evaluations into its memo
 (:meth:`~repro.experiments.runner.WorkloadContext.seed_evaluation`),
 then calls the experiment's unmodified ``run()`` — the same row
-assembly, rounding and note text as a flat run.  A differential test
-asserts the full-registry markdown matches under
-``REPRO_STAGE_GRAPH=0`` and ``=1``.
+assembly, rounding and note text as a direct call.  A differential
+test asserts the full-registry markdown matches each entry's direct
+``run()``.
 
 ``--refresh`` is stage-scoped here: terminal stages always recompute
 (and restore the ``results/`` entry) while intermediate stages are
 served from the ``stages/`` tier, so a warm refresh re-renders every
-table without re-simulating.  ``REPRO_STAGE_GRAPH=0`` falls back to
-the flat engine.
+table without re-simulating.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
 import traceback
-from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -94,7 +92,7 @@ KIND_FLEET_EVAL = "fleet-eval"
 
 #: Kinds persisted in the ``stages/`` tier.  Terminal kinds
 #: (analysis / experiment) store their ExperimentResult in the
-#: ``results/`` tier under the flat per-experiment digest instead.
+#: ``results/`` tier under the whole-experiment digest instead.
 _INTERMEDIATE_KINDS = frozenset(
     {KIND_TRACE, KIND_CALIBRATION, KIND_EVAL,
      KIND_FLEET_LOAD, KIND_FLEET_CALIBRATION, KIND_FLEET_EVAL}
@@ -141,7 +139,8 @@ class FleetPlan:
     ``fleet-eval`` stage per dispatch policy, feeding the terminal
     analysis.  Parameter resolution is delegated to
     :func:`repro.experiments.fleet_serving.resolve_params` so staged
-    and flat runs derive identical :class:`~repro.kernel.fleet.FleetParams`.
+    and direct ``run()`` calls derive identical
+    :class:`~repro.kernel.fleet.FleetParams`.
     """
 
     policies: Tuple[str, ...]
@@ -168,7 +167,7 @@ class ExperimentPlan:
 
     experiment_id: str
     run_kwargs: Dict[str, Any]
-    flat_digest: str  # the flat engine's result_key, for the results/ tier
+    result_digest: str  # ResultCache.result_key, for the results/ tier
     stages: Dict[str, Stage]  # insertion order is topological
     terminal: str
 
@@ -192,16 +191,16 @@ def build_plan(
     experiment_id: str,
     plan: "EvalPlan | FleetPlan",
     run_kwargs: Mapping[str, Any],
-    flat_digest: str,
+    result_digest: str,
 ) -> Optional[ExperimentPlan]:
     """Expand a declarative :class:`EvalPlan` into a concrete DAG.
 
     Returns ``None`` when ``run_kwargs`` carries overrides the planner
     does not understand — the caller then falls back to a monolithic
-    experiment stage, which executes the exact flat-engine semantics.
+    experiment stage, which runs the experiment's whole ``run()``.
     """
     if isinstance(plan, FleetPlan):
-        return _build_fleet_plan(experiment_id, plan, run_kwargs, flat_digest)
+        return _build_fleet_plan(experiment_id, plan, run_kwargs, result_digest)
     if not _PLANNABLE_KWARGS.issuperset(run_kwargs):
         return None
     names = tuple(run_kwargs.get("workloads") or tuple(CATALOG))
@@ -262,7 +261,7 @@ def build_plan(
     return ExperimentPlan(
         experiment_id=experiment_id,
         run_kwargs=dict(run_kwargs),
-        flat_digest=flat_digest,
+        result_digest=result_digest,
         stages=stages,
         terminal=terminal,
     )
@@ -272,7 +271,7 @@ def _build_fleet_plan(
     experiment_id: str,
     plan: FleetPlan,
     run_kwargs: Mapping[str, Any],
-    flat_digest: str,
+    result_digest: str,
 ) -> Optional[ExperimentPlan]:
     """Expand a :class:`FleetPlan` into load/calibration/eval stages."""
     if not _FLEET_PLANNABLE_KWARGS.issuperset(run_kwargs):
@@ -319,14 +318,14 @@ def _build_fleet_plan(
     return ExperimentPlan(
         experiment_id=experiment_id,
         run_kwargs=dict(run_kwargs),
-        flat_digest=flat_digest,
+        result_digest=result_digest,
         stages=stages,
         terminal=terminal,
     )
 
 
 def monolithic_plan(
-    experiment_id: str, run_kwargs: Mapping[str, Any], flat_digest: str
+    experiment_id: str, run_kwargs: Mapping[str, Any], result_digest: str
 ) -> ExperimentPlan:
     """Single-stage plan wrapping the whole ``run()`` (non-DAG experiments)."""
     params = {"experiment_id": experiment_id, "run_kwargs": dict(run_kwargs)}
@@ -337,78 +336,10 @@ def monolithic_plan(
     return ExperimentPlan(
         experiment_id=experiment_id,
         run_kwargs=dict(run_kwargs),
-        flat_digest=flat_digest,
+        result_digest=result_digest,
         stages={key: stage},
         terminal=key,
     )
-
-
-# -- in-memory stage tier ----------------------------------------------
-#
-# A small LRU of hot stage payloads sitting *above* the ``stages/``
-# disk tier: a repeat hit is served without a stat, file read, or JSON
-# parse.  Safe because stage digests are fully content-addressed (code
-# fingerprint, format versions, env knobs, dep digests) — a payload
-# valid on disk under a digest is equally valid in memory under it.
-# Disabled by default (limit 0): batch CLI runs gain little, and tests
-# that corrupt the disk tier to force re-execution must keep seeing
-# the disk as the source of truth.  The experiment service turns it on.
-
-_STAGE_MEMORY_LOCK = threading.Lock()
-_STAGE_MEMORY: "OrderedDict[Tuple[str, str], Any]" = OrderedDict()
-_STAGE_MEMORY_LIMIT = 0
-_STAGE_MEMORY_STATS = {"hits": 0, "misses": 0, "stored": 0, "evicted": 0}
-
-
-def configure_stage_memory(limit: int) -> None:
-    """Set the in-memory tier's capacity (entries); 0 disables it."""
-    global _STAGE_MEMORY_LIMIT
-    with _STAGE_MEMORY_LOCK:
-        _STAGE_MEMORY_LIMIT = max(0, int(limit))
-        while len(_STAGE_MEMORY) > _STAGE_MEMORY_LIMIT:
-            _STAGE_MEMORY.popitem(last=False)
-            _STAGE_MEMORY_STATS["evicted"] += 1
-
-
-def reset_stage_memory() -> None:
-    """Drop all entries and zero the counters (tests, code drift)."""
-    with _STAGE_MEMORY_LOCK:
-        _STAGE_MEMORY.clear()
-        for name in _STAGE_MEMORY_STATS:
-            _STAGE_MEMORY_STATS[name] = 0
-
-
-def stage_memory_stats() -> Dict[str, int]:
-    with _STAGE_MEMORY_LOCK:
-        snapshot = dict(_STAGE_MEMORY_STATS)
-        snapshot["entries"] = len(_STAGE_MEMORY)
-        snapshot["limit"] = _STAGE_MEMORY_LIMIT
-    return snapshot
-
-
-def _stage_memory_get(kind: str, key: str) -> Any:
-    with _STAGE_MEMORY_LOCK:
-        if _STAGE_MEMORY_LIMIT <= 0:
-            return None
-        entry = _STAGE_MEMORY.get((kind, key))
-        if entry is None:
-            _STAGE_MEMORY_STATS["misses"] += 1
-            return None
-        _STAGE_MEMORY.move_to_end((kind, key))
-        _STAGE_MEMORY_STATS["hits"] += 1
-        return entry
-
-
-def _stage_memory_put(kind: str, key: str, payload: Any) -> None:
-    with _STAGE_MEMORY_LOCK:
-        if _STAGE_MEMORY_LIMIT <= 0:
-            return
-        _STAGE_MEMORY[(kind, key)] = payload
-        _STAGE_MEMORY.move_to_end((kind, key))
-        _STAGE_MEMORY_STATS["stored"] += 1
-        while len(_STAGE_MEMORY) > _STAGE_MEMORY_LIMIT:
-            _STAGE_MEMORY.popitem(last=False)
-            _STAGE_MEMORY_STATS["evicted"] += 1
 
 
 # -- stage executors (run in workers; must stay module-top-level) -------
@@ -525,13 +456,13 @@ def _execute_stage(
 
     ``cache_dir`` is the suite's resolved cache root, re-applied here
     because warm-pool workers outlive any single suite and must not
-    trust environment inherited at fork time (see
-    :func:`repro.experiments.engine._execute_one`).
+    trust environment inherited at fork time; context-local overrides
+    do not cross the ``fork`` boundary either.
 
     Returns a JSON/pickle-safe envelope; never raises.  Intermediate
     payloads are written to the ``stages/`` tier here (in the worker,
-    which already holds the payload); terminal payloads go to the flat
-    ``results/`` tier exactly like the flat engine's workers.
+    which already holds the payload); terminal payloads go to the
+    ``results/`` tier.
     """
     with storage.cache_overrides(
         cache_dir=cache_dir, disable=(cache_mode == CACHE_OFF)
@@ -577,15 +508,13 @@ def _execute_stage_inner(
         out["payload"] = payload
         if kind in _INTERMEDIATE_KINDS:
             if cache_mode != CACHE_OFF and result_cache.cache_enabled():
-                result_cache.ResultCache().store_stage(kind, key, payload)
-                out["stored"] = True
+                out["stored"] = result_cache.ResultCache().store_stage(kind, key, payload)
         elif cache_mode in (CACHE_ON, CACHE_REFRESH):
-            result_cache.ResultCache().store_result(
+            out["stored"] = result_cache.ResultCache().store_result(
                 params["experiment_id"],
                 result_digest,
                 ExperimentResult.from_json_dict(payload),
             )
-            out["stored"] = True
     out["elapsed_s"] = time.perf_counter() - started
     out["simulation"] = telemetry.counters_snapshot()
     return out
@@ -604,11 +533,12 @@ def execute_suite(
     """Run ``[(experiment_id, run_kwargs), ...]`` through the stage graph.
 
     Returns one ``{"result", "record"}`` payload per task, in task
-    order — the same envelope the flat engine's workers produce, so
-    :func:`repro.experiments.engine.run_suite` assembles outcomes
-    identically on both paths.  Must be called with the cache
-    overrides already applied (run_suite does this); ``cache_dir`` is
-    the resolved root, forwarded to pool workers as a task argument.
+    order, which :func:`repro.experiments.engine.run_suite` assembles
+    into outcomes.  Must be called with the cache overrides already
+    applied (run_suite does this); ``cache_dir`` is the resolved root,
+    forwarded to pool workers as a task argument.  A pool worker that
+    dies fails the stages it had not finished, and their dependents,
+    instead of the whole suite.
     """
     from repro.experiments.registry import by_id
 
@@ -618,19 +548,19 @@ def execute_suite(
 
     for index, (experiment_id, run_kwargs) in enumerate(tasks):
         experiment = by_id(experiment_id)
-        flat_digest = store.result_key(experiment_id, run_kwargs)
+        result_digest = store.result_key(experiment_id, run_kwargs)
         if cache_mode == CACHE_ON:
             probe_started = time.perf_counter()
-            cached = store.load_result(experiment_id, flat_digest)
+            cached = store.load_result(experiment_id, result_digest)
             if cached is not None:
                 # Whole result cached: serve it without touching the
-                # subgraph, same as the flat engine's warm path.
+                # subgraph.
                 record = telemetry.ExperimentRecord(
                     experiment_id=experiment_id,
                     title=experiment.title,
                     cache=telemetry.CACHE_HIT,
                     wall_time_s=time.perf_counter() - probe_started,
-                    params_digest=flat_digest,
+                    params_digest=result_digest,
                     simulation=telemetry.SimulationCounters().as_dict(),
                 )
                 prebuilt[index] = {
@@ -640,9 +570,9 @@ def execute_suite(
                 continue
         plan = None
         if getattr(experiment, "stage_plan", None) is not None:
-            plan = build_plan(experiment_id, experiment.stage_plan, run_kwargs, flat_digest)
+            plan = build_plan(experiment_id, experiment.stage_plan, run_kwargs, result_digest)
         if plan is None:
-            plan = monolithic_plan(experiment_id, run_kwargs, flat_digest)
+            plan = monolithic_plan(experiment_id, run_kwargs, result_digest)
         plans.append((index, plan))
 
     # Union graph.  Stage insertion order is topological: a stage's
@@ -654,7 +584,7 @@ def execute_suite(
         for key, stage in plan.stages.items():
             stages.setdefault(key, stage)
             owner.setdefault(key, index)
-    terminal_digest = {plan.terminal: plan.flat_digest for _, plan in plans}
+    terminal_digest = {plan.terminal: plan.result_digest for _, plan in plans}
 
     payloads: Dict[str, Any] = {}
     status: Dict[str, str] = {}  # key -> "hit" | "exec"
@@ -669,14 +599,7 @@ def execute_suite(
     if cache_mode != CACHE_OFF:
         for key, stage in stages.items():
             if stage.kind in _INTERMEDIATE_KINDS:
-                # Memory tier first (service hot path: no stat, no JSON
-                # parse), then the stages/ disk tier, which backfills
-                # the memory tier on a hit.
-                cached = _stage_memory_get(stage.kind, key)
-                if cached is None:
-                    cached = store.load_stage(stage.kind, key)
-                    if cached is not None:
-                        _stage_memory_put(stage.kind, key, cached)
+                cached = store.load_stage(stage.kind, key)
                 if cached is not None:
                     payloads[key] = cached
                     status[key] = "hit"
@@ -722,8 +645,6 @@ def execute_suite(
         payloads[key] = out["payload"]
         status[key] = "exec"
         done.add(key)
-        if stages[key].kind in _INTERMEDIATE_KINDS and cache_mode != CACHE_OFF:
-            _stage_memory_put(stages[key].kind, key, out["payload"])
         ready: List[str] = []
         for dependent in dependents.get(key, ()):
             unmet[dependent] -= 1
@@ -759,16 +680,27 @@ def execute_suite(
         with warm_pool.suite_executor(jobs, len(order)) as executor:
             futures: Dict[Any, str] = {}
             ready = [key for key in order if unmet[key] == 0]
-            while ready or futures:
-                for key in ready:
-                    futures[executor.submit(_execute_stage, *_submit_args(key))] = key
-                ready = []
-                if not futures:
-                    break
-                completed, _ = wait(set(futures), return_when=FIRST_COMPLETED)
-                for future in completed:
-                    futures.pop(future)
-                    ready.extend(_finish(future.result()))
+            try:
+                while ready or futures:
+                    for key in ready:
+                        futures[executor.submit(_execute_stage, *_submit_args(key))] = key
+                    ready = []
+                    if not futures:
+                        break
+                    completed, _ = wait(set(futures), return_when=FIRST_COMPLETED)
+                    for future in completed:
+                        futures.pop(future)
+                        ready.extend(_finish(future.result()))
+            except BrokenProcessPool:
+                # A worker died mid-stage (killed, out of memory,
+                # os._exit) and the executor is unusable.  Fail every
+                # stage in flight or not yet run, and their dependents,
+                # and retire the pool so the next suite forks a fresh one.
+                error = traceback.format_exc()
+                for key in order:
+                    if key not in done:
+                        _propagate_failure(key, error)
+                warm_pool.discard(executor)
 
     # Assemble per-task payloads in task order.
     out: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
@@ -830,8 +762,7 @@ def execute_suite(
             status="failed" if error else "ok",
             cache=suite_cache_status,
             wall_time_s=owned_elapsed,
-            cpu_time_s=owned_elapsed,
-            params_digest=plan.flat_digest,
+            params_digest=plan.result_digest,
             error=error,
             simulation=simulation,
         )

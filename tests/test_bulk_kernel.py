@@ -7,7 +7,7 @@ flows, paths, ledger — is **byte-identical** to the literal per-event
 path (``REPRO_BULK=0``).  These tests pin that equivalence across
 regimes, workloads, the BPF fast-path toggle, the scheduler and the
 multi-core system, plus the supporting pieces: run-length encoding,
-pollution credit banking, shard merging and telemetry aggregation.
+pollution credit banking, parallel engine runs and telemetry aggregation.
 """
 
 import dataclasses
@@ -345,11 +345,11 @@ def test_check_run_split_conservation(regime_name, split, event_index, prefix):
     assert _coalesce(observed) == _coalesce(reference)
 
 
-# -- engine sharding ----------------------------------------------------
+# -- parallel engine runs -----------------------------------------------
 
 
-class TestEngineSharding:
-    def test_sharded_results_byte_identical(self, tmp_path):
+class TestEngineParallel:
+    def test_parallel_results_byte_identical(self, tmp_path):
         from repro.experiments import engine
 
         from repro.experiments import runner
@@ -359,22 +359,22 @@ class TestEngineSharding:
             cache_mode=engine.CACHE_OFF, cache_dir=str(tmp_path),
         )
         # The serial pass warms the per-context evaluation memos and
-        # fork-based shard workers inherit them; clear so every shard
-        # actually simulates and contributes telemetry to the merge.
+        # fork-based pool workers inherit them; clear so every eval
+        # stage actually simulates and contributes telemetry.
         runner._cached_context.cache_clear()
-        sharded = engine.run_suite(
+        parallel = engine.run_suite(
             ["fig13"], events=600, seed=5, jobs=4,
             cache_mode=engine.CACHE_OFF, cache_dir=str(tmp_path),
         )
-        assert sharded.results["fig13"].to_json() == serial.results["fig13"].to_json()
-        record = sharded.report.records[0]
+        assert parallel.results["fig13"].to_json() == serial.results["fig13"].to_json()
+        record = parallel.report.records[0]
         assert record.ok
-        # Merged telemetry spans every shard.
+        # Merged telemetry spans every eval stage.
         assert record.simulation["traces_run"] >= len(
             serial.results["fig13"].rows
         )
 
-    def test_sharded_run_populates_unsharded_cache(self, tmp_path):
+    def test_parallel_run_populates_serial_cache(self, tmp_path):
         from repro.common import telemetry
         from repro.experiments import engine
 
@@ -383,7 +383,7 @@ class TestEngineSharding:
             cache_mode=engine.CACHE_ON, cache_dir=str(tmp_path),
         )
         assert first.report.records[0].cache == telemetry.CACHE_MISS
-        # The merged result was stored under the unsharded digest, so a
+        # The result was stored under the whole-experiment digest, so a
         # later *serial* run is a whole-result cache hit...
         serial = engine.run_suite(
             ["fig13"], events=500, seed=3, jobs=1,
@@ -391,16 +391,16 @@ class TestEngineSharding:
         )
         assert serial.report.records[0].cache == telemetry.CACHE_HIT
         assert serial.results["fig13"].to_json() == first.results["fig13"].to_json()
-        # ...and so is a later sharded run (the pre-shard probe serves
-        # the whole result instead of re-fanning out).
-        sharded = engine.run_suite(
+        # ...and so is a later parallel run (the whole result is served
+        # without fanning its stages out).
+        parallel = engine.run_suite(
             ["fig13"], events=500, seed=3, jobs=3,
             cache_mode=engine.CACHE_ON, cache_dir=str(tmp_path),
         )
-        assert sharded.report.records[0].cache == telemetry.CACHE_HIT
-        assert sharded.results["fig13"].to_json() == first.results["fig13"].to_json()
+        assert parallel.report.records[0].cache == telemetry.CACHE_HIT
+        assert parallel.results["fig13"].to_json() == first.results["fig13"].to_json()
 
-    def test_explicit_workloads_override_disables_sharding(self, tmp_path):
+    def test_explicit_workloads_override_under_jobs(self, tmp_path):
         from repro.experiments import engine
 
         run = engine.run_suite(
@@ -410,36 +410,6 @@ class TestEngineSharding:
         )
         result = run.results["fig13"]
         assert [row[0] for row in result.rows] == ["grep", "redis"]
-
-    def test_merge_shard_rows_recomputes_averages(self):
-        from repro.experiments.results import (
-            ExperimentResult,
-            average_rows_by_kind,
-            merge_shard_rows,
-        )
-
-        def shard(name, kind, value):
-            rows = [(name, kind, value)]
-            rows.extend(average_rows_by_kind(rows, 3))
-            return ExperimentResult(
-                experiment_id="X",
-                title="t",
-                columns=("workload", "kind", "v"),
-                rows=tuple(rows),
-            )
-
-        merged = merge_shard_rows(
-            [shard("a", "macro", 1.25), shard("b", "macro", 1.35),
-             shard("c", "micro", 2.0)],
-            decimals=3,
-        )
-        assert merged.rows == (
-            ("a", "macro", 1.25),
-            ("b", "macro", 1.35),
-            ("c", "micro", 2.0),
-            ("average-macro", "macro", 1.3),
-            ("average-micro", "micro", 2.0),
-        )
 
 
 # -- telemetry ----------------------------------------------------------

@@ -6,12 +6,15 @@ exercise the full artifacts.
 """
 
 import json
+import os
 
 import pytest
 
 from repro.common.telemetry import RunReport
 from repro.experiments import cache as result_cache
 from repro.experiments import engine
+from repro.experiments import pool as warm_pool
+from repro.experiments import stages
 from repro.experiments.results import ExperimentResult
 
 FAST_IDS = ("table1", "table2", "table3")
@@ -158,6 +161,78 @@ class TestFailureIsolation:
     def test_unknown_id_raises_up_front(self):
         with pytest.raises(KeyError):
             engine.run_suite(("fig99",))
+
+    def test_dead_worker_fails_its_experiments_not_the_suite(self, monkeypatch):
+        """A pool worker that dies mid-stage fails the experiments whose
+        stages it had not finished; the suite still returns a record per
+        experiment, and the next suite runs on a freshly forked pool."""
+        parent = os.getpid()
+        run_trace_stage = stages._run_trace_stage
+
+        def die_in_worker(params):
+            if os.getpid() != parent:
+                os._exit(1)
+            return run_trace_stage(params)
+
+        ids = ("fig13", "table2")
+        overrides = {"fig13": {"workloads": ("nginx", "pipe-ipc")}}
+        warm_pool.shutdown()  # the pool must fork after the patch
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(stages, "_run_trace_stage", die_in_worker)
+                run = engine.run_suite(
+                    ids, events=600, jobs=2,
+                    cache_mode=engine.CACHE_OFF, run_overrides=overrides,
+                )
+            by_exp = {o.experiment_id: o for o in run.outcomes}
+            assert list(by_exp) == list(ids)
+            assert not by_exp["fig13"].ok and by_exp["fig13"].result is None
+            assert "BrokenProcessPool" in by_exp["fig13"].record.error
+
+            again = engine.run_suite(
+                ids, events=600, jobs=2,
+                cache_mode=engine.CACHE_OFF, run_overrides=overrides,
+            )
+            assert not again.failures
+        finally:
+            warm_pool.shutdown()
+
+
+class TestUnwritableCache:
+    """A cache directory that refuses writes degrades the run to
+    uncached, with a warning, instead of failing it.  The cache root
+    sits under a regular file: tests run as root, so ``chmod`` cannot
+    make a directory unwritable."""
+
+    IDS = ("fig13", "table2")
+    OVERRIDES = {"fig13": {"workloads": ("pipe-ipc",)}}
+
+    @pytest.fixture
+    def blocked(self, tmp_path):
+        (tmp_path / "file").write_text("not a directory")
+        return tmp_path / "file" / "cache"
+
+    def test_run_completes_uncached_with_a_warning(self, blocked):
+        run = engine.run_suite(
+            self.IDS, events=600, cache_dir=str(blocked), run_overrides=self.OVERRIDES
+        )
+        assert not run.failures
+        uncached = engine.run_suite(
+            self.IDS, events=600, cache_mode=engine.CACHE_OFF, run_overrides=self.OVERRIDES
+        )
+        assert [o.result.to_markdown() for o in run.outcomes] == [
+            o.result.to_markdown() for o in uncached.outcomes
+        ]
+        assert run.report.cache_store_skipped() > 0
+        assert "cache write(s) skipped" in run.report.format_summary()
+
+    def test_cli_warns_instead_of_raising(self, blocked, capsys):
+        from repro.experiments.__main__ import main
+
+        assert main(["table2", "--quiet", "--cache-dir", str(blocked)]) == 0
+        captured = capsys.readouterr()
+        assert "cache write(s) skipped" in captured.out
+        assert "warning: run report not written" in captured.err
 
 
 class TestTelemetryReport:

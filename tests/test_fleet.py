@@ -228,10 +228,13 @@ class TestTelemetry:
 
 
 class TestExperiment:
-    def test_flat_matches_staged_and_stages_dedupe(self, tmp_path, monkeypatch):
+    def test_flat_matches_staged_and_stages_dedupe(self, tmp_path):
+        """The staged fleet table equals the registry entry's own flat
+        (unstaged) ``run()``, and its stages dedupe on disk."""
+        from repro.common import storage
         from repro.experiments.engine import run_suite
+        from repro.experiments.registry import by_id
 
-        monkeypatch.setenv("REPRO_STAGE_GRAPH", "1")
         staged = run_suite(["fleet"], events=1200, cache_dir=str(tmp_path))
         record = staged.outcomes[0].record
         stages = record.simulation["stages"]
@@ -248,12 +251,9 @@ class TestExperiment:
         assert counters["hit"] == 4
         assert counters["executed"] == 1
 
-        monkeypatch.setenv("REPRO_STAGE_GRAPH", "0")
-        flat = run_suite(["fleet"], events=1200, cache_mode="off")
-        assert (
-            flat.results["fleet"].format_table()
-            == staged.results["fleet"].format_table()
-        )
+        with storage.cache_overrides(disable=True):
+            direct = by_id("fleet").run(events=1200)
+        assert direct.to_markdown() == staged.results["fleet"].to_markdown()
 
     def test_staged_run_builds_load_and_calibrations_once(self, tmp_path, monkeypatch):
         """The fleet-load and fleet-calibration stages build the inputs
@@ -270,7 +270,6 @@ class TestExperiment:
                 return build(params)
             return wrapper
 
-        monkeypatch.setenv("REPRO_STAGE_GRAPH", "1")
         monkeypatch.setattr(fleet_serving, "_SHARED", {})
         for name, build in (
             ("generate_load", generate_load),

@@ -1,11 +1,10 @@
 """Stage-graph orchestrator: differential identity, stage-tier
 corruption fallback, cross-experiment dedup, and stage-scoped refresh.
 
-The contract under test (docs/ARCHITECTURE.md): with
-``REPRO_STAGE_GRAPH=1`` (the default) the suite runs as a DAG of
-content-addressed stages whose markdown output is byte-identical to
-the flat engine (``REPRO_STAGE_GRAPH=0``); identical stages requested
-by several experiments execute exactly once per cold run; a corrupt
+The contract under test (docs/ARCHITECTURE.md): the suite runs as a
+DAG of content-addressed stages whose markdown output is byte-identical
+to each registry entry's own ``run()``; identical stages requested by
+several experiments execute exactly once per cold run; a corrupt
 ``stages/`` entry always reads as a miss and rebuilds identically; and
 ``--refresh`` recomputes only terminal (analysis) stages while serving
 intermediates from disk.
@@ -15,10 +14,10 @@ import json
 
 import pytest
 
-from repro.common import telemetry
+from repro.common import storage, telemetry
 from repro.experiments import cache as result_cache
 from repro.experiments import engine, runner
-from repro.experiments.results import ExperimentResult
+from repro.experiments.registry import REGISTRY
 from repro.experiments.stages import EvalPlan, build_plan, monolithic_plan
 
 EVENTS = 1200
@@ -88,19 +87,6 @@ class TestStageTier:
         path.write_text("\x00 not json at all")
         assert store.load_stage("eval", "abc123") is None
 
-    def test_has_result_is_a_stat(self, cache_dir):
-        store = result_cache.ResultCache()
-        digest = store.result_key("fig13", {"events": 100})
-        assert not store.has_result("fig13", digest)
-        store.store_result(
-            "fig13",
-            digest,
-            ExperimentResult(
-                experiment_id="Fig 13", title="t", columns=("a",), rows=((1,),)
-            ),
-        )
-        assert store.has_result("fig13", digest)
-
 
 class TestPlanner:
     PLAN = EvalPlan(regimes=("draco-hw-complete",))
@@ -139,21 +125,21 @@ class TestPlanner:
 
 
 class TestDifferential:
-    def test_full_registry_markdown_identical(self, cache_dir, monkeypatch):
-        """The acceptance bar: every registry artifact byte-identical
-        between the stage graph and the flat engine."""
+    def test_full_registry_markdown_identical(self, cache_dir):
+        """The acceptance bar: every registry artifact from a parallel
+        staged suite byte-identical to the entry's own ``run()``."""
         staged = engine.run_suite(
             events=EVENTS, cache_mode=engine.CACHE_OFF, jobs=4
         )
         assert not staged.failures
-        runner.reset_context_memos()
-        monkeypatch.setenv(result_cache.STAGE_GRAPH_ENV, "0")
-        flat = engine.run_suite(events=EVENTS, cache_mode=engine.CACHE_OFF, jobs=4)
-        assert not flat.failures
-        assert _markdowns(staged) == _markdowns(flat)
-        # The staged records carry stage telemetry; the flat ones don't.
         assert all("stages" in o.record.simulation for o in staged.outcomes)
-        assert all("stages" not in o.record.simulation for o in flat.outcomes)
+        runner.reset_context_memos()
+        with storage.cache_overrides(disable=True):
+            direct = {
+                entry.experiment_id: entry.run(events=EVENTS).to_markdown()
+                for entry in REGISTRY
+            }
+        assert _markdowns(staged) == direct
 
 
 class TestDedup:
@@ -202,7 +188,7 @@ class TestDedup:
             run_overrides={"fig13": {"workloads": WORKLOADS}},
         )
         rendered = run.report.format_stages()
-        assert "REPRO_STAGE_GRAPH" in rendered
+        assert rendered.startswith("== stages\n")
         assert "eval" in rendered
         counters = run.report.stage_counters()
         assert counters["executed"] == len(WORKLOADS) * 3 + 1
@@ -324,34 +310,3 @@ class TestFailureIsolation:
         assert by_id["fig13"].result is None
         assert "Traceback" in by_id["fig13"].record.error
         assert by_id["table1"].ok
-
-
-class TestShardMergeTimes:
-    def test_wall_is_max_and_cpu_is_sum(self):
-        """Satellite fix: concurrent shards report the slowest shard as
-        wall time and the summed compute as ``cpu_time_s`` (the old
-        summed wall time claimed 4x the real latency under --jobs 4)."""
-        result = ExperimentResult(
-            experiment_id="Fig 13", title="t", columns=("workload",), rows=(("w",),)
-        )
-        payloads = [
-            {
-                "result": result.to_json_dict(),
-                "record": telemetry.ExperimentRecord(
-                    experiment_id="fig13", cache=telemetry.CACHE_OFF,
-                    wall_time_s=wall,
-                ).to_json_dict(),
-            }
-            for wall in (1.0, 3.0, 2.0)
-        ]
-        merged = engine._merge_shard_payloads("fig13", {}, payloads, engine.CACHE_OFF)
-        record = telemetry.ExperimentRecord.from_json_dict(merged["record"])
-        assert record.wall_time_s == 3.0
-        assert record.cpu_time_s == 6.0
-
-    def test_cpu_time_round_trips_through_json(self):
-        record = telemetry.ExperimentRecord(
-            experiment_id="x", cpu_time_s=1.23456789
-        )
-        loaded = telemetry.ExperimentRecord.from_json_dict(record.to_json_dict())
-        assert loaded.cpu_time_s == 1.2346
