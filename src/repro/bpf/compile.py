@@ -40,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import marshal
-import os
 import sys
 import types
 from pathlib import Path
@@ -121,7 +120,7 @@ _ST_SIZE = 20
 
 def fastpath_enabled() -> bool:
     """True unless ``REPRO_FASTPATH`` disables the code generator."""
-    return os.environ.get(FASTPATH_ENV, "1").lower() not in ("0", "off", "false", "no")
+    return storage._truthy(FASTPATH_ENV)
 
 
 def words_of(data: SeccompData) -> Tuple[int, ...]:

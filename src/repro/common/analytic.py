@@ -89,6 +89,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.common import storage
 from repro.common.memo import memo_insert
 
 #: Environment variable: set to ``0``/``off`` to disable the analytic
@@ -157,7 +158,7 @@ def analytic_enabled() -> bool:
     >>> os.environ.pop("REPRO_ANALYTIC")
     '0'
     """
-    return os.environ.get(ANALYTIC_ENV, "1").lower() not in ("0", "off", "false", "no")
+    return storage._truthy(ANALYTIC_ENV)
 
 
 def resolve_backend(override: Optional[str] = None) -> str:
@@ -440,28 +441,6 @@ def scale_counts(counts: Sequence[int], target: int) -> List[int]:
     return floors
 
 
-def sanitize_structures(
-    stats: Mapping[str, Mapping[str, Any]],
-) -> Dict[str, Dict[str, float]]:
-    """Numeric-scalar view of a regime's structure stats.
-
-    Hit/miss/evict counters and the (deterministically rounded) derived
-    rates are kept; timelines and any other non-scalar observability
-    payloads are dropped so results stay cheap to compare and serialize.
-    """
-    sanitized: Dict[str, Dict[str, float]] = {}
-    for name, counters in stats.items():
-        if not isinstance(counters, Mapping):
-            continue
-        block: Dict[str, float] = {}
-        for key, value in counters.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            block[key] = value
-        sanitized[name] = block
-    return sanitized
-
-
 # ---------------------------------------------------------------------------
 # Structure-counter extrapolation (sampled runs)
 # ---------------------------------------------------------------------------
@@ -486,8 +465,7 @@ def extrapolate_structures(
     the warm boundary) plus a steady per-event rate measured over the
     sample: ``full = warm + (end - warm) / sample * (sample + extra)``.
     Derived ``*hit_rate`` keys are recomputed from the projected
-    counters; non-numeric payloads (timelines) are dropped — they are
-    observability data that cannot be extrapolated honestly.
+    counters.
     """
     projected: Dict[str, Dict[str, Any]] = {}
     for name, counters in end.items():

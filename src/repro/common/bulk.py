@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import os
 
+from repro.common import storage
+
 #: Environment variable: set to ``0``/``off`` to disable the bulk
 #: fast path (run coalescing still happens; every run is re-expanded
 #: into per-event checks).
@@ -44,4 +46,4 @@ def bulk_enabled() -> bool:
     >>> os.environ.pop("REPRO_BULK")
     '1'
     """
-    return os.environ.get(BULK_ENV, "1").lower() not in ("0", "off", "false", "no")
+    return storage._truthy(BULK_ENV)

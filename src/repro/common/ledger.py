@@ -18,26 +18,15 @@ self-checking:
   reassociation noise.  Any path that records cycles without tagging a
   flow — or vice versa — fails loudly.
 
-Environment switches:
-
-``REPRO_LEDGER=0``
-    disables per-structure windowed timelines and the regime
-    cross-check snapshotting (the zero-overhead escape hatch; the
-    per-flow buckets themselves cost one dict update per event and are
-    always maintained, since the total is derived from them).
-``REPRO_LEDGER_AUDIT=0``
-    disables the conservation audits only.
+The ledger and its audits are always on: the per-flow buckets cost one
+dict update per event, and the total is derived from them.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.common.errors import ReproError
-
-LEDGER_ENV = "REPRO_LEDGER"
-AUDIT_ENV = "REPRO_LEDGER_AUDIT"
 
 #: Canonical flow-tag taxonomy (the ledger keys).  Hardware Draco's
 #: six Table I flows plus its two off-lattice paths, software Draco's
@@ -86,18 +75,6 @@ CYCLE_RTOL = 1e-9
 
 class ConservationError(ReproError):
     """The per-flow ledger disagrees with an independent cycle total."""
-
-
-def enabled() -> bool:
-    """True unless ``REPRO_LEDGER`` disables the observability extras."""
-    return os.environ.get(LEDGER_ENV, "1").lower() not in ("0", "off", "false", "no")
-
-
-def audits_enabled() -> bool:
-    """True unless ``REPRO_LEDGER_AUDIT`` disables conservation audits."""
-    if not enabled():
-        return False
-    return os.environ.get(AUDIT_ENV, "1").lower() not in ("0", "off", "false", "no")
 
 
 class FlowLedger:
@@ -226,83 +203,3 @@ class FlowLedger:
                     f"{scope}: flow {flow!r} cycles disagree — simulator "
                     f"{want_cycles!r} vs regime {got_cycles!r}"
                 )
-
-
-class WindowedCounter:
-    """Hit/miss counter with a windowed hit-rate timeline.
-
-    Closes a window every *window* events and appends its hit rate to
-    ``timeline``, giving Figure-13-style rates a time axis (warm-up
-    transients, post-context-switch cold windows) at the cost of two
-    integer updates per event.
-    """
-
-    __slots__ = ("window", "hits", "misses", "timeline", "_win_hits", "_win_total")
-
-    def __init__(self, window: int = 1024) -> None:
-        if window < 1:
-            raise ValueError("window must be at least 1 event")
-        self.window = window
-        self.hits = 0
-        self.misses = 0
-        self.timeline: List[float] = []
-        self._win_hits = 0
-        self._win_total = 0
-
-    def record(self, hit: bool) -> None:
-        if hit:
-            self.hits += 1
-            self._win_hits += 1
-        else:
-            self.misses += 1
-        self._win_total += 1
-        if self._win_total >= self.window:
-            self.timeline.append(self._win_hits / self._win_total)
-            self._win_hits = 0
-            self._win_total = 0
-
-    def record_bulk(self, hit: bool, count: int) -> None:
-        """Exactly ``count`` consecutive :meth:`record` calls with the
-        same *hit* value, replaying window closings precisely (each
-        closed window's rate is an integer ratio, so the timeline is
-        bit-identical to the per-event path)."""
-        if count <= 0:
-            return
-        if hit:
-            self.hits += count
-        else:
-            self.misses += count
-        remaining = count
-        while remaining:
-            take = min(remaining, self.window - self._win_total)
-            if hit:
-                self._win_hits += take
-            self._win_total += take
-            remaining -= take
-            if self._win_total >= self.window:
-                self.timeline.append(self._win_hits / self._win_total)
-                self._win_hits = 0
-                self._win_total = 0
-
-    @property
-    def total(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.total
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 6),
-            "window": self.window,
-            "timeline": [round(rate, 4) for rate in self.timeline],
-        }
-
-    def reset(self) -> None:
-        self.hits = self.misses = 0
-        self._win_hits = self._win_total = 0
-        self.timeline.clear()

@@ -20,7 +20,7 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Iterator, Optional
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -75,12 +75,6 @@ def cache_overrides(
     finally:
         for var, token in reversed(tokens):
             var.reset(token)
-
-
-def cache_override_key() -> Tuple[Optional[str], Optional[bool]]:
-    """The active overrides, for memo keys that must distinguish runs
-    executed under different context-local cache settings."""
-    return (_CACHE_DIR_OVERRIDE.get(), _CACHE_DISABLE_OVERRIDE.get())
 
 
 def cache_enabled() -> bool:

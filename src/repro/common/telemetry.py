@@ -136,8 +136,8 @@ _COUNTERS = SimulationCounters()
 def _merge_structures(
     target: Dict[str, Dict[str, float]], source: Mapping[str, Any]
 ) -> None:
-    """Accumulate numeric structure counters; rates and timelines are
-    derived quantities and are dropped (recompute them from the sums)."""
+    """Accumulate numeric structure counters; rates are derived
+    quantities and are dropped (recompute them from the sums)."""
     for name, counters in source.items():
         if not isinstance(counters, Mapping):
             continue
@@ -685,7 +685,7 @@ class RunReport:
         """Per-regime flow table (the ``summary --flows`` rendering)."""
         flows = self.flows()
         if not flows:
-            return "== flows\n(no flow telemetry recorded — run with REPRO_LEDGER=1)"
+            return "== flows\n(no flow telemetry recorded)"
         header = ("regime", "flow", "events", "share", "cycles", "cyc/event")
         rows = [header]
         for regime, block in flows.items():

@@ -229,8 +229,8 @@ class HardwareDraco:
 
         A memoized entry replays the exact per-structure side effects of
         the original walk (clock ticks, LRU refreshes, hit counters,
-        Accessed bits, timelines) — see :meth:`steady_replay` — so the
-        memo is an accelerator, not an approximation.
+        Accessed bits) — see :meth:`steady_replay` — so the memo is an
+        accelerator, not an approximation.
         """
         if self._bulk:
             memo = self.steady_probe(event)

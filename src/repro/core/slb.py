@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.common import ledger
 from repro.common.errors import ConfigError
 from repro.cpu.params import DracoHwParams, SlbSubtableParams
 
@@ -93,8 +92,8 @@ class SlbSubtable:
         return None
 
     def peek_preload(self, sid: int, hash_id: HashId) -> bool:
-        """Side-effect-free :meth:`preload_probe` (no counters, no
-        timeline); the bulk fast path re-verifies the speculative hit
+        """Side-effect-free :meth:`preload_probe` (no counters); the
+        bulk fast path re-verifies the speculative hit
         before replaying a memoized walk."""
         entries = self._sets[self._index(sid, hash_id[1])]
         return any(
@@ -168,11 +167,6 @@ class Slb:
         #: the bulk-check fast path folds this into its steady-state
         #: epoch, so memoized walk results never survive a mutation.
         self.mutations = 0
-        #: Windowed hit-rate timelines (ledger observability layer);
-        #: recording is skipped entirely when the ledger is disabled.
-        self._timelines_on = ledger.enabled()
-        self.access_timeline = ledger.WindowedCounter()
-        self.preload_timeline = ledger.WindowedCounter()
 
     def subtable(self, arg_count: int) -> SlbSubtable:
         try:
@@ -192,8 +186,6 @@ class Slb:
             self.access_hits += 1
         else:
             self.access_misses += 1
-        if self._timelines_on:
-            self.access_timeline.record(entry is not None)
         return entry
 
     def preload_probe(self, sid: int, arg_count: int, hash_id: HashId) -> bool:
@@ -202,8 +194,6 @@ class Slb:
             self.preload_hits += 1
         else:
             self.preload_misses += 1
-        if self._timelines_on:
-            self.preload_timeline.record(hit)
         return hit
 
     def peek_access(
@@ -226,15 +216,11 @@ class Slb:
         """Replay *count* steady-state non-speculative hits on *entry*."""
         self.subtable(arg_count).touch_bulk(entry, count)
         self.access_hits += count
-        if self._timelines_on:
-            self.access_timeline.record_bulk(True, count)
 
     def record_preload_hit_bulk(self, count: int) -> None:
         """Replay *count* steady-state preload-probe hits (counters
         only: preload probes leave no LRU state by design)."""
         self.preload_hits += count
-        if self._timelines_on:
-            self.preload_timeline.record_bulk(True, count)
 
     def fill(
         self,
@@ -267,7 +253,7 @@ class Slb:
         return sum(sub.evictions for sub in self._subtables.values())
 
     def structure_stats(self) -> Dict[str, object]:
-        """Hit/miss/evict/preload counters plus windowed timelines."""
+        """Hit/miss/evict/preload counters and their hit rates."""
         return {
             "access_hits": self.access_hits,
             "access_misses": self.access_misses,
@@ -276,8 +262,6 @@ class Slb:
             "preload_misses": self.preload_misses,
             "preload_hit_rate": round(self.preload_hit_rate, 6),
             "evictions": self.evictions,
-            "access_timeline": self.access_timeline.as_dict()["timeline"],
-            "preload_timeline": self.preload_timeline.as_dict()["timeline"],
         }
 
     def reset_stats(self) -> None:
@@ -285,5 +269,3 @@ class Slb:
         self.preload_hits = self.preload_misses = 0
         for subtable in self._subtables.values():
             subtable.evictions = 0
-        self.access_timeline.reset()
-        self.preload_timeline.reset()

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.common import ledger
 from repro.common.errors import ConfigError
 from repro.cpu.params import DracoHwParams
 
@@ -46,8 +45,6 @@ class Stb:
         #: Bumped on every state-changing operation (update, invalidate);
         #: folded into the bulk fast path's steady-state epoch.
         self.mutations = 0
-        self._timelines_on = ledger.enabled()
-        self.timeline = ledger.WindowedCounter()
 
     def _set_for(self, pc: int) -> List[StbEntry]:
         # Instructions are 4+ bytes apart; drop the low bits before
@@ -61,12 +58,8 @@ class Stb:
             if entry.pc == pc:
                 entry.last_used = self._clock
                 self.hits += 1
-                if self._timelines_on:
-                    self.timeline.record(True)
                 return entry
         self.misses += 1
-        if self._timelines_on:
-            self.timeline.record(False)
         return None
 
     def peek(self, pc: int) -> Optional[StbEntry]:
@@ -81,12 +74,10 @@ class Stb:
         """Replay *count* steady-state hits on *entry*, exactly as that
         many :meth:`lookup` hits would: per-hit clock ticks (collapsed —
         only the final ``last_used`` is observable), LRU refresh, hit
-        counter, timeline."""
+        counter."""
         self._clock += count
         entry.last_used = self._clock
         self.hits += count
-        if self._timelines_on:
-            self.timeline.record_bulk(True, count)
 
     def update(self, pc: int, sid: int, hash_id: HashId) -> None:
         """Install or refresh the entry for a syscall site."""
@@ -119,17 +110,15 @@ class Stb:
         return sum(len(entries) for entries in self._sets)
 
     def structure_stats(self) -> Dict[str, object]:
-        """Hit/miss/evict counters plus the windowed hit-rate timeline."""
+        """Hit/miss/evict counters and the hit rate."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": round(self.hit_rate, 6),
             "evictions": self.evictions,
-            "timeline": self.timeline.as_dict()["timeline"],
         }
 
     def reset_stats(self) -> None:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.timeline.reset()

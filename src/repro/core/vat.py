@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.common import ledger
 from repro.common.errors import ConfigError, CuckooInsertError
 from repro.hashing.crc import CRC64_ECMA, CRC64_NOT_ECMA
 from repro.hashing.cuckoo import CuckooTable, LookupResult
@@ -119,8 +118,6 @@ class VAT:
         #: into the bulk fast path's steady-state epoch so memoized hit
         #: outcomes never survive a mutation.
         self.mutations = 0
-        self._timelines_on = ledger.enabled()
-        self.timeline = ledger.WindowedCounter()
 
     # -- construction -----------------------------------------------------
 
@@ -165,23 +162,17 @@ class VAT:
         table = self._tables.get(sid)
         if table is None:
             self.misses += 1
-            if self._timelines_on:
-                self.timeline.record(False)
             return None
         probe = table.lookup(key)
         if probe.hit:
             self.hits += 1
         else:
             self.misses += 1
-        if self._timelines_on:
-            self.timeline.record(probe.hit)
         return probe
 
     def record_hit_bulk(self, count: int) -> None:
         """Account *count* replayed steady-state hits (bulk fast path)."""
         self.hits += count
-        if self._timelines_on:
-            self.timeline.record_bulk(True, count)
 
     def insert(self, sid: int, key: bytes, args: Tuple[int, ...]) -> int:
         table = self._tables.get(sid)
@@ -225,8 +216,7 @@ class VAT:
         return self.hits / total if total else 0.0
 
     def structure_stats(self) -> Dict[str, object]:
-        """Lookup hit/miss, insert, and eviction counters plus the
-        windowed hit-rate timeline (ledger observability layer)."""
+        """Lookup hit/miss, insert, and eviction counters."""
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -235,5 +225,4 @@ class VAT:
             "evictions": self.total_evictions,
             "entries": self.total_entries,
             "size_bytes": self.size_bytes,
-            "timeline": self.timeline.as_dict()["timeline"],
         }

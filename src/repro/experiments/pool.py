@@ -13,19 +13,19 @@ contexts) from scratch.  This module keeps **one** pool alive across
   tables, the docker-default profiles, and the assembled + compiled
   filter programs — so the first task a worker receives starts from
   the same warm state a long-lived process would have;
-* the pool is keyed on ``(max_workers, code fingerprint, behavioural
-  env knobs)``: flipping any ``REPRO_*`` knob that changes what a
-  worker computes — or editing the source — retires the old pool and
-  forks a fresh one, so a stale worker can never serve results under
-  settings it was not started with.  Cache *location* and *mode* are
-  deliberately **not** in the key: the engine threads them through
-  every task explicitly (:func:`repro.common.storage.cache_overrides`),
-  so one pool serves requests against different cache directories.
+* the pool is keyed on ``(max_workers, code fingerprint, every
+  REPRO_* variable)``: a forked worker inherits the whole environment,
+  so changing any ``REPRO_*`` variable — or editing the source —
+  retires the old pool and forks a fresh one, and a worker never runs
+  under settings the parent no longer has.  The per-run cache location
+  and mode are threaded through every task explicitly
+  (:func:`repro.common.storage.cache_overrides`), so one pool serves
+  requests against different cache directories.
 
 Kill switch: ``REPRO_WARM_POOL=0`` restores the historical throwaway
 pool per call.  Results are byte-identical either way — the pool only
-changes *where* tasks run, never what they compute — and a differential
-test asserts it over the full registry markdown.
+changes *where* tasks run, never what they compute — and
+``tests/test_switches.py`` asserts it over the full registry markdown.
 """
 
 from __future__ import annotations
@@ -35,36 +35,18 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
+
+from repro.common import storage
 
 #: Kill switch: ``0``/``off``/``false``/``no`` disables the persistent
 #: warm pool and every parallel suite gets a throwaway executor again.
 WARM_POOL_ENV = "REPRO_WARM_POOL"
 
-#: Environment knobs folded into the pool identity.  A forked worker
-#: snapshots ``os.environ`` at pool creation; these switches change
-#: what a worker *computes* (kernel tier, fast path, ledger, context
-#: replay, persistence), so a pool started under one setting must never
-#: serve tasks issued under another.  ``REPRO_CACHE_DIR`` and
-#: ``REPRO_CACHE_DISABLE`` are included for the same reason: tasks
-#: carry explicit overrides, but code outside a task (worker
-#: initializers, third-party callers) falls back to the inherited
-#: environment, which must therefore match the parent's.
-POOL_ENV_KNOBS: Tuple[str, ...] = (
-    "REPRO_BULK",
-    "REPRO_FASTPATH",
-    "REPRO_LEDGER",
-    "REPRO_LEDGER_AUDIT",
-    "REPRO_ANALYTIC",
-    "REPRO_CONTEXT_CACHE",
-    "REPRO_CACHE_DISABLE",
-    "REPRO_CACHE_DIR",
-)
-
 
 def warm_pool_enabled() -> bool:
     """True unless ``REPRO_WARM_POOL`` is ``0``/``off``/``false``/``no``."""
-    return os.environ.get(WARM_POOL_ENV, "1").lower() not in ("0", "off", "false", "no")
+    return storage._truthy(WARM_POOL_ENV)
 
 
 def warm_worker() -> None:
@@ -117,7 +99,7 @@ def pool_key(max_workers: int) -> tuple:
     return (
         int(max_workers),
         result_cache.code_fingerprint(),
-        tuple(os.environ.get(name) for name in POOL_ENV_KNOBS),
+        tuple(sorted((k, v) for k, v in os.environ.items() if k.startswith("REPRO_"))),
     )
 
 

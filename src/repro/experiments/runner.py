@@ -15,12 +15,11 @@ Draco, hardware Draco) is emergent.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from repro.common import storage, telemetry
+from repro.common import telemetry
 from repro.common.analytic import analytic_enabled
 from repro.common.errors import AnalyticPreconditionError, ConfigError
 from repro.common.memo import memo_insert
@@ -115,32 +114,6 @@ def _bundle_for(spec: WorkloadSpec, seed: int) -> ProfileBundle:
             telemetry.record_context_cache("bundle", "store")
     memo_insert(_BUNDLE_MEMO, key, (spec, bundle), _BUNDLE_MEMO_LIMIT)
     return bundle
-
-
-#: Runtime knobs that change what a simulation computes, records, or is
-#: allowed to serve from persistent storage.  They key the per-context
-#: evaluation memo, so toggling any of them mid-process (the
-#: differential tests flip ``REPRO_BULK`` and ``REPRO_CONTEXT_CACHE``)
-#: re-runs instead of serving a result the new setting forbids.
-_RUNTIME_ENV_KNOBS = (
-    "REPRO_BULK",
-    "REPRO_FASTPATH",
-    "REPRO_LEDGER",
-    "REPRO_LEDGER_AUDIT",
-    "REPRO_ANALYTIC",
-    "REPRO_CONTEXT_CACHE",
-    "REPRO_CACHE_DISABLE",
-)
-
-
-def _runtime_env_key() -> Tuple[object, ...]:
-    environ = os.environ
-    env = tuple(environ.get(name) for name in _RUNTIME_ENV_KNOBS)
-    # Context-local cache overrides (the engine/service replacement for
-    # mutating REPRO_CACHE_DIR / REPRO_CACHE_DISABLE in os.environ)
-    # change what evaluate() may serve from persistent storage exactly
-    # like their environment counterparts, so they key the memo too.
-    return env + storage.cache_override_key()
 
 
 #: Seccomp regimes that can be served by replaying a shared filter
@@ -268,17 +241,19 @@ class WorkloadContext:
         Several experiments measure the same (workload, regime) pair —
         fig2 and fig11 both evaluate ``syscall-complete``, for example.
         A no-override evaluation is a pure function of this context and
-        the runtime env knobs, so its frozen :class:`RunResult` is
-        memoised per context; overrides (unhashable cost objects) always
-        run fresh.  Seccomp regimes are additionally served by replaying
-        the persistent per-(trace, profile) filter sweep when the
-        context cache allows it.  When an analytic replay finds its
-        precondition broken (a VAT eviction under software Draco), the
-        exact kernels rerun the trace on a fresh regime.
+        of ``REPRO_ANALYTIC`` (every other switch picks between
+        byte-identical paths), so its frozen :class:`RunResult` is
+        memoised per context on ``(regime, analytic_enabled())``;
+        overrides (unhashable cost objects) always run fresh.  Seccomp
+        regimes are additionally served by replaying the persistent
+        per-(trace, profile) filter sweep when the context cache allows
+        it.  When an analytic replay finds its precondition broken (a
+        VAT eviction under software Draco), the exact kernels rerun the
+        trace on a fresh regime.
         """
         key = None
         if not overrides:
-            key = (regime_name, _runtime_env_key())
+            key = (regime_name, analytic_enabled())
             hit = self._eval_memo.get(key)
             if hit is not None:
                 return hit
@@ -315,10 +290,9 @@ class WorkloadContext:
         stages, then replays each experiment's analysis code unchanged;
         seeding the memo makes ``ctx.evaluate(regime)`` serve the staged
         result, so row assembly is byte-identical to a direct run.
-        Keyed on the *current* runtime env knobs, same as
-        :meth:`evaluate`.
+        Keyed like :meth:`evaluate`.
         """
-        self._eval_memo[(regime_name, _runtime_env_key())] = result
+        self._eval_memo[(regime_name, analytic_enabled())] = result
 
     def evaluate_with_regime(
         self, regime: CheckingRegime

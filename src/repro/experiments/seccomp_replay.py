@@ -321,18 +321,6 @@ def replay_result(
             groups[outcome] = grouped + count
         measured += count
 
-    structures_raw = None
-    if ledger.enabled():
-        # What the live module would have counted: one filter execution
-        # per distinct key (the outcome memo absorbs every repeat), each
-        # running all `times` attachments.
-        structures_raw = {
-            "seccomp": {
-                "checks": len(sweep.returns),
-                "memo_hits": 0,
-                "instructions_executed": times * sum(sweep.insns),
-            }
-        }
     replays_served += 1
     return build_exact_replay_result(
         regime_name=regime_name,
@@ -343,7 +331,16 @@ def replay_result(
         measured=measured,
         warmup_events=windows.warmup,
         runs_coalesced=len(windows.measured),
-        structures_raw=structures_raw,
+        # What the live module would have counted: one filter execution
+        # per distinct key (the outcome memo absorbs every repeat), each
+        # running all `times` attachments.
+        structures={
+            "seccomp": {
+                "checks": len(sweep.returns),
+                "memo_hits": 0,
+                "instructions_executed": times * sum(sweep.insns),
+            }
+        },
     )
 
 

@@ -47,7 +47,6 @@ table without re-simulating.
 
 from __future__ import annotations
 
-import os
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, wait
@@ -96,18 +95,6 @@ KIND_FLEET_EVAL = "fleet-eval"
 _INTERMEDIATE_KINDS = frozenset(
     {KIND_TRACE, KIND_CALIBRATION, KIND_EVAL,
      KIND_FLEET_LOAD, KIND_FLEET_CALIBRATION, KIND_FLEET_EVAL}
-)
-
-#: Runtime knobs folded into every stage digest.  These change what a
-#: stage payload *contains* (per-flow ledgers, structure counters) or
-#: which execution tier produced it, so a payload computed under one
-#: setting must never be served under another — the same contract as
-#: the per-context evaluation memo key in :mod:`repro.experiments.runner`.
-_STAGE_ENV_KNOBS = (
-    "REPRO_BULK",
-    "REPRO_FASTPATH",
-    "REPRO_LEDGER",
-    "REPRO_LEDGER_AUDIT",
 )
 
 #: run() keyword arguments the DAG planner understands.  Anything else
@@ -182,7 +169,6 @@ def _stage_digest(kind: str, params: Mapping[str, Any], deps: Sequence[str]) -> 
         "bpf_compiler": result_cache.COMPILER_VERSION,
         "sim_kernel": result_cache.SIM_KERNEL_VERSION,
         "analytic": ANALYTIC_VERSION if analytic_enabled() else 0,
-        "env": {name: os.environ.get(name) for name in _STAGE_ENV_KNOBS},
     }
     return result_cache.params_digest(payload)
 

@@ -645,8 +645,7 @@ def simulate_fleet(
         )
     syscalls = fleet.total_events()
     check_cycles = fleet.total_cycles()
-    if ledger.audits_enabled():
-        fleet.audit_totals(syscalls, check_cycles, scope=f"fleet/{policy}")
+    fleet.audit_totals(syscalls, check_cycles, scope=f"fleet/{policy}")
 
     waits.sort()
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.common import analytic as analytic_backend
-from repro.common import ledger
 from repro.common.errors import ConfigError
 from repro.cpu.cache import SetAssociativeCache
 from repro.cpu.hierarchy import MemoryHierarchy
@@ -103,14 +102,13 @@ class MultiCoreSystem:
         cycles_start = process.check_cycles
         end = min(process.cursor + self.quantum, len(process.trace))
         executed = _drive_quantum(pipeline, core.hierarchy, process, end, strict, bulk)
-        if ledger.enabled():
-            process.quanta.append(
-                QuantumRecord(
-                    syscalls=executed,
-                    check_cycles=process.check_cycles - cycles_start,
-                    cold=cold,
-                )
+        process.quanta.append(
+            QuantumRecord(
+                syscalls=executed,
+                check_cycles=process.check_cycles - cycles_start,
+                cold=cold,
             )
+        )
         return executed
 
     def run(
@@ -155,9 +153,8 @@ class MultiCoreSystem:
                 else:
                     rotation.append(candidate)
         processes = self.processes  # bind the tuple once for the result
-        if ledger.audits_enabled():
-            for process in processes:
-                audit_process_flows(process, scope=f"multicore/{process.name}")
+        for process in processes:
+            audit_process_flows(process, scope=f"multicore/{process.name}")
         l3_total = self.shared_l3.hits + self.shared_l3.misses
         return MultiCoreResult(
             per_process={p.name: p.mean_check_cycles for p in processes},

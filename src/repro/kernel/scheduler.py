@@ -62,7 +62,7 @@ class ScheduledProcess:
     #: Per-flow attribution of ``check_cycles`` (Table I flow keys).
     flow_counts: Dict[str, int] = field(default_factory=dict)
     flow_cycles: Dict[str, float] = field(default_factory=dict)
-    #: Per-quantum timeline; only populated while the ledger is enabled.
+    #: One record per quantum this process ran.
     quanta: List[QuantumRecord] = field(default_factory=list)
 
     @property
@@ -284,7 +284,6 @@ class RoundRobinScheduler:
         kernel here.
         """
         total = 0
-        timelines = ledger.enabled()
         bulk = analytic_backend.resolve_backend(backend) != "event"
         # Fleet-capable bookkeeping: keep only unfinished processes on
         # the active list (order preserved) instead of rescanning the
@@ -304,20 +303,18 @@ class RoundRobinScheduler:
                 total += _drive_quantum(
                     pipeline, self.core.hierarchy, process, end, strict, bulk
                 )
-                if timelines:
-                    process.quanta.append(
-                        QuantumRecord(
-                            syscalls=process.syscalls_run - quantum_start,
-                            check_cycles=process.check_cycles - cycles_start,
-                            cold=cold,
-                        )
+                process.quanta.append(
+                    QuantumRecord(
+                        syscalls=process.syscalls_run - quantum_start,
+                        check_cycles=process.check_cycles - cycles_start,
+                        cold=cold,
                     )
+                )
                 if not process.done:
                     still_running.append(process)
             active = still_running
-        if ledger.audits_enabled():
-            for process in self.processes:
-                audit_process_flows(process, scope=f"scheduler/{process.name}")
+        for process in self.processes:
+            audit_process_flows(process, scope=f"scheduler/{process.name}")
         return ScheduleResult(
             per_process={p.name: p.mean_check_cycles for p in self.processes},
             context_switches=self.core.context_switches,

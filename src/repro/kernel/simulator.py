@@ -84,11 +84,10 @@ class RunResult:
     flow_cycles: Dict[str, float] = field(default_factory=dict)
     total_check_cycles: float = 0.0
     warmup_events: int = 0
-    #: Per-structure counters (numeric scalars only; timelines and other
-    #: observability payloads are stripped) captured by the analytic
-    #: backend when the ledger is enabled.  Extrapolated — and flagged
-    #: via :attr:`analytic` — on sampled runs; ``None`` for per-event
-    #: and bulk runs, whose consumers read the regime directly.
+    #: Per-structure counters (numeric scalars) of the regime at the end
+    #: of the run, from every tier.  Extrapolated — and flagged via
+    #: :attr:`analytic` — on sampled runs; ``None`` only for regimes
+    #: that have no structures, such as insecure.
     structures: Optional[Dict[str, Dict[str, float]]] = None
     #: Provenance of the analytic backend, or ``None`` when the exact
     #: kernels ran.
@@ -221,11 +220,8 @@ def _build_result(
     measured: int,
     warmed: int,
     runs_coalesced: int,
-    audits: bool,
-    regime_before,
-    cross_audit: bool,
+    regime_before: Optional[ledger.FlowLedger],
     structures: Optional[Dict[str, Dict[str, float]]],
-    structures_telemetry: Optional[Dict[str, Any]],
     analytic_info: Optional[AnalyticInfo],
 ) -> RunResult:
     """Common tail of every tier: expand groups, derive the totals,
@@ -241,17 +237,17 @@ def _build_result(
     baseline = work_cycles_per_syscall + syscall_base_cycles
     normalized = (baseline + mean_check) / baseline
 
-    if audits:
-        scope = f"{workload_name or '?'}/{regime.name}"
-        run_ledger.audit_totals(measured, total_check, scope=scope)
-        # Sampled runs scale their buckets to the full window, so the
-        # regime's own ledger (which only saw the sample) is no longer
-        # the conservation reference — the cross-audit is skipped, and
-        # the result is flagged ``derived`` instead.
-        if cross_audit and regime_before is not None:
-            regime_after = regime.ledger_snapshot()
-            if regime_after is not None:
-                run_ledger.audit_against(regime_before, regime_after, scope=scope)
+    scope = f"{workload_name or '?'}/{regime.name}"
+    run_ledger.audit_totals(measured, total_check, scope=scope)
+    # Sampled runs scale their buckets to the full window, so the
+    # regime's own ledger (which only saw the sample) is no longer
+    # the conservation reference: they pass no ``regime_before``, the
+    # cross-audit is skipped, and the result is flagged ``derived``
+    # instead.  Sweep replays pass none either: no regime ran.
+    if regime_before is not None:
+        regime_after = regime.ledger_snapshot()
+        if regime_after is not None:
+            run_ledger.audit_against(regime_before, regime_after, scope=scope)
 
     derived = analytic_info is not None and analytic_info.derived
     telemetry.record_simulation(
@@ -262,7 +258,7 @@ def _build_result(
         warmup_events=warmed,
         flow_counts=flow_counts,
         flow_cycles=flow_cycles,
-        structures=structures_telemetry,
+        structures=structures,
         runs_coalesced=runs_coalesced,
         derived=derived,
         events_extrapolated=(
@@ -312,8 +308,7 @@ def _run_exact_window(
             if strict and not outcome.allowed:
                 _deny(regime, event)
 
-    audits = ledger.audits_enabled()
-    regime_before = regime.ledger_snapshot() if audits else None
+    regime_before = regime.ledger_snapshot()
 
     groups: Dict[CheckOutcome, int] = {}
     groups_get = groups.get
@@ -330,7 +325,6 @@ def _run_exact_window(
         measured += count
 
     regime.analytic_verify()
-    raw_stats = regime.structure_stats() if ledger.enabled() else None
     return _build_result(
         regime=regime,
         workload_name=workload_name,
@@ -340,15 +334,8 @@ def _run_exact_window(
         measured=measured,
         warmed=windows.warmup,
         runs_coalesced=len(windows.measured),
-        audits=audits,
         regime_before=regime_before,
-        cross_audit=True,
-        structures=(
-            analytic_backend.sanitize_structures(raw_stats)
-            if raw_stats is not None
-            else None
-        ),
-        structures_telemetry=raw_stats,
+        structures=regime.structure_stats(),
         analytic_info=AnalyticInfo(
             mode="exact",
             events_simulated=measured,
@@ -365,9 +352,6 @@ class _ReplayRegime:
     def __init__(self, name: str) -> None:
         self.name = name
 
-    def ledger_snapshot(self):
-        return None
-
 
 def build_exact_replay_result(
     *,
@@ -379,7 +363,7 @@ def build_exact_replay_result(
     measured: int,
     warmup_events: int,
     runs_coalesced: int,
-    structures_raw: Optional[Dict[str, Any]] = None,
+    structures: Dict[str, Dict[str, float]],
 ) -> RunResult:
     """Freeze an exact-replay :class:`RunResult` from outcome groups.
 
@@ -390,8 +374,8 @@ def build_exact_replay_result(
     tests — and this function runs the common result tail
     (:func:`_build_result`): flow expansion, conservation audit,
     telemetry, result freezing.  The cross-audit against a live regime
-    ledger is skipped (there is no live regime), matching what
-    ``audits`` covers for sampled windows.
+    ledger is skipped (there is no live regime), as for sampled
+    windows.
     """
     return _build_result(
         regime=_ReplayRegime(regime_name),
@@ -402,15 +386,8 @@ def build_exact_replay_result(
         measured=measured,
         warmed=warmup_events,
         runs_coalesced=runs_coalesced,
-        audits=ledger.audits_enabled(),
         regime_before=None,
-        cross_audit=False,
-        structures=(
-            analytic_backend.sanitize_structures(structures_raw)
-            if structures_raw is not None
-            else None
-        ),
-        structures_telemetry=structures_raw,
+        structures=structures,
         analytic_info=AnalyticInfo(
             mode="exact",
             events_simulated=measured,
@@ -473,7 +450,6 @@ def _run_sampled_window(
         )
     warm_stats = regime.structure_stats() or {}
 
-    audits = ledger.audits_enabled()
     #: Cold (first-occurrence) outcomes vs. steady-mix outcomes are
     #: scaled to different targets, so they accumulate separately.
     cold_groups: Dict[CheckOutcome, int] = {}
@@ -625,11 +601,8 @@ def _run_sampled_window(
         measured=total_measured,
         warmed=windows.warmup,
         runs_coalesced=runs_coalesced,
-        audits=audits,
         regime_before=None,
-        cross_audit=False,
-        structures=structures if ledger.enabled() else None,
-        structures_telemetry=structures if ledger.enabled() else None,
+        structures=structures,
         analytic_info=info,
     )
 
@@ -746,8 +719,7 @@ def run_trace(
                 "inside the warm-up window"
             )
 
-    audits = ledger.audits_enabled()
-    regime_before = regime.ledger_snapshot() if audits else None
+    regime_before = regime.ledger_snapshot()
 
     measured_runs = chain((pending,), runs) if pending is not None else runs
     groups_get = groups.get
@@ -798,7 +770,6 @@ def run_trace(
             f"{warmed + measured} events"
         )
 
-    raw_stats = regime.structure_stats() if ledger.enabled() else None
     return _build_result(
         regime=regime,
         workload_name=workload_name,
@@ -808,15 +779,8 @@ def run_trace(
         measured=measured,
         warmed=warmed,
         runs_coalesced=runs_coalesced,
-        audits=audits,
         regime_before=regime_before,
-        cross_audit=True,
-        structures=(
-            analytic_backend.sanitize_structures(raw_stats)
-            if raw_stats is not None
-            else None
-        ),
-        structures_telemetry=raw_stats,
+        structures=regime.structure_stats(),
         analytic_info=None,
     )
 

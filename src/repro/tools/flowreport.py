@@ -190,8 +190,8 @@ def main(argv=None) -> int:
     if args.check:
         if not document["regimes"]:
             print(
-                "no flow telemetry in the report — was it produced with "
-                "REPRO_LEDGER=0 or by a pre-ledger build?",
+                "no flow telemetry in the report — cache hits replay results, "
+                "not simulations; point --report at a cold or --refresh run",
                 file=sys.stderr,
             )
             return 1

@@ -38,10 +38,26 @@ def _result(workload, regime_name, monkeypatch, *, analytic_on, events=2_000):
     from repro.experiments.runner import get_context
 
     monkeypatch.setenv("REPRO_ANALYTIC", "1" if analytic_on else "0")
-    monkeypatch.setenv("REPRO_LEDGER", "1")
-    monkeypatch.setenv("REPRO_LEDGER_AUDIT", "1")
     ctx = get_context(workload, events=events, seed=7)
     return ctx.evaluate(regime_name)
+
+
+def _fresh_run(workload, regime_name, *, analytic_on, events=2_000):
+    """``run_trace`` on a fresh regime: unlike ``ctx.evaluate`` this is
+    never served from the context's memo or a shared filter sweep, so
+    the tier it names is the one that runs."""
+    from repro.experiments.runner import get_context
+    from repro.kernel.simulator import run_trace
+
+    ctx = get_context(workload, events=events, seed=7)
+    return run_trace(
+        ctx.trace,
+        ctx.make_regime(regime_name),
+        work_cycles_per_syscall=ctx.work_cycles,
+        syscall_base_cycles=ctx.syscall_base_cycles,
+        workload_name=ctx.spec.name,
+        analytic=analytic_on,
+    )
 
 
 def _as_json(result):
@@ -99,8 +115,9 @@ def test_exact_tier_identical_under_per_event_kernel(monkeypatch):
     # The analytic exact replay must agree with the *per-event* kernel
     # too, not just the RLE bulk kernel it usually displaces.
     monkeypatch.setenv("REPRO_BULK", "0")
-    fast = _result("grep", "syscall-complete", monkeypatch, analytic_on=True)
-    slow = _result("grep", "syscall-complete", monkeypatch, analytic_on=False)
+    fast = _fresh_run("grep", "syscall-complete", analytic_on=True)
+    assert fast.analytic is not None and fast.analytic.mode == "exact"
+    slow = _fresh_run("grep", "syscall-complete", analytic_on=False)
     fast_d, slow_d = dataclasses.asdict(fast), dataclasses.asdict(slow)
     fast_d.pop("analytic"), slow_d.pop("analytic")
     assert json.dumps(fast_d, sort_keys=True) == json.dumps(slow_d, sort_keys=True)
@@ -111,7 +128,6 @@ def test_bitmap_regime_exact_identity(monkeypatch):
     from repro.kernel.simulator import run_trace
     from repro.seccomp.bitmap_cache import SeccompBitmapRegime
 
-    monkeypatch.setenv("REPRO_LEDGER", "1")
     ctx = get_context("nginx", events=2_000, seed=7)
     snapshots = {}
     for analytic_on in (True, False):
@@ -196,15 +212,13 @@ def test_resolve_backend_override_and_validation():
         analytic.resolve_backend("quantum")
 
 
-def test_scheduler_backend_seam_degrades_identically(monkeypatch):
+def test_scheduler_backend_seam_degrades_identically():
     # "analytic" degrades to the exact bulk kernel in the scheduler:
     # both spellings must produce byte-identical accounting.
     from repro.kernel.scheduler import RoundRobinScheduler, ScheduledProcess
     from repro.seccomp.toolkit import generate_complete
     from repro.workloads.catalog import CATALOG
     from repro.workloads.generator import generate_trace
-
-    monkeypatch.setenv("REPRO_LEDGER", "1")
 
     def snapshot(backend):
         processes = []
@@ -270,12 +284,11 @@ class TestRunTrace:
         with pytest.raises(ValueError):
             RunTrace([(make_event("read", (3, 64)), -1)])
 
-    def test_equivalent_to_expanded_trace(self, monkeypatch):
+    def test_equivalent_to_expanded_trace(self):
         from repro.experiments.runner import get_context
         from repro.kernel.simulator import run_trace
         from repro.syscalls.events import RunTrace, SyscallTrace, iter_runs
 
-        monkeypatch.setenv("REPRO_LEDGER", "1")
         ctx = get_context("grep", events=1_500, seed=5)
         expanded = SyscallTrace(list(ctx.trace))
         coalesced = RunTrace(iter_runs(list(ctx.trace)))

@@ -163,17 +163,29 @@ def test_bulk_enabled_parsing(monkeypatch, value, expected):
 
 
 def _run_result_json(workload, regime_name, monkeypatch, *, bulk, fastpath=True):
-    """One (workload, regime) simulation serialized for byte comparison."""
+    """One (workload, regime) simulation serialized for byte comparison.
+
+    ``run_trace`` on a fresh regime with the analytic tier off, so the
+    kernel the switches name is the one that runs: ``ctx.evaluate``
+    could serve either leg from the context's memo, a shared filter
+    sweep or the distinct-event histogram replay.  The conservation
+    audits run inside ``run_trace``, so any bulk accounting drift raises
+    there rather than comparing.
+    """
     from repro.experiments.runner import get_context
+    from repro.kernel.simulator import run_trace
 
     monkeypatch.setenv("REPRO_BULK", "1" if bulk else "0")
     monkeypatch.setenv("REPRO_FASTPATH", "1" if fastpath else "0")
-    # Run with the ledger and its conservation audit armed so any bulk
-    # accounting drift raises inside evaluate() rather than comparing.
-    monkeypatch.setenv("REPRO_LEDGER", "1")
-    monkeypatch.setenv("REPRO_LEDGER_AUDIT", "1")
     ctx = get_context(workload, events=2_000, seed=7)
-    result = ctx.evaluate(regime_name)
+    result = run_trace(
+        ctx.trace,
+        ctx.make_regime(regime_name),
+        work_cycles_per_syscall=ctx.work_cycles,
+        syscall_base_cycles=ctx.syscall_base_cycles,
+        workload_name=ctx.spec.name,
+        analytic=False,
+    )
     return json.dumps(dataclasses.asdict(result), sort_keys=True)
 
 

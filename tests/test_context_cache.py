@@ -25,7 +25,6 @@ from repro.kernel.regimes import SeccompRegime
 from repro.seccomp.toolkit import bundle_from_payload, bundle_to_payload
 from repro.workloads.catalog import (
     CATALOG,
-    REGIME_COMPLETE,
     REGIME_INSECURE,
     SECCOMP_REGIMES,
 )
@@ -248,23 +247,6 @@ class TestCalibrationMemoKey:
         )
         assert w_1 == w_2
         assert len(probes) == 1  # second distinct-identity object: memo hit
-
-
-class TestEvalMemoEnvFlip:
-    def test_flip_mid_process_does_not_serve_stale(self, cache_dir, monkeypatch):
-        """Flipping ``REPRO_CONTEXT_CACHE`` mid-process must re-run the
-        evaluation (fresh object), and the fresh run must be
-        byte-identical to the replayed one."""
-        monkeypatch.setenv(result_cache.CONTEXT_CACHE_ENV, "1")
-        ctx = runner.get_context(WORKLOAD, events=EVENTS)
-        replayed = ctx.evaluate(REGIME_COMPLETE)
-        assert seccomp_replay.replays_served > 0
-        monkeypatch.setenv(result_cache.CONTEXT_CACHE_ENV, "0")
-        exact = ctx.evaluate(REGIME_COMPLETE)
-        assert exact is not replayed  # memo keyed on the env knobs
-        assert exact == replayed
-        monkeypatch.setenv(result_cache.CONTEXT_CACHE_ENV, "1")
-        assert ctx.evaluate(REGIME_COMPLETE) is replayed
 
 
 class TestReplayDifferential:

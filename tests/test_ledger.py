@@ -97,36 +97,6 @@ class TestFlowLedger:
         with pytest.raises(ledger.ConservationError, match="counted 2 times"):
             liar.audit_against(before, after, scope="t")
 
-    def test_env_gates(self, monkeypatch):
-        monkeypatch.setenv(ledger.LEDGER_ENV, "0")
-        assert not ledger.enabled()
-        assert not ledger.audits_enabled()
-        monkeypatch.setenv(ledger.LEDGER_ENV, "1")
-        monkeypatch.setenv(ledger.AUDIT_ENV, "off")
-        assert ledger.enabled()
-        assert not ledger.audits_enabled()
-
-
-class TestWindowedCounter:
-    def test_window_closes_and_appends(self):
-        counter = ledger.WindowedCounter(window=4)
-        for hit in (True, True, False, False, True, True, True, True):
-            counter.record(hit)
-        assert counter.timeline == [0.5, 1.0]
-        assert counter.hits == 6 and counter.misses == 2
-        assert counter.hit_rate == 0.75
-
-    def test_reset(self):
-        counter = ledger.WindowedCounter(window=2)
-        counter.record(True)
-        counter.record(False)
-        counter.reset()
-        assert counter.total == 0 and counter.timeline == []
-
-    def test_rejects_empty_window(self):
-        with pytest.raises(ValueError):
-            ledger.WindowedCounter(window=0)
-
 
 # ---------------------------------------------------------------------------
 # Simulator warm-up bugfixes (satellite regressions)

@@ -11,7 +11,6 @@ are byte-identical on the existing test fleets.
 """
 
 from repro.common import analytic as analytic_backend
-from repro.common import ledger
 from repro.kernel.multicore import MultiCoreSystem
 from repro.kernel.scheduler import (
     DracoCore,
@@ -50,10 +49,10 @@ def _mixed_fleet():
 def _reference_round_robin(
     processes, quantum, strict=True, backend=None
 ) -> ScheduleResult:
-    """The pre-refactor RoundRobinScheduler.run loop, verbatim."""
+    """The pre-refactor RoundRobinScheduler.run loop, verbatim except
+    that quanta are always recorded, as they now are in the code."""
     core = DracoCore()
     total = 0
-    timelines = ledger.enabled()
     bulk = analytic_backend.resolve_backend(backend) != "event"
     while any(not p.done for p in processes):
         for process in processes:
@@ -67,14 +66,13 @@ def _reference_round_robin(
             total += _drive_quantum(
                 pipeline, core.hierarchy, process, end, strict, bulk
             )
-            if timelines:
-                process.quanta.append(
-                    QuantumRecord(
-                        syscalls=process.syscalls_run - quantum_start,
-                        check_cycles=process.check_cycles - cycles_start,
-                        cold=cold,
-                    )
+            process.quanta.append(
+                QuantumRecord(
+                    syscalls=process.syscalls_run - quantum_start,
+                    check_cycles=process.check_cycles - cycles_start,
+                    cold=cold,
                 )
+            )
     return ScheduleResult(
         per_process={p.name: p.mean_check_cycles for p in processes},
         context_switches=core.context_switches,
