@@ -41,41 +41,16 @@ Such results are flagged ``derived`` and carry a split-half error
 estimate; the differential tests assert its bound.
 
 The warm-up sample is sized by the trace's *characteristic time* — the
-Che approximation applied to the empirical event probabilities — which
-is also the model-level machinery exported here:
-
-The hit-rate fixed point.  For an LRU-like structure of capacity ``C``
-serving independent references with probabilities ``p_i``, the Che
-characteristic time ``T`` solves::
+Che approximation applied to the empirical event probabilities.  For an
+LRU-like structure of capacity ``C`` serving independent references
+with probabilities ``p_i``, the Che characteristic time ``T`` solves::
 
     sum_i (1 - exp(-p_i * T)) = C
-
-and the steady-state hit rate is ``H = sum_i p_i * (1 - exp(-p_i T))``.
 
 >>> probs = [0.4, 0.3, 0.2, 0.1]
 >>> t = che_characteristic_time(probs, capacity=2)
 >>> round(sum(1 - math.exp(-p * t) for p in probs), 6)  # occupancy == C
 2.0
->>> 0.5 < steady_hit_rate(probs, capacity=2) < 0.7   # skew helps: H > C/N
-True
->>> steady_hit_rate(probs, capacity=4)               # fits entirely
-1.0
-
-A uniform population gets no skew benefit — the hit rate collapses to
-the capacity ratio as the population grows:
-
->>> h = steady_hit_rate([1 / 64] * 64, capacity=16)
->>> 0.24 < h < 0.33
-True
-
-The events-per-quantum fixed point.  A scheduler quantum of ``Q``
-cycles fits ``q`` syscalls where ``q = Q / (W + S + check(q))`` and the
-mean check cost itself depends on how warm ``q`` events leave the
-structures — a contraction solved by :func:`fixed_point`:
-
->>> q, iters = fixed_point(lambda q: 1000.0 / (4.0 + 1000.0 / (1.0 + q)), 1.0)
->>> round(q * (4.0 + 1000.0 / (1.0 + q)), 3)         # q really is a fixed point
-1000.0
 
 Everything here lives in ``repro.common`` so the kernel layer, the
 experiment runner and the benchmarks can consult it without import
@@ -87,7 +62,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common import storage
 from repro.common.memo import memo_insert
@@ -495,7 +470,7 @@ def extrapolate_structures(
 
 
 # ---------------------------------------------------------------------------
-# Hit-rate fixed points (the module doctstring states the formulas)
+# Che characteristic time (the module docstring states the formula)
 # ---------------------------------------------------------------------------
 
 
@@ -535,97 +510,3 @@ def che_characteristic_time(probs: Sequence[float], capacity: float) -> float:
         if hi - lo <= 1e-9 * max(1.0, hi):
             break
     return 0.5 * (lo + hi)
-
-
-def steady_hit_rate(probs: Sequence[float], capacity: float) -> float:
-    """Steady-state hit rate of a capacity-*capacity* structure under
-    the Che approximation: ``H = sum_i p_i * (1 - exp(-p_i * T))``.
-
-    >>> steady_hit_rate([0.5, 0.5], 2)       # everything resident
-    1.0
-    >>> 0.49 < steady_hit_rate([0.5, 0.5], 1.0) < 0.51
-    True
-    """
-    if not probs or any(p <= 0 for p in probs):
-        raise ValueError("probabilities must be positive")
-    if capacity >= len(probs):
-        return 1.0
-    if capacity <= 0:
-        return 0.0
-    t = che_characteristic_time(probs, capacity)
-    return sum(p * (1.0 - math.exp(-p * t)) for p in probs)
-
-
-def fixed_point(
-    f: Callable[[float], float],
-    x0: float,
-    tol: float = 1e-9,
-    max_iter: int = 256,
-) -> Tuple[float, int]:
-    """Iterate ``x = f(x)`` to convergence; returns ``(x, iterations)``.
-
-    Precondition: ``f`` is a contraction near the fixed point (all the
-    hit-rate and events-per-quantum maps used here are — their slopes
-    are damped by the exponential forms above).  Raises ``ValueError``
-    when *max_iter* iterations do not converge.
-
-    >>> x, n = fixed_point(lambda x: 0.5 * x + 1.0, 0.0)
-    >>> round(x, 6), n < 64
-    (2.0, True)
-    """
-    x = float(x0)
-    for iteration in range(1, max_iter + 1):
-        x1 = f(x)
-        if not math.isfinite(x1):
-            raise ValueError("fixed-point iteration diverged")
-        if abs(x1 - x) <= tol * max(1.0, abs(x1)):
-            return x1, iteration
-        x2 = f(x1)
-        if not math.isfinite(x2):
-            raise ValueError("fixed-point iteration diverged")
-        if abs(x2 - x1) <= tol * max(1.0, abs(x2)):
-            return x2, iteration
-        # Aitken Δ² (Steffensen) acceleration: plain iteration needs
-        # hundreds of steps when the slope nears 1 (tight quanta make
-        # the events-per-quantum map almost affine); the accelerated
-        # update is quadratic wherever the slope is below 1.  Fall back
-        # to the plain step when the acceleration is degenerate or
-        # leaves f's domain.
-        nxt = x2
-        denom = x2 - 2.0 * x1 + x
-        if denom != 0.0:
-            accel = x - (x1 - x) ** 2 / denom
-            if math.isfinite(accel):
-                fa = f(accel)
-                if math.isfinite(fa):
-                    if abs(fa - accel) <= tol * max(1.0, abs(fa)):
-                        return fa, iteration
-                    nxt = accel
-        x = nxt
-    raise ValueError(f"no fixed point within {max_iter} iterations")
-
-
-def quantum_events_fixed_point(
-    quantum_cycles: float,
-    work_cycles: float,
-    base_cycles: float,
-    mean_check: Callable[[float], float],
-) -> float:
-    """Events per scheduler quantum: ``q = Q / (W + S + check(q))``.
-
-    ``mean_check(q)`` models how warm ``q`` events leave the structures
-    (e.g. via :func:`steady_hit_rate`); the composite map is a
-    contraction because the check cost is bounded and monotone.
-
-    >>> q = quantum_events_fixed_point(4e6, 250.0, 150.0, lambda q: 20.0)
-    >>> round(q, 1)
-    9523.8
-    """
-    if quantum_cycles <= 0:
-        raise ValueError("quantum must be positive")
-    q, _ = fixed_point(
-        lambda q: quantum_cycles
-        / max(work_cycles + base_cycles + mean_check(max(q, 0.0)), 1e-9),
-        quantum_cycles / max(work_cycles + base_cycles, 1e-9),
-    )
-    return q

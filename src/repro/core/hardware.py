@@ -27,10 +27,10 @@ from typing import Dict, Optional, Tuple
 from repro.common import ledger as common_ledger
 from repro.common.bulk import bulk_enabled
 from repro.core.flows import Flow, classify
-from repro.core.slb import HashId, Slb
+from repro.core.slb import HashId, Slb, SlbEntry, SlbSubtable
 from repro.core.software import ProcessTables
 from repro.core.spt import HardwareSPT, SptEntry
-from repro.core.stb import Stb
+from repro.core.stb import Stb, StbEntry
 from repro.core.temp_buffer import TemporaryBuffer
 from repro.core.vat import VAT
 from repro.cpu.hierarchy import MemoryHierarchy
@@ -78,13 +78,15 @@ class HardwareDracoStats:
     syscalls: int = 0
 
     def record(self, result: HwCheckResult) -> None:
-        self.flows[result.flow] = self.flows.get(result.flow, 0) + 1
-        self.flow_cycles[result.flow] = (
-            self.flow_cycles.get(result.flow, 0.0) + result.stall_cycles
-        )
+        flow = result.flow
+        stall = result.stall_cycles
+        flows = self.flows
+        flows[flow] = flows.get(flow, 0) + 1
+        flow_cycles = self.flow_cycles
+        flow_cycles[flow] = flow_cycles.get(flow, 0.0) + stall
         if result.os_invoked:
             self.os_invocations += 1
-        self.total_stall_cycles += result.stall_cycles
+        self.total_stall_cycles += stall
         self.syscalls += 1
 
     def record_bulk(self, result: HwCheckResult, count: int) -> None:
@@ -111,6 +113,38 @@ class HardwareDracoStats:
             counts={flow.ledger_key: count for flow, count in self.flows.items()},
             cycles={flow.ledger_key: c for flow, c in self.flow_cycles.items()},
         )
+
+
+class SteadyMemo:
+    """A replayable walk of one event (see
+    :meth:`HardwareDraco._maybe_install_steady`): its result, the
+    structure entries it hit, and the mutation epoch at which those
+    entries were last verified."""
+
+    __slots__ = (
+        "epoch", "result", "flow1", "stb_entry", "spt_slot",
+        "subtable", "slb_entry", "hash_pair",
+    )
+
+    def __init__(
+        self,
+        epoch: int,
+        result: HwCheckResult,
+        stb_entry: StbEntry,
+        spt_slot: SptEntry,
+        subtable: Optional[SlbSubtable] = None,
+        slb_entry: Optional[SlbEntry] = None,
+        hash_pair: Optional[Tuple[int, int]] = None,
+    ) -> None:
+        self.epoch = epoch
+        self.result = result
+        #: A flow-1 walk (it also hit the SLB); otherwise SPT-only.
+        self.flow1 = slb_entry is not None
+        self.stb_entry = stb_entry
+        self.spt_slot = spt_slot
+        self.subtable = subtable
+        self.slb_entry = slb_entry
+        self.hash_pair = hash_pair
 
 
 class HardwareDraco:
@@ -141,6 +175,8 @@ class HardwareDraco:
         #: so a squashed preload leaves observable state — kept only so
         #: tests can demonstrate the side channel being closed.
         self.speculation_safe = speculation_safe
+        #: Dispatch-to-head cycles a preload's latency can hide in.
+        self._window = processor.dispatch_to_head_cycles
 
         self.spt = HardwareSPT(hw)
         self.slb = Slb(hw)
@@ -148,17 +184,45 @@ class HardwareDraco:
         self.temp = TemporaryBuffer(hw)
         self.stats = HardwareDracoStats()
         self._saved_spt: Tuple[SptEntry, ...] = ()
-        #: Steady-state memo (bulk fast path): event -> (result, kind,
-        #: *replay refs).  An entry stays valid while the exact structure
-        #: entries its walk touched remain resident — see
-        #: :meth:`steady_probe`.
+        #: SLB access cycles per argument count (Table II subtables).
+        self._slb_cycles: Dict[int, int] = {
+            sub.arg_count: sub.access_cycles for sub in hw.slb_subtables
+        }
+        #: Interned walk outcomes: equal-valued results are one object,
+        #: so a walk builds no result and consumers can key on identity.
+        self._results: Dict[tuple, HwCheckResult] = {}
+        #: Steady-state memo (bulk fast path).  An entry stays valid
+        #: while the exact structure entries its walk touched remain
+        #: resident — see :meth:`steady_probe`.
         self._bulk = bulk_enabled()
-        self._steady: Dict[SyscallEvent, tuple] = {}
+        self._steady: Dict[SyscallEvent, SteadyMemo] = {}
         self._populate_spt()
 
     #: Steady-memo size cap (events are few in practice; this is a
     #: safety valve against adversarially wide traces).
     _STEADY_LIMIT = 1 << 14
+
+    #: Interned-result cap; a run has a few dozen distinct outcomes.
+    _RESULTS_LIMIT = 1 << 12
+
+    def _result(
+        self,
+        allowed: bool,
+        stall_cycles: float,
+        flow: Flow,
+        os_invoked: bool = False,
+        stb_hit: bool = False,
+        preload_hit: Optional[bool] = None,
+        access_hit: Optional[bool] = None,
+    ) -> HwCheckResult:
+        """The interned :class:`HwCheckResult` with these fields."""
+        key = (allowed, stall_cycles, flow, os_invoked, stb_hit, preload_hit, access_hit)
+        result = self._results.get(key)
+        if result is None:
+            if len(self._results) >= self._RESULTS_LIMIT:
+                self._results.clear()
+            result = self._results[key] = HwCheckResult(*key)
+        return result
 
     def _populate_spt(self) -> None:
         """OS populates the per-core SPT from the process profile (§VIII)."""
@@ -194,7 +258,7 @@ class HardwareDraco:
 
         arg_count = spt_entry.arg_count
         preload_hit = self.slb.preload_probe(stb_entry.sid, arg_count, stb_entry.hash_id)
-        latency += self.hw.slb_subtable_for(arg_count).access_cycles
+        latency += self._slb_cycles[arg_count]
         if preload_hit:
             return True, True, latency, stb_entry.sid
 
@@ -204,7 +268,8 @@ class HardwareDraco:
             which, value = stb_entry.hash_id
             slot_index = value % vat_table.num_slots
             address = vat_table.address_of_slot(slot_index)
-            latency += self.hierarchy.access(address).cycles
+            hierarchy = self.hierarchy
+            latency += hierarchy.level_cycles[hierarchy.load(address)]
             slot = vat_table.table.slot_at(slot_index)
             if slot is not None:
                 slot_hash = hash_id_for(slot.key, slot.which_hash)
@@ -224,31 +289,42 @@ class HardwareDraco:
     # ------------------------------------------------------------------
 
     def on_syscall(self, event: SyscallEvent) -> HwCheckResult:
-        """One syscall through the pipeline, with a steady-state memo in
-        front of the full walk when the bulk fast path is enabled.
+        """One syscall through the pipeline.
 
-        A memoized entry replays the exact per-structure side effects of
-        the original walk (clock ticks, LRU refreshes, hit counters,
-        Accessed bits) — see :meth:`steady_replay` — so the memo is an
-        accelerator, not an approximation.
+        With the bulk fast path enabled, :meth:`steady_probe` first looks
+        for a replayable memo entry; a hit replays the exact
+        per-structure side effects of the original walk (clock ticks,
+        LRU refreshes, hit counters, Accessed bits) — see
+        :meth:`steady_replay` — so the memo is an accelerator, not an
+        approximation.  Otherwise the full walk runs through
+        :meth:`walk_and_install`, which callers that probed for
+        themselves (``check_run``, the scheduler) call directly.
         """
         if self._bulk:
             memo = self.steady_probe(event)
             if memo is not None:
                 self.steady_replay(memo, 1)
-                return memo[0]
-            epoch = self._epoch()
-            result = self._walk(event)
-            if self._epoch() == epoch:
-                self._maybe_install_steady(event, result)
-            return result
-        return self._walk(event)
+                return memo.result
+        return self.walk_and_install(event)
+
+    def walk_and_install(self, event: SyscallEvent) -> HwCheckResult:
+        """The full walk for an event the steady memo cannot replay.
+        With the bulk fast path enabled, a walk that mutated no
+        structure is memoized for later replays (see
+        :meth:`_maybe_install_steady`)."""
+        if not self._bulk:
+            return self._walk(event)
+        epoch = self._epoch()
+        result = self._walk(event)
+        if self._epoch() == epoch:
+            self._maybe_install_steady(event, result, epoch)
+        return result
 
     def _epoch(self) -> int:
         """Monotonic mutation epoch over every structure a steady-state
         walk depends on.  All the counters only ever increase, so their
-        sum strictly increases on any mutation — used at install time to
-        verify a walk was pure (hit-only, nothing filled or claimed)."""
+        sum strictly increases on any mutation: equal epochs mean no
+        structure changed in between."""
         return (
             self.slb.mutations
             + self.stb.mutations
@@ -257,50 +333,58 @@ class HardwareDraco:
             + self.tables.vat.mutations
         )
 
-    def steady_probe(self, event: SyscallEvent) -> Optional[tuple]:
+    def steady_probe(self, event: SyscallEvent) -> Optional[SteadyMemo]:
         """The memo entry for *event* iff its walk is still replayable.
 
-        Validity is checked per entry, not via a global epoch: the memo
-        holds the exact structure entries its walk touched, and stays
-        live while those same objects remain resident (side-effect-free
-        ``peek`` probes) — unrelated fills and evictions elsewhere in
-        the structures cannot change this event's walk.  Because STB and
-        SLB entries are retrained *in place* (a PC shared by several
-        argument sets rewrites one ``StbEntry``), object identity alone
-        is not enough: the probe re-verifies the fields the walk reads —
-        the STB entry still predicts this event's SID, the speculative
-        preload still hits under the STB's current fetching hash, and
-        the temporary buffer holds no entry the walk would claim.
-        Invalid entries are left in place and overwritten by the next
-        install.
+        Each entry is stamped with the mutation epoch (:meth:`_epoch`)
+        at which it was last validated.  While the epoch is unchanged no
+        structure has mutated, so the entry is returned without looking
+        at any structure.
+
+        Otherwise validity is re-checked per entry, not globally: the
+        memo holds the exact structure entries its walk touched, and
+        stays live while those same objects remain resident
+        (side-effect-free ``peek`` probes) — unrelated fills and
+        evictions elsewhere in the structures cannot change this
+        event's walk.  Because STB and SLB entries are retrained *in
+        place* (a PC shared by several argument sets rewrites one
+        ``StbEntry``), object identity alone is not enough: the probe
+        re-verifies the fields the walk reads — the STB entry still
+        predicts this event's SID, the speculative preload still hits
+        under the STB's current fetching hash, and the temporary buffer
+        holds no entry the walk would claim.  An entry that passes is
+        re-stamped with the current epoch; one that fails is left in
+        place and overwritten by the next install.
         """
         memo = self._steady.get(event)
         if memo is None:
             return None
+        epoch = self._epoch()
+        if memo.epoch == epoch:
+            return memo
         stb_entry = self.stb.peek(event.pc)
         if (
-            stb_entry is not memo[2]
+            stb_entry is not memo.stb_entry
             or stb_entry.sid != event.sid
-            or self.spt.peek(event.sid) is not memo[3]
+            or self.spt.peek(event.sid) is not memo.spt_slot
         ):
             return None
-        if memo[1] == "flow1":
-            arg_count = memo[4]
+        if memo.flow1:
+            subtable = memo.subtable
             if (
-                self.slb.peek_access(event.sid, arg_count, event.args, memo[6])
-                is not memo[5]
-                or not self.slb.peek_preload(
-                    event.sid, arg_count, stb_entry.hash_id
-                )
+                subtable.peek(event.sid, event.args, memo.hash_pair) is not memo.slb_entry
+                or not subtable.preload_probe(event.sid, stb_entry.hash_id)
                 or self.temp.peek_match(event.sid, event.args) is not None
             ):
                 return None
+        memo.epoch = epoch
         return memo
 
     def _maybe_install_steady(
-        self, event: SyscallEvent, result: HwCheckResult
+        self, event: SyscallEvent, result: HwCheckResult, epoch: int
     ) -> None:
-        """Memoize *result* when the walk it came from is replayable.
+        """Memoize *result*, valid at mutation *epoch*, when the walk it
+        came from is replayable.
 
         Eligible walks mutate nothing (the caller verified the mutation
         epoch is unchanged) and touch only structures whose per-event
@@ -319,46 +403,61 @@ class HardwareDraco:
             spt_slot = self.spt.peek(event.sid)
             if stb_entry is None or spt_slot is None:
                 return
-            arg_count = spt_slot.arg_count
-            key = VAT.key_for(event.args, spt_slot.arg_bitmask)
-            hash_pair = (_HASHES[0](key), _HASHES[1](key))
-            slb_entry = self.slb.peek_access(
-                event.sid, arg_count, event.args, hash_pair
-            )
+            subtable = self.slb.subtable(spt_slot.arg_count)
+            hash_pair = VAT.hashed_key(event.args, spt_slot.arg_bitmask)[1]
+            slb_entry = subtable.peek(event.sid, event.args, hash_pair)
             if slb_entry is None:
                 return
-            if len(self._steady) >= self._STEADY_LIMIT:
-                self._steady.clear()
-            self._steady[event] = (
-                result, "flow1", stb_entry, spt_slot, arg_count, slb_entry, hash_pair
+            memo = SteadyMemo(
+                epoch, result, stb_entry, spt_slot, subtable, slb_entry, hash_pair
             )
         elif result.flow is Flow.SPT_ONLY and result.stb_hit:
             stb_entry = self.stb.peek(event.pc)
             spt_slot = self.spt.peek(event.sid)
             if stb_entry is None or spt_slot is None:
                 return
-            if len(self._steady) >= self._STEADY_LIMIT:
-                self._steady.clear()
-            self._steady[event] = (result, "spt_only", stb_entry, spt_slot)
-
-    def steady_replay(self, memo: tuple, count: int) -> None:
-        """Apply the side effects of *count* steady-state walks of the
-        memoized event, bit-identical to running them one by one."""
-        kind = memo[1]
-        if kind == "flow1":
-            result, _, stb_entry, spt_slot, arg_count, slb_entry, _ = memo
-            self.stb.record_hit_bulk(stb_entry, count)
-            self.spt.record_hit_bulk(spt_slot, 2 * count)
-            self.slb.record_preload_hit_bulk(count)
-            self.slb.record_access_hit_bulk(arg_count, slb_entry, count)
-        else:  # "spt_only": the ROB-head and STB-refresh probes both hit
-            result, _, stb_entry, spt_slot = memo
-            self.stb.record_hit_bulk(stb_entry, 2 * count)
-            self.spt.record_hit_bulk(spt_slot, 2 * count)
-        if count == 1:
-            self.stats.record(result)
+            memo = SteadyMemo(epoch, result, stb_entry, spt_slot)
         else:
-            self.stats.record_bulk(result, count)
+            return
+        if len(self._steady) >= self._STEADY_LIMIT:
+            self._steady.clear()
+        self._steady[event] = memo
+
+    def steady_replay(self, memo: SteadyMemo, count: int) -> None:
+        """Apply the side effects of *count* steady-state walks of the
+        memoized event, bit-identical to running them one by one.
+
+        Every walk hits the same entries, so the per-walk LRU clock
+        ticks collapse into one advance (only the final ``last_used``
+        stamp is observable) and each hit counter advances by the walk
+        count:
+
+        * the STB entry: one lookup per walk, two for SPT-only (the
+          second is ``_maybe_update_stb``'s);
+        * the SPT slot: two lookups per walk; its Accessed bit is
+          idempotent;
+        * flow 1 only, the SLB entry: one preload-probe hit, which
+          touches counters only (a preload leaves no LRU state), and
+          one non-speculative access hit.
+        """
+        stb = self.stb
+        stb_hits = count if memo.flow1 else 2 * count
+        stb.clock += stb_hits
+        memo.stb_entry.last_used = stb.clock
+        stb.hits += stb_hits
+        memo.spt_slot.accessed = True
+        self.spt.hits += 2 * count
+        if memo.flow1:
+            subtable = memo.subtable
+            subtable.clock += count
+            memo.slb_entry.last_used = subtable.clock
+            slb = self.slb
+            slb.preload_hits += count
+            slb.access_hits += count
+        if count == 1:
+            self.stats.record(memo.result)
+        else:
+            self.stats.record_bulk(memo.result, count)
 
     def _walk(self, event: SyscallEvent) -> HwCheckResult:
         stb_hit, preload_hit, preload_latency, predicted_sid = (
@@ -371,8 +470,7 @@ class HardwareDraco:
             # path retrains the STB entry.
             stb_hit = False
             preload_hit = None
-        window = self.processor.dispatch_to_head_cycles
-        hidden_residual = max(0.0, preload_latency - window)
+        hidden_residual = max(0.0, preload_latency - self._window)
 
         spt_entry = self.spt.lookup(event.sid)
         if spt_entry is None:
@@ -381,20 +479,15 @@ class HardwareDraco:
             return result
 
         if not spt_entry.checks_arguments:
-            result = HwCheckResult(
-                allowed=True,
-                stall_cycles=self.hw.spt_access_cycles,
-                flow=Flow.SPT_ONLY,
-                stb_hit=stb_hit,
-                preload_hit=None,
+            result = self._result(
+                True, self.hw.spt_access_cycles, Flow.SPT_ONLY, stb_hit=stb_hit
             )
             self._maybe_update_stb(event, spt_entry, key=None, which_hash=None)
             self.stats.record(result)
             return result
 
         arg_count = spt_entry.arg_count
-        key = VAT.key_for(event.args, spt_entry.arg_bitmask)
-        hash_pair = (_HASHES[0](key), _HASHES[1](key))
+        key, hash_pair = VAT.hashed_key(event.args, spt_entry.arg_bitmask)
 
         # Claim any matching speculative preload first (Section IX: the
         # temp-buffer entry moves into the SLB at the non-speculative
@@ -404,7 +497,7 @@ class HardwareDraco:
             self.slb.fill(event.sid, arg_count, claimed.hash_id, claimed.args, hash_pair)
 
         slb_entry = self.slb.access(event.sid, arg_count, event.args, hash_pair)
-        slb_cycles = self.hw.slb_subtable_for(arg_count).access_cycles
+        slb_cycles = self._slb_cycles[arg_count]
 
         if slb_entry is not None:
             flow = classify(stb_hit, preload_hit, access_hit=True)
@@ -412,12 +505,8 @@ class HardwareDraco:
             if not stb_hit:
                 # Flow 5: fill the STB with the correct SID and hash.
                 self.stb.update(event.pc, event.sid, slb_entry.hash_id)
-            result = HwCheckResult(
-                allowed=True,
-                stall_cycles=stall,
-                flow=flow,
-                stb_hit=stb_hit,
-                preload_hit=preload_hit,
+            result = self._result(
+                True, stall, flow, stb_hit=stb_hit, preload_hit=preload_hit,
                 access_hit=True,
             )
             self.stats.record(result)
@@ -425,7 +514,7 @@ class HardwareDraco:
 
         # SLB access miss: walk the VAT's two cuckoo ways in parallel.
         stall = slb_cycles + self.hw.crc_cycles
-        probe = self.tables.vat.lookup(event.sid, key)
+        probe = self.tables.vat.lookup(event.sid, key, hash_pair)
         if probe is not None:
             stall += self.hierarchy.access_parallel(probe.addresses)
         if probe is not None and probe.hit:
@@ -433,12 +522,8 @@ class HardwareDraco:
             self.slb.fill(event.sid, arg_count, hash_id, event.args, hash_pair)
             self.stb.update(event.pc, event.sid, hash_id)
             flow = classify(stb_hit, preload_hit, access_hit=False)
-            result = HwCheckResult(
-                allowed=True,
-                stall_cycles=stall,
-                flow=flow,
-                stb_hit=stb_hit,
-                preload_hit=preload_hit,
+            result = self._result(
+                True, stall, flow, stb_hit=stb_hit, preload_hit=preload_hit,
                 access_hit=False,
             )
             self.stats.record(result)
@@ -452,6 +537,7 @@ class HardwareDraco:
             preload_hit=preload_hit,
             spt_entry=spt_entry,
             key=key,
+            hash_pair=hash_pair,
         )
         self.stats.record(result)
         return result
@@ -466,6 +552,7 @@ class HardwareDraco:
         preload_hit: Optional[bool] = None,
         spt_entry: Optional[SptEntry] = None,
         key: Optional[bytes] = None,
+        hash_pair: Optional[Tuple[int, int]] = None,
     ) -> HwCheckResult:
         """Invoke the OS: execute Seccomp, then update the VAT and SLB."""
         decision = self.seccomp.check(event)
@@ -480,7 +567,7 @@ class HardwareDraco:
 
         if allowed and spt_entry is not None and key is not None:
             which = self.tables.vat.insert(event.sid, key, event.args)
-            hash_id = hash_id_for(key, which)
+            hash_id = (which, hash_pair[which])
             arg_count = spt_entry.arg_count
             self.slb.fill(event.sid, arg_count, hash_id, event.args)
             self.stb.update(event.pc, event.sid, hash_id)
@@ -502,14 +589,9 @@ class HardwareDraco:
         flow = Flow.OS_CHECK if spt_entry is None else classify(
             stb_hit, preload_hit, access_hit=False
         )
-        return HwCheckResult(
-            allowed=allowed,
-            stall_cycles=stall,
-            flow=flow,
-            os_invoked=True,
-            stb_hit=stb_hit,
-            preload_hit=preload_hit,
-            access_hit=False,
+        return self._result(
+            allowed, stall, flow, os_invoked=True, stb_hit=stb_hit,
+            preload_hit=preload_hit, access_hit=False,
         )
 
     def structure_stats(self) -> Dict[str, Dict[str, object]]:

@@ -50,7 +50,8 @@ class SlbSubtable:
         self.params = params
         self.num_sets = params.entries // params.ways
         self._sets: List[List[SlbEntry]] = [[] for _ in range(self.num_sets)]
-        self._clock = 0
+        #: LRU clock: one tick per non-speculative access or fill.
+        self.clock = 0
         self.evictions = 0
 
     def _index(self, sid: int, hash_value: int) -> int:
@@ -61,51 +62,35 @@ class SlbSubtable:
     ) -> Optional[SlbEntry]:
         """Non-speculative lookup: probe both candidate sets (one per
         hash function) for a (SID, argument set) match; updates LRU."""
-        self._clock += 1
-        for which, value in enumerate(hash_pair):
-            entries = self._sets[self._index(sid, value)]
-            for entry in entries:
-                if entry.sid == sid and entry.args == args:
-                    entry.last_used = self._clock
-                    return entry
-        return None
+        self.clock += 1
+        entry = self.peek(sid, args, hash_pair)
+        if entry is not None:
+            entry.last_used = self.clock
+        return entry
 
     def preload_probe(self, sid: int, hash_id: HashId) -> bool:
-        """Speculative probe by (SID, hash).  No LRU update (Section IX:
-        "if an SLB preload request hits in the SLB, the LRU state of the
-        SLB is not updated until the corresponding non-speculative SLB
-        access")."""
-        entries = self._sets[self._index(sid, hash_id[1])]
-        return any(
-            entry.sid == sid and entry.hash_id == hash_id for entry in entries
-        )
+        """Speculative probe by (SID, hash).  No LRU update and no
+        counters (Section IX: "if an SLB preload request hits in the
+        SLB, the LRU state of the SLB is not updated until the
+        corresponding non-speculative SLB access"), so the bulk fast
+        path also uses it to re-verify a memoized walk's preload hit."""
+        for entry in self._sets[(sid ^ hash_id[1]) % self.num_sets]:
+            if entry.sid == sid and entry.hash_id == hash_id:
+                return True
+        return False
 
     def peek(
         self, sid: int, args: Tuple[int, ...], hash_pair: Tuple[int, int]
     ) -> Optional[SlbEntry]:
         """Side-effect-free :meth:`access` probe (no clock, no LRU);
         used by the bulk fast path to capture replay references."""
+        sets = self._sets
+        num_sets = self.num_sets
         for value in hash_pair:
-            for entry in self._sets[self._index(sid, value)]:
+            for entry in sets[(sid ^ value) % num_sets]:
                 if entry.sid == sid and entry.args == args:
                     return entry
         return None
-
-    def peek_preload(self, sid: int, hash_id: HashId) -> bool:
-        """Side-effect-free :meth:`preload_probe` (no counters); the
-        bulk fast path re-verifies the speculative hit
-        before replaying a memoized walk."""
-        entries = self._sets[self._index(sid, hash_id[1])]
-        return any(
-            entry.sid == sid and entry.hash_id == hash_id for entry in entries
-        )
-
-    def touch_bulk(self, entry: SlbEntry, count: int) -> None:
-        """Replay *count* non-speculative LRU refreshes of *entry*:
-        the clock advances once per access, and only the final
-        ``last_used`` value is observable."""
-        self._clock += count
-        entry.last_used = self._clock
 
     def fill(
         self,
@@ -124,7 +109,7 @@ class SlbSubtable:
         update traces are deterministic rather than dependent on the
         hash values' ordering within a set.
         """
-        self._clock += 1
+        self.clock += 1
         candidates = [hash_id[1]]
         if hash_pair is not None:
             for value in hash_pair:
@@ -134,14 +119,14 @@ class SlbSubtable:
             for entry in self._sets[self._index(sid, value)]:
                 if entry.sid == sid and entry.args == args:
                     entry.hash_id = hash_id
-                    entry.last_used = self._clock
+                    entry.last_used = self.clock
                     return
         entries = self._sets[self._index(sid, hash_id[1])]
         if len(entries) >= self.params.ways:
             lru = min(range(len(entries)), key=lambda i: entries[i].last_used)
             entries.pop(lru)
             self.evictions += 1
-        entries.append(SlbEntry(sid=sid, hash_id=hash_id, args=args, last_used=self._clock))
+        entries.append(SlbEntry(sid=sid, hash_id=hash_id, args=args, last_used=self.clock))
 
     def invalidate_all(self) -> None:
         self._sets = [[] for _ in range(self.num_sets)]
@@ -195,32 +180,6 @@ class Slb:
         else:
             self.preload_misses += 1
         return hit
-
-    def peek_access(
-        self,
-        sid: int,
-        arg_count: int,
-        args: Tuple[int, ...],
-        hash_pair: Tuple[int, int],
-    ) -> Optional[SlbEntry]:
-        """Side-effect-free :meth:`access` probe (bulk fast path)."""
-        return self.subtable(arg_count).peek(sid, args, hash_pair)
-
-    def peek_preload(self, sid: int, arg_count: int, hash_id: HashId) -> bool:
-        """Side-effect-free :meth:`preload_probe` (bulk fast path)."""
-        return self.subtable(arg_count).peek_preload(sid, hash_id)
-
-    def record_access_hit_bulk(
-        self, arg_count: int, entry: SlbEntry, count: int
-    ) -> None:
-        """Replay *count* steady-state non-speculative hits on *entry*."""
-        self.subtable(arg_count).touch_bulk(entry, count)
-        self.access_hits += count
-
-    def record_preload_hit_bulk(self, count: int) -> None:
-        """Replay *count* steady-state preload-probe hits (counters
-        only: preload probes leave no LRU state by design)."""
-        self.preload_hits += count
 
     def fill(
         self,

@@ -297,8 +297,8 @@ class SoftwareDraco:
                 flow=ledger.FLOW_SW_SPT_ONLY,
             )
 
-        key = VAT.key_for(event.args, entry.arg_bitmask)
-        probe = self.tables.vat.lookup(event.sid, key)
+        key, hashes = VAT.hashed_key(event.args, entry.arg_bitmask)
+        probe = self.tables.vat.lookup(event.sid, key, hashes)
         if probe is not None and probe.hit:
             cycles = self.costs.sw_draco_hit_cycles
             self.stats.vat_hits += 1

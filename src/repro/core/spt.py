@@ -120,12 +120,6 @@ class HardwareSPT:
             return slot
         return None
 
-    def record_hit_bulk(self, slot: SptEntry, count: int) -> None:
-        """Replay *count* steady-state hits on *slot*: the Accessed bit
-        is (re-)set — it is idempotent — and the hit counter advances."""
-        slot.accessed = True
-        self.hits += count
-
     def clear_accessed_bits(self) -> None:
         """Periodic clearing (every ~500 us — Section VII-B)."""
         for slot in self._slots:

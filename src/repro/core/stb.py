@@ -38,7 +38,8 @@ class Stb:
         self.params = params
         self.num_sets = params.stb_entries // params.stb_ways
         self._sets: List[List[StbEntry]] = [[] for _ in range(self.num_sets)]
-        self._clock = 0
+        #: LRU clock: one tick per lookup or update.
+        self.clock = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -53,10 +54,10 @@ class Stb:
 
     def lookup(self, pc: int) -> Optional[StbEntry]:
         """A hit means this PC is a known syscall instruction."""
-        self._clock += 1
+        self.clock += 1
         for entry in self._set_for(pc):
             if entry.pc == pc:
-                entry.last_used = self._clock
+                entry.last_used = self.clock
                 self.hits += 1
                 return entry
         self.misses += 1
@@ -70,31 +71,22 @@ class Stb:
                 return entry
         return None
 
-    def record_hit_bulk(self, entry: StbEntry, count: int) -> None:
-        """Replay *count* steady-state hits on *entry*, exactly as that
-        many :meth:`lookup` hits would: per-hit clock ticks (collapsed —
-        only the final ``last_used`` is observable), LRU refresh, hit
-        counter."""
-        self._clock += count
-        entry.last_used = self._clock
-        self.hits += count
-
     def update(self, pc: int, sid: int, hash_id: HashId) -> None:
         """Install or refresh the entry for a syscall site."""
         self.mutations += 1
-        self._clock += 1
+        self.clock += 1
         entries = self._set_for(pc)
         for entry in entries:
             if entry.pc == pc:
                 entry.sid = sid
                 entry.hash_id = hash_id
-                entry.last_used = self._clock
+                entry.last_used = self.clock
                 return
         if len(entries) >= self.params.stb_ways:
             lru = min(range(len(entries)), key=lambda i: entries[i].last_used)
             entries.pop(lru)
             self.evictions += 1
-        entries.append(StbEntry(pc=pc, sid=sid, hash_id=hash_id, last_used=self._clock))
+        entries.append(StbEntry(pc=pc, sid=sid, hash_id=hash_id, last_used=self.clock))
 
     def invalidate_all(self) -> None:
         self.mutations += 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.common.errors import ConfigError, CuckooInsertError
-from repro.hashing.crc import CRC64_ECMA, CRC64_NOT_ECMA
+from repro.hashing.crc import CRC64_ECMA, CRC64_NOT_ECMA, hash_pair
 from repro.hashing.cuckoo import CuckooTable, LookupResult
 from repro.syscalls.abi import select_bytes
 
@@ -67,13 +67,20 @@ class VatTable:
     def address_of_slot(self, slot_index: int) -> int:
         return self.base_address + slot_index * VAT_ENTRY_BYTES
 
-    def probe_addresses(self, key: bytes) -> Tuple[int, int]:
-        i1, i2 = self.table.candidate_indices(key)
-        return self.address_of_slot(i1), self.address_of_slot(i2)
+    def probe_addresses(self, hashes: Tuple[int, int]) -> Tuple[int, int]:
+        """The two slot addresses a walk fetches for a key whose (H1, H2)
+        values are *hashes*."""
+        num_slots = self.table.num_slots
+        return (
+            self.address_of_slot(hashes[0] % num_slots),
+            self.address_of_slot(hashes[1] % num_slots),
+        )
 
-    def lookup(self, key: bytes) -> VatProbe:
-        addresses = self.probe_addresses(key)
-        result: Optional[LookupResult[Tuple[int, ...]]] = self.table.lookup(key)
+    def lookup(self, key: bytes, hashes: Tuple[int, int]) -> VatProbe:
+        """Probe both cuckoo ways for *key*, whose (H1, H2) values the
+        caller already holds (see :meth:`VAT.hashed_key`)."""
+        addresses = self.probe_addresses(hashes)
+        result: Optional[LookupResult[Tuple[int, ...]]] = self.table.lookup(key, hashes)
         if result is None:
             return VatProbe(hit=False, which_hash=None, addresses=addresses)
         return VatProbe(
@@ -139,31 +146,38 @@ class VAT:
 
     # -- operations -----------------------------------------------------------
 
-    #: Shared memo for Selector key derivation: select_bytes is a pure
-    #: function of (args, bitmask) and the simulator derives the same
-    #: handful of keys for every one of millions of events.
-    _key_memo: Dict[Tuple[Tuple[int, ...], int], bytes] = {}
+    #: Shared memo for Selector key derivation: the key and its CRC pair
+    #: are pure functions of (args, bitmask), and the simulator derives
+    #: the same handful of keys for every one of millions of events.
+    _key_memo: Dict[Tuple[Tuple[int, ...], int], Tuple[bytes, Tuple[int, int]]] = {}
     _KEY_MEMO_LIMIT = 1 << 16
 
     @staticmethod
-    def key_for(args: Iterable[int], arg_bitmask: int) -> bytes:
-        """Selector-masked argument bytes (Figure 5)."""
+    def hashed_key(
+        args: Iterable[int], arg_bitmask: int
+    ) -> Tuple[bytes, Tuple[int, int]]:
+        """Selector-masked argument bytes (Figure 5) with their (H1, H2)
+        CRC values, derived once per distinct argument set."""
         memo = VAT._key_memo
         probe = (tuple(args), arg_bitmask)
-        key = memo.get(probe)
-        if key is None:
+        hashed = memo.get(probe)
+        if hashed is None:
             key = select_bytes(probe[0], arg_bitmask)
+            hashed = (key, hash_pair(key))
             if len(memo) >= VAT._KEY_MEMO_LIMIT:
                 memo.clear()
-            memo[probe] = key
-        return key
+            memo[probe] = hashed
+        return hashed
 
-    def lookup(self, sid: int, key: bytes) -> Optional[VatProbe]:
+    def lookup(
+        self, sid: int, key: bytes, hashes: Tuple[int, int]
+    ) -> Optional[VatProbe]:
+        """Walk *sid*'s table for *key*; *hashes* is its (H1, H2) pair."""
         table = self._tables.get(sid)
         if table is None:
             self.misses += 1
             return None
-        probe = table.lookup(key)
+        probe = table.lookup(key, hashes)
         if probe.hit:
             self.hits += 1
         else:

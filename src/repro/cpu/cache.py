@@ -18,7 +18,12 @@ class SetAssociativeCache:
 
     def __init__(self, params: CacheParams) -> None:
         self.params = params
-        self._sets: List[Dict[int, int]] = [dict() for _ in range(params.num_sets)]
+        # Geometry as plain ints: every access maps an address, and
+        # ``CacheParams.num_sets`` is a computed property.
+        self._line_bytes = params.line_bytes
+        self._num_sets = params.num_sets
+        self._ways = params.ways
+        self._sets: List[Dict[int, int]] = [dict() for _ in range(self._num_sets)]
         # Indices of non-empty sets.  The simulated working set touches
         # a tiny fraction of the sets of a realistically-sized cache, so
         # pollution sweeps walk this instead of every set.
@@ -30,24 +35,24 @@ class SetAssociativeCache:
     # -- address mapping ----------------------------------------------------
 
     def _locate(self, address: int) -> tuple[int, int]:
-        line = address // self.params.line_bytes
-        set_index = line % self.params.num_sets
-        tag = line // self.params.num_sets
-        return set_index, tag
+        line = address // self._line_bytes
+        return line % self._num_sets, line // self._num_sets
 
     # -- operations -----------------------------------------------------------
 
     def access(self, address: int) -> bool:
         """Access *address*: returns hit/miss and allocates on miss (LRU)."""
         self._clock += 1
-        set_index, tag = self._locate(address)
+        line = address // self._line_bytes
+        set_index = line % self._num_sets
+        tag = line // self._num_sets
         lines = self._sets[set_index]
         if tag in lines:
             lines[tag] = self._clock
             self.hits += 1
             return True
         self.misses += 1
-        if len(lines) >= self.params.ways:
+        if len(lines) >= self._ways:
             victim = min(lines, key=lines.get)  # true LRU
             del lines[victim]
         lines[tag] = self._clock
@@ -58,27 +63,6 @@ class SetAssociativeCache:
         """Check presence without updating LRU or allocating."""
         set_index, tag = self._locate(address)
         return tag in self._sets[set_index]
-
-    def touch(self, address: int) -> None:
-        """Refresh LRU state of a resident line (no allocation)."""
-        self._clock += 1
-        set_index, tag = self._locate(address)
-        lines = self._sets[set_index]
-        if tag in lines:
-            lines[tag] = self._clock
-
-    def touch_repeat(self, address: int, count: int) -> None:
-        """Exactly *count* back-to-back :meth:`touch` calls: the clock
-        advances one tick per touch (so interleaved accesses elsewhere
-        keep their relative LRU order) and the line — if resident —
-        lands on the final tick."""
-        if count <= 0:
-            return
-        self._clock += count
-        set_index, tag = self._locate(address)
-        lines = self._sets[set_index]
-        if tag in lines:
-            lines[tag] = self._clock
 
     def invalidate(self, address: int) -> bool:
         set_index, tag = self._locate(address)
@@ -100,7 +84,7 @@ class SetAssociativeCache:
             raise ConfigError("fraction must be within [0, 1]")
         # A set holds at most ``ways`` lines and evicts int(len * fraction)
         # of them; if even a full set rounds to zero, no set can evict.
-        if int(self.params.ways * fraction) == 0:
+        if int(self._ways * fraction) == 0:
             return 0
         evicted = 0
         emptied = []

@@ -72,8 +72,9 @@ class Crc64:
         memo[data] = crc
         return crc
 
-    def __call__(self, data: bytes) -> int:
-        return self.compute(data)
+    #: Calling the instance is :meth:`compute` itself, not a wrapper
+    #: frame around it.
+    __call__ = compute
 
 
 #: H1 of Figure 5 — CRC-64/ECMA-182: init=0, xorout=0, so

@@ -97,11 +97,20 @@ class CuckooTable(Generic[V]):
 
     # -- operations ---------------------------------------------------------
 
-    def lookup(self, key: bytes) -> Optional[LookupResult[V]]:
-        """Probe both candidate slots; return the match, if any."""
+    def lookup(
+        self, key: bytes, hashes: Optional[Tuple[int, int]] = None
+    ) -> Optional[LookupResult[V]]:
+        """Probe both candidate slots; return the match, if any.
+
+        *hashes* are the key's (H1, H2) values when the caller already
+        holds them; otherwise both hash functions run.
+        """
+        if hashes is None:
+            hashes = (self._hashes[0](key), self._hashes[1](key))
+        slots = self._slots
         for which in (0, 1):
-            index = self.index_for(key, which)
-            slot = self._slots[index]
+            index = hashes[which] % len(slots)
+            slot = slots[index]
             if slot is not None and slot.key == key:
                 return LookupResult(value=slot.value, which_hash=which, slot_index=index)
         return None

@@ -423,26 +423,28 @@ class DracoHwRegime(CheckingRegime):
         self._cs_interval = context_switch_interval_cycles
         self._cycles_since_switch = 0.0
         self._bulk = bulk_enabled()
-        #: Dedup cache for the CheckOutcome wrappers around hardware
-        #: results; outcomes are frozen, so reuse is observationally
-        #: identical to building a fresh instance per event.
-        self._outcome_cache: Dict[tuple, CheckOutcome] = {}
+        #: The CheckOutcome wrapper of each hardware result, keyed by
+        #: the result's identity (``HardwareDraco`` interns results).
+        #: Each entry holds its result, so the key cannot be recycled
+        #: while it is cached.  Outcomes are frozen, so reuse is
+        #: observationally identical to building one per event.
+        self._outcome_cache: Dict[int, Tuple[Any, CheckOutcome]] = {}
 
     _OUTCOME_CACHE_LIMIT = 4096
 
     def _outcome_for(self, result) -> CheckOutcome:
-        key = (result.flow, result.stall_cycles, result.allowed)
-        outcome = self._outcome_cache.get(key)
-        if outcome is None:
-            if len(self._outcome_cache) >= self._OUTCOME_CACHE_LIMIT:
-                self._outcome_cache.clear()
-            outcome = CheckOutcome(
-                allowed=result.allowed,
-                cycles=result.stall_cycles,
-                path="hw:" + result.flow.value,
-                flow=result.flow.ledger_key,
-            )
-            self._outcome_cache[key] = outcome
+        cached = self._outcome_cache.get(id(result))
+        if cached is not None:
+            return cached[1]
+        if len(self._outcome_cache) >= self._OUTCOME_CACHE_LIMIT:
+            self._outcome_cache.clear()
+        outcome = CheckOutcome(
+            allowed=result.allowed,
+            cycles=result.stall_cycles,
+            path="hw:" + result.flow.value,
+            flow=result.flow.ledger_key,
+        )
+        self._outcome_cache[id(result)] = (result, outcome)
         return outcome
 
     def check(self, event: SyscallEvent) -> CheckOutcome:
@@ -471,11 +473,12 @@ class DracoHwRegime(CheckingRegime):
     def check_run(
         self, event: SyscallEvent, count: int, work_cycles: float = 0.0
     ) -> List[Tuple[CheckOutcome, int]]:
-        """Steady-state bulk path: while the hardware walk for *event*
-        is memoized (pure hit flow, no structure mutation since it was
-        installed), a span of the run is replayed arithmetically.  The
-        span is cut where the context-switch timer fires, because the
-        switch invalidates Draco state and ends the steady regime.
+        """Steady-state bulk path: while ``steady_probe`` finds the
+        hardware walk for *event* replayable (a pure hit flow whose
+        structure entries are still resident), a span of the run is
+        replayed arithmetically; otherwise one event walks.  The span is
+        cut where the context-switch timer fires, because the switch
+        invalidates Draco state and ends the steady regime.
 
         Reordering within a span — ``span`` replayed checks, then
         ``span`` pollution advances — is sound because steady replays
@@ -489,13 +492,14 @@ class DracoHwRegime(CheckingRegime):
         while remaining:
             memo = self.draco.steady_probe(event)
             if memo is None:
-                _merge_segment(segments, self.check(event), 1)
+                outcome = self._outcome_for(self.draco.walk_and_install(event))
+                _merge_segment(segments, outcome, 1)
                 remaining -= 1
                 self.advance(work_cycles)
                 continue
             span, residual, fired = self._advance_span(work_cycles, remaining)
             self.draco.steady_replay(memo, span)
-            _merge_segment(segments, self._outcome_for(memo[0]), span)
+            _merge_segment(segments, self._outcome_for(memo.result), span)
             remaining -= span
             self.hierarchy.pollute_repeat(int(work_cycles), span)
             if fired:

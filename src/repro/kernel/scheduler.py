@@ -160,7 +160,7 @@ def _drive_quantum(
                         span += 1
                     else:
                         break
-                result = memo[0]
+                result = memo.result
                 pipeline.steady_replay(memo, span)
                 hierarchy.pollute_repeat(work, span)
                 flow = result.flow.ledger_key
@@ -174,7 +174,9 @@ def _drive_quantum(
                 process.cursor = base + span
                 executed += span
                 continue
-        result = pipeline.on_syscall(event)
+            result = pipeline.walk_and_install(event)
+        else:
+            result = pipeline.on_syscall(event)
         if strict and not result.allowed:
             raise SimulationError(
                 f"{process.name}: denied syscall {event.sid} {event.args}"

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.common.bulk import bulk_enabled
 from repro.cpu.hierarchy import MemoryHierarchy
 from repro.syscalls.events import iter_runs, make_event
+from repro.workloads.catalog import CATALOG
 
 WORKLOADS = ("nginx", "grep", "pipe-ipc")
 REGIMES = (
@@ -162,7 +163,9 @@ def test_bulk_enabled_parsing(monkeypatch, value, expected):
 # -- differential: run_trace under REPRO_BULK=0 vs 1 --------------------
 
 
-def _run_result_json(workload, regime_name, monkeypatch, *, bulk, fastpath=True):
+def _run_result_json(
+    workload, regime_name, monkeypatch, *, bulk, fastpath=True, events=2_000, trace=None
+):
     """One (workload, regime) simulation serialized for byte comparison.
 
     ``run_trace`` on a fresh regime with the analytic tier off, so the
@@ -170,16 +173,17 @@ def _run_result_json(workload, regime_name, monkeypatch, *, bulk, fastpath=True)
     could serve either leg from the context's memo, a shared filter
     sweep or the distinct-event histogram replay.  The conservation
     audits run inside ``run_trace``, so any bulk accounting drift raises
-    there rather than comparing.
+    there rather than comparing.  *trace* replaces the context's own
+    trace when given.
     """
     from repro.experiments.runner import get_context
     from repro.kernel.simulator import run_trace
 
     monkeypatch.setenv("REPRO_BULK", "1" if bulk else "0")
     monkeypatch.setenv("REPRO_FASTPATH", "1" if fastpath else "0")
-    ctx = get_context(workload, events=2_000, seed=7)
+    ctx = get_context(workload, events=events, seed=7)
     result = run_trace(
-        ctx.trace,
+        ctx.trace if trace is None else trace(ctx),
         ctx.make_regime(regime_name),
         work_cycles_per_syscall=ctx.work_cycles,
         syscall_base_cycles=ctx.syscall_base_cycles,
@@ -194,6 +198,44 @@ def _run_result_json(workload, regime_name, monkeypatch, *, bulk, fastpath=True)
 def test_bulk_run_results_byte_identical(workload, regime, monkeypatch):
     slow = _run_result_json(workload, regime, monkeypatch, bulk=False)
     fast = _run_result_json(workload, regime, monkeypatch, bulk=True)
+    assert fast == slow
+
+
+@pytest.mark.parametrize("workload", sorted(CATALOG))
+def test_hw_bulk_byte_identical_on_every_workload(workload, monkeypatch):
+    # The hardware steady memo skips its structure probes while no
+    # mutation counter moved; 4 000 events is long enough for a
+    # missing counter bump to change a result (nginx, for one, catches
+    # an STB update that does not count itself).
+    slow = _run_result_json(
+        workload, "draco-hw-complete", monkeypatch, bulk=False, events=4_000
+    )
+    fast = _run_result_json(
+        workload, "draco-hw-complete", monkeypatch, bulk=True, events=4_000
+    )
+    assert fast == slow
+
+
+def _amplified(ctx, events=4_096, run_length=32):
+    """The context trace's distinct prefix, each event repeated
+    *run_length* times: the long-run locality the bulk shortcuts
+    exploit (Figure 3), with unchanged profile coverage."""
+    from repro.syscalls.events import SyscallTrace
+
+    base = list(ctx.trace)[: events // run_length]
+    return SyscallTrace([event for event in base for _ in range(run_length)])
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_bulk_byte_identical_on_long_runs(regime, monkeypatch):
+    # Runs of 32 identical events send every regime through its
+    # check_run shortcut rather than the runs-of-one fast path.
+    slow = _run_result_json(
+        "pipe-ipc", regime, monkeypatch, bulk=False, trace=_amplified
+    )
+    fast = _run_result_json(
+        "pipe-ipc", regime, monkeypatch, bulk=True, trace=_amplified
+    )
     assert fast == slow
 
 

@@ -127,12 +127,12 @@ class TestVatAgainstModel:
         bitmask = argument_bitmask(1)
         model = set()
         for op, sid, value in ops:
-            key = VAT.key_for((value,), bitmask)
+            key, hashes = VAT.hashed_key((value,), bitmask)
             if op == "insert":
                 vat.insert(sid, key, (value,))
                 model.add((sid, value))
             else:
-                probe = vat.lookup(sid, key)
+                probe = vat.lookup(sid, key, hashes)
                 # At 2x over-provisioning nothing is evicted, so the
                 # VAT is *exact*: hit iff inserted.
                 assert probe.hit == ((sid, value) in model)

@@ -90,10 +90,10 @@ class TestPreloadProbeSideEffects:
         key_a, key_b = b"entry-a", b"entry-b"
         hid_a, hid_b = hash_id_for(key_a, 0), hash_id_for(key_b, 0)
         subtable.fill(0, hid_a, (1, 1))
-        clock_before = subtable._clock
+        clock_before = subtable.clock
         for _ in range(10):
             subtable.preload_probe(0, hid_a)
-        assert subtable._clock == clock_before  # no LRU clock movement
+        assert subtable.clock == clock_before  # no LRU clock movement
 
     def test_temp_buffer_cleared_on_context_switch(self):
         draco = _draco(speculation_safe=True)

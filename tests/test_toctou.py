@@ -77,7 +77,7 @@ class TestPointerValuesNeverMatter:
         bitmask = bitmask_for_arg_indices(sdef.checkable_args)
         clean = make_event("read", (3, 100))
         noisy = _with_pointer_noise(clean, noise)
-        assert VAT.key_for(clean.args, bitmask) == VAT.key_for(noisy.args, bitmask)
+        assert VAT.hashed_key(clean.args, bitmask) == VAT.hashed_key(noisy.args, bitmask)
 
     def test_software_draco_hit_across_pointer_churn(self, stack):
         profile, _, module = stack

@@ -9,11 +9,12 @@ from repro.core.vat import (
     VAT_ENTRY_BYTES,
     VatTable,
 )
+from repro.hashing.crc import hash_pair
 from repro.syscalls.abi import argument_bitmask
 
 
 def _key(args, nargs=2):
-    return VAT.key_for(args, argument_bitmask(nargs))
+    return VAT.hashed_key(args, argument_bitmask(nargs))[0]
 
 
 class TestVatTable:
@@ -36,8 +37,8 @@ class TestVatTable:
     def test_lookup_probe_addresses(self):
         vat = VAT()
         table = vat.ensure_table(0, estimated_arg_sets=4)
-        key = _key((3, 100))
-        probe = table.lookup(key)
+        key, hashes = VAT.hashed_key((3, 100), argument_bitmask(2))
+        probe = table.lookup(key, hashes)
         assert not probe.hit
         a1, a2 = probe.addresses
         assert a1 % VAT_ENTRY_BYTES == 0 and a2 % VAT_ENTRY_BYTES == 0
@@ -46,9 +47,9 @@ class TestVatTable:
     def test_insert_then_hit(self):
         vat = VAT()
         vat.ensure_table(0, estimated_arg_sets=4)
-        key = _key((3, 100))
+        key, hashes = VAT.hashed_key((3, 100), argument_bitmask(2))
         which = vat.insert(0, key, (3, 0, 100))
-        probe = vat.lookup(0, key)
+        probe = vat.lookup(0, key, hashes)
         assert probe.hit
         assert probe.which_hash == which
         assert probe.args == (3, 0, 100)
@@ -71,7 +72,7 @@ class TestVatTable:
 
 class TestVat:
     def test_lookup_unknown_sid(self):
-        assert VAT().lookup(99, b"x") is None
+        assert VAT().lookup(99, b"x", hash_pair(b"x")) is None
 
     def test_insert_creates_table_lazily(self):
         vat = VAT()
@@ -80,7 +81,7 @@ class TestVat:
 
     def test_key_for_uses_bitmask(self):
         mask = argument_bitmask(1)
-        assert VAT.key_for((0xAB,), mask) == bytes([0xAB] + [0] * 7)
+        assert VAT.hashed_key((0xAB,), mask)[0] == bytes([0xAB] + [0] * 7)
 
     def test_size_accounting(self):
         vat = VAT()
