@@ -1,4 +1,4 @@
-"""Compile-once fast path for classic BPF filters.
+"""Decode-once fast path for classic BPF filters.
 
 The interpreter (:mod:`repro.bpf.interpreter`) decodes every instruction
 on every execution and re-packs the 64-byte ``seccomp_data`` buffer for
@@ -7,13 +7,17 @@ caches exist to avoid, and the simulator pays it on every simulated
 event.  This module applies Draco's validate-once discipline to the
 simulator itself:
 
-* :func:`compile_program` translates a verified cBPF program **once**
-  into specialized Python closures — one per straight-line segment, with
-  opcode dispatch, constants, jump targets and ``seccomp_data`` offsets
-  all resolved at compile time.  Execution is a trampoline over those
-  closures and preserves the interpreter's exact ``instructions_executed``
-  count and 32-bit semantics (the differential tests in
-  ``tests/test_bpf_compile.py`` prove bit-identical results).
+* :func:`compile_program` verifies a cBPF program **once** and decodes
+  it into a flat table with one ``(op, k, jt, jf)`` row per
+  instruction: the opcode is resolved to a small row code, absolute
+  loads to a ``seccomp_data`` word index, and jump offsets and
+  fall-throughs to absolute pcs.  :meth:`CompiledFilter.run_words` is
+  a single loop over that table and a pre-built word vector.  It
+  preserves the interpreter's return value, ``instructions_executed``
+  count, 32-bit semantics and runtime errors (the differential tests
+  in ``tests/test_bpf_compile.py`` are the contract).  Linux makes the
+  same choice: it migrates a classic seccomp filter once, at attach
+  time, into the internal form it executes.
 
 * :func:`read_word_indices` statically computes which 32-bit words of
   ``seccomp_data`` a program can observe.  :func:`build_key_fn` turns the
@@ -22,34 +26,18 @@ simulator itself:
   observable words agree are guaranteed the same filter result, so the
   engine can serve the cached decision.
 
-``REPRO_FASTPATH=0`` disables the code generator (the interpreter and
-the memo cache still run), which is how the benchmark harness measures
-the speedup.
-
-Generated filter sources are large enough that ``compile()`` itself is
-a measurable per-process cost (every engine worker pays it afresh), so
-the resulting code objects are also persisted in the on-disk context
-cache (``contexts/bpf-code/``, see :mod:`repro.common.storage`) as
-checksummed ``marshal`` payloads keyed by source hash and interpreter
-magic — a warm process skips straight to ``exec``.
-``REPRO_CONTEXT_CACHE=0`` disables that tier.
+``REPRO_FASTPATH=0`` runs the reference interpreter instead of the
+table (the decision memo still runs).
 """
 
 from __future__ import annotations
 
-import hashlib
-import importlib.util
-import marshal
-import sys
-import types
-from pathlib import Path
-from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.bpf.insn import (
     BPF_A,
     BPF_ABS,
     BPF_ADD,
-    BPF_ALU,
     BPF_AND,
     BPF_DIV,
     BPF_IMM,
@@ -63,10 +51,10 @@ from repro.bpf.insn import (
     BPF_LDX,
     BPF_LSH,
     BPF_MEM,
+    BPF_MEMWORDS,
     BPF_MISC,
     BPF_MOD,
     BPF_MUL,
-    BPF_NEG,
     BPF_OR,
     BPF_RET,
     BPF_RSH,
@@ -86,11 +74,11 @@ from repro.bpf.insn import (
 from repro.bpf.interpreter import ExecResult
 from repro.bpf.seccomp_data import SeccompData
 from repro.bpf.verifier import verify
-from repro.common import storage, telemetry
+from repro.common import storage
 from repro.common.errors import BpfRuntimeError
 from repro.syscalls.abi import AUDIT_ARCH_X86_64
 
-#: Bump on any change to generated-code semantics or memo-key layout;
+#: Bump on any change to filter-execution semantics or memo-key layout;
 #: the experiment result cache folds this into its digests so stale
 #: cached results are invalidated when the compiler changes.
 COMPILER_VERSION = 1
@@ -109,17 +97,49 @@ WORD_IP_HI = 3
 WORD_ARGS = 4  # args[i] occupies words (4 + 2i, 5 + 2i)
 NUM_WORDS = 16
 
-#: State-vector layout for generated segment functions.
-_ST_A = 0
-_ST_X = 1
-_ST_MEM = 2  # 16 scratch words at indices 2..17
-_ST_RET = 18
-_ST_COUNT = 19
-_ST_SIZE = 20
+#: Row codes of the decoded table.  :meth:`CompiledFilter.run_words`
+#: tests them in this order, most frequent first: on a cold suite's
+#: filter executions JEQ-K and LD-ABS are 46% of rows each, then
+#: JGE-K, JA and RET-K, and no other row code ran there.
+#: A jump row holds its two targets in ``jt``/``jf`` (``JA`` in ``jt``);
+#: every other row that does not return holds the next pc in ``jt``.
+(
+    _JEQ_K,
+    _LD_ABS,
+    _JGE_K,
+    _JA,
+    _RET_K,
+    _AND_K,
+    _JGT_K,
+    _JSET_K,
+    _RET_A,
+    _JEQ_X,
+    _JGT_X,
+    _JGE_X,
+    _JSET_X,
+    _LD_IMM,
+    _LD_MEM,
+    _LDX_IMM,
+    _LDX_MEM,
+    _ST,
+    _STX,
+    _TAX,
+    _TXA,
+    _ALU_K,  # jf holds the BPF ALU op
+    _ALU_X,  # jf holds the BPF ALU op
+    _FAULT,  # verified, but the interpreter faults if it runs
+) = range(24)
+
+_JUMP_ROWS = {
+    BPF_JEQ: (_JEQ_K, _JEQ_X),
+    BPF_JGT: (_JGT_K, _JGT_X),
+    BPF_JGE: (_JGE_K, _JGE_X),
+    BPF_JSET: (_JSET_K, _JSET_X),
+}
 
 
 def fastpath_enabled() -> bool:
-    """True unless ``REPRO_FASTPATH`` disables the code generator."""
+    """True unless ``REPRO_FASTPATH`` selects the reference interpreter."""
     return storage._truthy(FASTPATH_ENV)
 
 
@@ -208,164 +228,177 @@ def build_key_fn(indices: FrozenSet[int]) -> Callable:
     return fn
 
 
-class CompiledFilter:
-    """One verified cBPF program, lowered to Python closures."""
+Row = Tuple[int, int, int, int]
 
-    __slots__ = ("program", "read_words", "source", "_entry")
+
+class CompiledFilter:
+    """One verified cBPF program, decoded into a table of rows."""
+
+    __slots__ = ("program", "read_words", "table")
 
     def __init__(
         self,
         program: Tuple[Insn, ...],
         read_words: FrozenSet[int],
-        source: str,
-        entry: Callable,
+        table: Tuple[Row, ...],
     ) -> None:
         self.program = program
         self.read_words = read_words
-        self.source = source
-        self._entry = entry
+        self.table = table
 
     def __len__(self) -> int:
         return len(self.program)
 
-    def run_words(self, words: Sequence[int]) -> ExecResult:
-        """Execute over a pre-built word vector (the engine's hot path)."""
-        state = [0] * _ST_SIZE
-        fn: Optional[Callable] = self._entry
-        while fn is not None:
-            fn = fn(state, words)
-        return ExecResult(
-            return_value=state[_ST_RET], instructions_executed=state[_ST_COUNT]
-        )
+    def run_words(self, words: Sequence[int]) -> Tuple[int, int]:
+        """Execute over a pre-built word vector (the engine's hot path).
+
+        Returns ``(return_value, instructions_executed)``.
+        """
+        table = self.table
+        A = X = pc = executed = 0
+        mem = None  # scratch words, allocated by the first store
+        while True:
+            op, k, jt, jf = table[pc]
+            executed += 1
+            if op == _JEQ_K:
+                pc = jt if A == k else jf
+            elif op == _LD_ABS:
+                A = words[k]
+                pc = jt
+            elif op == _JGE_K:
+                pc = jt if A >= k else jf
+            elif op == _JA:
+                pc = jt
+            elif op == _RET_K:
+                return k, executed
+            elif op == _AND_K:
+                A &= k
+                pc = jt
+            elif op == _JGT_K:
+                pc = jt if A > k else jf
+            elif op == _JSET_K:
+                pc = jt if A & k else jf
+            elif op == _RET_A:
+                return A, executed
+            elif op == _JEQ_X:
+                pc = jt if A == X else jf
+            elif op == _JGT_X:
+                pc = jt if A > X else jf
+            elif op == _JGE_X:
+                pc = jt if A >= X else jf
+            elif op == _JSET_X:
+                pc = jt if A & X else jf
+            else:
+                if op == _LD_IMM:
+                    A = k
+                elif op == _LD_MEM:
+                    A = mem[k] if mem else 0
+                elif op == _LDX_IMM:
+                    X = k
+                elif op == _LDX_MEM:
+                    X = mem[k] if mem else 0
+                elif op == _ST or op == _STX:
+                    if mem is None:
+                        mem = [0] * BPF_MEMWORDS
+                    mem[k] = A if op == _ST else X
+                elif op == _TAX:
+                    X = A
+                elif op == _TXA:
+                    A = X
+                elif op == _ALU_K:
+                    A = _alu(jf, A, k, pc)
+                elif op == _ALU_X:
+                    A = _alu(jf, A, X, pc)
+                else:
+                    raise BpfRuntimeError(f"unsupported ldx mode at pc={pc}")
+                pc = jt
 
     def run(self, data: SeccompData) -> ExecResult:
         """Drop-in replacement for :func:`repro.bpf.interpreter.run`."""
-        return self.run_words(words_of(data))
+        return ExecResult(*self.run_words(words_of(data)))
 
 
-def _segment_starts(program: Sequence[Insn]) -> List[int]:
-    """Leaders: entry, every jump target, and every post-terminator pc."""
-    n = len(program)
-    starts = {0}
-    for pc, insn in enumerate(program):
-        cls = bpf_class(insn.code)
-        if cls == BPF_JMP:
-            if bpf_op(insn.code) == BPF_JA:
-                starts.add(pc + 1 + insn.k)
-            else:
-                starts.add(pc + 1 + insn.jt)
-                starts.add(pc + 1 + insn.jf)
-            if pc + 1 < n:
-                starts.add(pc + 1)
-        elif cls == BPF_RET and pc + 1 < n:
-            starts.add(pc + 1)
-    return sorted(starts)
-
-
-def _operand(insn: Insn) -> str:
-    return "X" if bpf_src(insn.code) else str(insn.k & U32_MASK)
-
-
-def _emit_straight(insn: Insn, pc: int, lines: List[str]) -> None:
-    """Source lines for one non-jump, non-ret instruction."""
-    cls = bpf_class(insn.code)
-    if cls == BPF_LD:
-        mode = bpf_mode(insn.code)
-        if mode == BPF_ABS:
-            lines.append(f"A = w[{insn.k // 4}]")
-        elif mode == BPF_IMM:
-            lines.append(f"A = {insn.k & U32_MASK}")
-        elif mode == BPF_MEM:
-            lines.append(f"A = st[{_ST_MEM + insn.k}]")
-        else:  # pragma: no cover - verifier rejects these
-            raise BpfRuntimeError(f"unsupported load mode at pc={pc}")
-    elif cls == BPF_LDX:
-        mode = bpf_mode(insn.code)
-        if mode == BPF_IMM:
-            lines.append(f"X = {insn.k & U32_MASK}")
-        elif mode == BPF_MEM:
-            lines.append(f"X = st[{_ST_MEM + insn.k}]")
-        else:  # pragma: no cover - verifier rejects these
-            raise BpfRuntimeError(f"unsupported ldx mode at pc={pc}")
-    elif cls == BPF_ST:
-        lines.append(f"st[{_ST_MEM + insn.k}] = A")
-    elif cls == BPF_STX:
-        lines.append(f"st[{_ST_MEM + insn.k}] = X")
-    elif cls == BPF_MISC:
-        lines.append("X = A" if bpf_op(insn.code) == BPF_TAX else "A = X")
-    elif cls == BPF_ALU:
-        _emit_alu(insn, pc, lines)
-    else:  # pragma: no cover - jumps/rets handled by the segment emitter
-        raise BpfRuntimeError(f"unknown class at pc={pc}")
-
-
-def _emit_alu(insn: Insn, pc: int, lines: List[str]) -> None:
-    op = bpf_op(insn.code)
-    operand = _operand(insn)
-    from_x = bool(bpf_src(insn.code))
+def _alu(op: int, a: int, operand: int, pc: int) -> int:
+    """One ALU operation on the 32-bit accumulator."""
     if op == BPF_ADD:
-        lines.append(f"A = (A + {operand}) & {U32_MASK}")
-    elif op == BPF_SUB:
-        lines.append(f"A = (A - {operand}) & {U32_MASK}")
-    elif op == BPF_MUL:
-        lines.append(f"A = (A * {operand}) & {U32_MASK}")
-    elif op in (BPF_DIV, BPF_MOD):
-        symbol = "//" if op == BPF_DIV else "%"
-        word = "division" if op == BPF_DIV else "modulo"
-        if from_x:
-            lines.append(
-                f"if X == 0: raise BpfRuntimeError('{word} by zero at pc={pc}')"
-            )
-        # The verifier rejects a zero constant divisor.
-        lines.append(f"A = (A {symbol} {operand}) & {U32_MASK}")
-    elif op == BPF_AND:
-        lines.append(f"A = A & {operand}")
-    elif op == BPF_OR:
-        lines.append(f"A = (A | {operand}) & {U32_MASK}")
-    elif op == BPF_XOR:
-        lines.append(f"A = (A ^ {operand}) & {U32_MASK}")
-    elif op == BPF_LSH:
-        if from_x:
-            lines.append(f"A = (A << X) & {U32_MASK} if X < 32 else 0")
-        else:
-            k = insn.k & U32_MASK
-            lines.append(f"A = (A << {k}) & {U32_MASK}" if k < 32 else "A = 0")
-    elif op == BPF_RSH:
-        if from_x:
-            lines.append("A = A >> X if X < 32 else 0")
-        else:
-            k = insn.k & U32_MASK
-            lines.append(f"A = A >> {k}" if k < 32 else "A = 0")
-    elif op == BPF_NEG:
-        lines.append(f"A = (-A) & {U32_MASK}")
-    else:  # pragma: no cover - verifier rejects these
-        raise BpfRuntimeError(f"unknown ALU op at pc={pc}")
+        return (a + operand) & U32_MASK
+    if op == BPF_SUB:
+        return (a - operand) & U32_MASK
+    if op == BPF_MUL:
+        return (a * operand) & U32_MASK
+    if op == BPF_DIV or op == BPF_MOD:
+        if operand == 0:
+            word = "division" if op == BPF_DIV else "modulo"
+            raise BpfRuntimeError(f"{word} by zero at pc={pc}")
+        return (a // operand if op == BPF_DIV else a % operand) & U32_MASK
+    if op == BPF_AND:
+        return a & operand
+    if op == BPF_OR:
+        return a | operand
+    if op == BPF_XOR:
+        return a ^ operand
+    if op == BPF_LSH:
+        return (a << operand) & U32_MASK if operand < 32 else 0
+    if op == BPF_RSH:
+        return a >> operand if operand < 32 else 0
+    return (-a) & U32_MASK  # BPF_NEG: the verifier admits no other op
 
 
-def _uses_register_x(program: Sequence[Insn]) -> bool:
-    for insn in program:
-        cls = bpf_class(insn.code)
-        if cls in (BPF_LDX, BPF_STX, BPF_MISC):
-            return True
-        if cls in (BPF_ALU, BPF_JMP) and bpf_src(insn.code):
-            return True
-    return False
+def _decode(insn: Insn, pc: int) -> Row:
+    """The table row for the verified instruction at *pc*."""
+    code, k = insn.code, insn.k
+    cls = bpf_class(code)
+    nxt = pc + 1
+    if cls == BPF_JMP:
+        op = bpf_op(code)
+        if op == BPF_JA:
+            return (_JA, 0, nxt + k, 0)
+        row_k, row_x = _JUMP_ROWS[op]
+        return (row_x if bpf_src(code) else row_k, k, nxt + insn.jt, nxt + insn.jf)
+    if cls == BPF_RET:
+        return (_RET_A, 0, 0, 0) if bpf_rval(code) == BPF_A else (_RET_K, k, 0, 0)
+    if cls == BPF_LD:
+        mode = bpf_mode(code)
+        if mode == BPF_ABS:
+            return (_LD_ABS, k // 4, nxt, 0)
+        return (_LD_MEM if mode == BPF_MEM else _LD_IMM, k, nxt, 0)
+    if cls == BPF_LDX:
+        mode = bpf_mode(code)
+        if mode == BPF_IMM:
+            return (_LDX_IMM, k, nxt, 0)
+        return (_LDX_MEM if mode == BPF_MEM else _FAULT, k, nxt, 0)
+    if cls == BPF_ST:
+        return (_ST, k, nxt, 0)
+    if cls == BPF_STX:
+        return (_STX, k, nxt, 0)
+    if cls == BPF_MISC:
+        return (_TAX if bpf_op(code) == BPF_TAX else _TXA, 0, nxt, 0)
+    op = bpf_op(code)  # BPF_ALU
+    if bpf_src(code):
+        return (_ALU_X, 0, nxt, op)
+    if op == BPF_AND:
+        return (_AND_K, k, nxt, 0)
+    return (_ALU_K, k, nxt, op)
 
 
 def compile_program(program: Sequence[Insn]) -> CompiledFilter:
-    """Lower a cBPF program to specialized closures (verifies first).
+    """Verify a cBPF program and decode it into a table.
 
-    Compilation results are memoized per program: regimes attach the
-    same profile programs over and over (every evaluation builds fresh
-    kernel modules), and ``compile()`` of a large generated source costs
-    more than a filter execution.  Compiled filters are immutable, so
-    sharing one instance across modules is safe.
+    Results are memoized per program: regimes attach the same profile
+    programs over and over (every evaluation builds fresh kernel
+    modules).  Compiled filters are immutable, so sharing one instance
+    across modules is safe.
     """
     program = tuple(program)
     cached = _COMPILE_CACHE.get(program)
     if cached is not None:
         return cached
-    compiled = _compile_program_uncached(program)
+    verify(program)
+    compiled = CompiledFilter(
+        program=program,
+        read_words=read_word_indices(program),
+        table=tuple(_decode(insn, pc) for pc, insn in enumerate(program)),
+    )
     if len(_COMPILE_CACHE) >= _COMPILE_CACHE_LIMIT:
         # Generated test programs could otherwise accumulate forever.
         _COMPILE_CACHE.clear()
@@ -375,139 +408,3 @@ def compile_program(program: Sequence[Insn]) -> CompiledFilter:
 
 _COMPILE_CACHE: dict = {}
 _COMPILE_CACHE_LIMIT = 4096
-
-#: Code objects only load into the exact interpreter build that wrote
-#: them; the tag partitions the on-disk tier per bytecode format.
-_CODE_CACHE_TAG = (
-    f"{sys.implementation.cache_tag or 'python'}-{importlib.util.MAGIC_NUMBER.hex()}"
-)
-
-
-def _code_cache_path(source: str) -> Path:
-    digest = hashlib.sha256(source.encode()).hexdigest()[:24]
-    return (
-        storage.cache_root()
-        / "contexts"
-        / "bpf-code"
-        / _CODE_CACHE_TAG
-        / f"{digest}.bin"
-    )
-
-
-def _compile_filter_source(source: str) -> types.CodeType:
-    """``compile()`` with a persistent code-object cache.
-
-    The payload is ``sha256(marshal) + marshal``: the checksum rejects a
-    torn or tampered entry before ``marshal.loads`` (which is not
-    hardened against corrupt input) ever sees it.  Any mismatch is a
-    miss and the source is recompiled.
-    """
-    if not storage.context_cache_enabled():
-        return compile(source, "<bpf-compiled-filter>", "exec")
-    path = _code_cache_path(source)
-    code = None
-    try:
-        blob = path.read_bytes()
-    except OSError:
-        blob = None
-    if (
-        blob is not None
-        and len(blob) > 32
-        and hashlib.sha256(blob[32:]).digest() == blob[:32]
-    ):
-        try:
-            candidate = marshal.loads(blob[32:])
-        except (EOFError, ValueError, TypeError):
-            candidate = None
-        if isinstance(candidate, types.CodeType):
-            code = candidate
-    telemetry.record_context_cache("bpf-code", "hit" if code is not None else "miss")
-    if code is None:
-        code = compile(source, "<bpf-compiled-filter>", "exec")
-        payload = marshal.dumps(code)
-        try:
-            storage.atomic_write_bytes(path, hashlib.sha256(payload).digest() + payload)
-        except OSError:
-            telemetry.record_cache_store_skipped()  # unwritable cache dir
-        else:
-            telemetry.record_context_cache("bpf-code", "store")
-    return code
-
-
-def _compile_program_uncached(program: Tuple[Insn, ...]) -> CompiledFilter:
-    verify(program)
-    n = len(program)
-    uses_x = _uses_register_x(program)
-    starts = _segment_starts(program)
-    leader_set = set(starts)
-
-    chunks: List[str] = []
-    for start in starts:
-        body: List[str] = [f"A = st[{_ST_A}]"]
-        if uses_x:
-            body.append(f"X = st[{_ST_X}]")
-        pc = start
-        terminated = False
-        while pc < n:
-            insn = program[pc]
-            cls = bpf_class(insn.code)
-            if cls == BPF_RET:
-                value = f"A & {U32_MASK}" if bpf_rval(insn.code) == BPF_A else str(
-                    insn.k & U32_MASK
-                )
-                body.append(f"st[{_ST_COUNT}] += {pc - start + 1}")
-                body.append(f"st[{_ST_RET}] = {value}")
-                body.append("return None")
-                terminated = True
-                break
-            if cls == BPF_JMP:
-                body.append(f"st[{_ST_COUNT}] += {pc - start + 1}")
-                body.append(f"st[{_ST_A}] = A")
-                if uses_x:
-                    body.append(f"st[{_ST_X}] = X")
-                op = bpf_op(insn.code)
-                if op == BPF_JA:
-                    body.append(f"return _s{pc + 1 + insn.k}")
-                else:
-                    target_t = pc + 1 + insn.jt
-                    target_f = pc + 1 + insn.jf
-                    if target_t == target_f:
-                        body.append(f"return _s{target_t}")
-                    else:
-                        operand = _operand(insn)
-                        conds = {
-                            BPF_JEQ: f"A == {operand}",
-                            BPF_JGT: f"A > {operand}",
-                            BPF_JGE: f"A >= {operand}",
-                            BPF_JSET: f"A & {operand}",
-                        }
-                        body.append(
-                            f"return _s{target_t} if {conds[op]} else _s{target_f}"
-                        )
-                terminated = True
-                break
-            _emit_straight(insn, pc, body)
-            pc += 1
-            if pc in leader_set:
-                # Fall through into the next segment.
-                body.append(f"st[{_ST_COUNT}] += {pc - start}")
-                body.append(f"st[{_ST_A}] = A")
-                if uses_x:
-                    body.append(f"st[{_ST_X}] = X")
-                body.append(f"return _s{pc}")
-                terminated = True
-                break
-        if not terminated:  # pragma: no cover - verifier guarantees a RET
-            raise BpfRuntimeError("fell off the end of the program")
-        indented = "\n".join("    " + line for line in body)
-        chunks.append(f"def _s{start}(st, w):\n{indented}\n")
-
-    source = "\n".join(chunks)
-    namespace: dict = {"BpfRuntimeError": BpfRuntimeError}
-    exec(_compile_filter_source(source), namespace)  # noqa: S102
-    return CompiledFilter(
-        program=program,
-        read_words=read_word_indices(program),
-        source=source,
-        entry=namespace["_s0"],
-    )

@@ -1,12 +1,13 @@
 """Low-level persistent-cache plumbing shared across layers.
 
-The experiment-level cache (:mod:`repro.experiments.cache`) and the BPF
-compiler's code-object cache (:mod:`repro.bpf.compile`) sit at opposite
-ends of the import graph, but they must agree on where the cache lives
-and when it is enabled — one ``REPRO_CACHE_DIR``, one
-``REPRO_CACHE_DISABLE``, one ``REPRO_CONTEXT_CACHE`` kill switch.  This
-module owns those decisions plus the atomic write discipline, and
-depends on nothing above ``repro.common``.
+The experiment-level cache (:mod:`repro.experiments.cache`) and the
+lower layers that read switches (:mod:`repro.bpf.compile`,
+:mod:`repro.common.bulk`) sit at opposite ends of the import graph, but
+they must agree on where the cache lives and how a switch is read — one
+``REPRO_CACHE_DIR``, one ``REPRO_CACHE_DISABLE``, one
+``REPRO_CONTEXT_CACHE`` kill switch.  This module owns those decisions
+plus the atomic write discipline, and depends on nothing above
+``repro.common``.
 
 All writes are temp-file-then-``os.replace`` so concurrent workers
 never observe a torn entry; all reads treat a missing, truncated, or
@@ -29,9 +30,8 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_DISABLE_ENV = "REPRO_CACHE_DISABLE"
 
 #: Kill switch for the persistent context cache (traces, bundles,
-#: filter sweeps, compiled-filter code objects).  ``0``/``off``/
-#: ``false``/``no`` disables it; the result and calibration tiers are
-#: unaffected.
+#: filter sweeps).  ``0``/``off``/``false``/``no`` disables it; the
+#: result and calibration tiers are unaffected.
 CONTEXT_CACHE_ENV = "REPRO_CONTEXT_CACHE"
 
 def _truthy(name: str) -> bool:
@@ -111,13 +111,6 @@ def cache_root() -> Path:
     if override:
         return Path(override)
     return Path.home() / ".cache" / "repro-draco"
-
-
-def atomic_write_bytes(path: Path, payload: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
 
 
 def atomic_write_text(path: Path, text: str) -> None:

@@ -45,9 +45,6 @@ Layout (under :func:`cache_root`, default ``~/.cache/repro-draco`` or
     calibration/<digest>.json                cached work-cycle value
     contexts/trace/<digest>.jsonl            RLE-serialised traces
     contexts/<kind>/<digest>.json            other context artifacts
-    contexts/bpf-code/<tag>/<digest>.bin     marshalled filter code objects
-                                             (owned by repro.bpf.compile;
-                                             <tag> pins interpreter + magic)
     runs/latest.json                         most recent run report
     runs/run-<timestamp>.json                archived run reports
 

@@ -9,10 +9,8 @@ contexts) from scratch.  This module keeps **one** pool alive across
 ``run_suite``/``execute_suite`` calls:
 
 * workers run :func:`warm_worker` at startup, which imports the full
-  experiment registry and preloads the workload catalog, its syscall
-  tables, the docker-default profiles, and the assembled + compiled
-  filter programs — so the first task a worker receives starts from
-  the same warm state a long-lived process would have;
+  experiment registry, so the first task a worker receives does not
+  pay the imports;
 * the pool is keyed on ``(max_workers, code fingerprint, every
   REPRO_* variable)``: a forked worker inherits the whole environment,
   so changing any ``REPRO_*`` variable — or editing the source —
@@ -50,31 +48,15 @@ def warm_pool_enabled() -> bool:
 
 
 def warm_worker() -> None:
-    """Worker initializer: preload what every experiment task touches.
+    """Worker initializer: import what every experiment task touches.
 
-    Runs once per worker process, before its first task.  Everything
-    here is a pure function of the source tree (no run parameters), so
-    warming it cannot bias any result — it only moves work off the
-    first task's critical path:
-
-    * importing :mod:`repro.experiments.registry` pulls in every
-      experiment module, the kernel regimes, and the BPF toolchain;
-    * touching each catalog spec materialises its syscall table;
-    * building the docker-default profile per table and assembling +
-      compiling its filter programs fills the profile, program, and
-      compiled-filter code-object memos the Seccomp regimes share.
+    Runs once per worker process, before its first task.  Importing
+    :mod:`repro.experiments.registry` pulls in every experiment module,
+    the kernel regimes and the BPF toolchain, which is a pure function
+    of the source tree, so it cannot bias any result — it only moves
+    work off the first task's critical path.
     """
     import repro.experiments.registry  # noqa: F401  (imports the world)
-    from repro.experiments.runner import _docker_profile_for
-    from repro.kernel.regimes import _programs_for
-    from repro.bpf.compile import compile_program, fastpath_enabled
-    from repro.workloads.catalog import CATALOG
-
-    for spec in CATALOG.values():
-        profile = _docker_profile_for(spec.table)
-        for program in _programs_for(profile, "binary_tree"):
-            if fastpath_enabled():
-                compile_program(program)
 
 
 @dataclass

@@ -39,7 +39,7 @@ from repro.cpu.params import (
     ProcessorParams,
     SoftwareCostParams,
 )
-from repro.seccomp.compiler import compile_profile_chunked
+from repro.seccomp.compiler import programs_for
 from repro.seccomp.engine import SeccompKernelModule
 from repro.seccomp.profile import SeccompProfile
 from repro.syscalls.events import SyscallEvent
@@ -159,31 +159,13 @@ class InsecureRegime(CheckingRegime):
         return self._ledger.snapshot()
 
 
-#: Assembled-program memo: profiles are immutable and regimes are built
-#: fresh per evaluation, so the same (profile, strategy) pair is lowered
-#: to cBPF hundreds of times per suite.  Keyed by profile identity with
-#: a strong reference to the profile so the id cannot be recycled.
-_PROGRAM_MEMO: Dict[tuple, tuple] = {}
-_PROGRAM_MEMO_LIMIT = 256
-
-
-def _programs_for(profile: SeccompProfile, compiler: str):
-    key = (id(profile), compiler)
-    hit = _PROGRAM_MEMO.get(key)
-    if hit is not None and hit[0] is profile:
-        return hit[1]
-    programs = compile_profile_chunked(profile, strategy=compiler)
-    memo_insert(_PROGRAM_MEMO, key, (profile, programs), _PROGRAM_MEMO_LIMIT)
-    return programs
-
-
 #: Shared outcome memos: a filter decision — and therefore the whole
 #: CheckOutcome — is a pure function of (profile, times, compiler,
 #: use_jit, costs) and the masked argument bytes, while regimes are
 #: rebuilt fresh for every evaluation.  Sharing the memo across regime
 #: instances means each distinct event value runs the filter once per
-#: process rather than once per evaluation.  Keyed like _PROGRAM_MEMO,
-#: with strong references so ids cannot be recycled.
+#: process rather than once per evaluation.  Keyed by profile and cost
+#: identity, with strong references so ids cannot be recycled.
 _OUTCOME_MEMO: Dict[tuple, tuple] = {}
 _OUTCOME_MEMO_LIMIT = 256
 
@@ -195,9 +177,8 @@ def _shared_outcome_memo(
     use_jit: bool,
     costs: SoftwareCostParams,
     kind: str,
-    fastpath: Optional[bool] = None,
 ) -> Dict[object, CheckOutcome]:
-    key = (kind, id(profile), times, compiler, use_jit, id(costs), fastpath)
+    key = (kind, id(profile), times, compiler, use_jit, id(costs))
     hit = _OUTCOME_MEMO.get(key)
     if hit is not None and hit[0] is profile and hit[1] is costs:
         return hit[2]
@@ -206,14 +187,9 @@ def _shared_outcome_memo(
     return memo
 
 
-def _attach(
-    profile: SeccompProfile,
-    times: int,
-    compiler: str,
-    fastpath: Optional[bool] = None,
-) -> SeccompKernelModule:
-    module = SeccompKernelModule(compile_filters=fastpath)
-    programs = _programs_for(profile, compiler)
+def _attach(profile: SeccompProfile, times: int, compiler: str) -> SeccompKernelModule:
+    module = SeccompKernelModule()
+    programs = programs_for(profile, compiler)
     for index in range(times):
         for chunk, program in enumerate(programs):
             module.attach(program, name=f"{profile.name}#{index}.{chunk}")
@@ -231,13 +207,12 @@ class SeccompRegime(CheckingRegime):
         use_jit: bool = True,
         costs: SoftwareCostParams = DEFAULT_SW_COSTS,
         name: Optional[str] = None,
-        fastpath: Optional[bool] = None,
     ) -> None:
         self.name = name or f"seccomp:{profile.name}" + ("" if times == 1 else f"x{times}")
         self.profile = profile
         self.costs = costs
         self.use_jit = use_jit
-        self.module = _attach(profile, times, compiler, fastpath=fastpath)
+        self.module = _attach(profile, times, compiler)
         # Outcomes are pure functions of the module's decision, which is
         # itself keyed on the masked argument bytes — memoize the whole
         # CheckOutcome so repeat syscalls are a single dict probe.  The
@@ -329,14 +304,13 @@ class DracoSwRegime(CheckingRegime):
         use_jit: bool = True,
         costs: SoftwareCostParams = DEFAULT_SW_COSTS,
         name: Optional[str] = None,
-        fastpath: Optional[bool] = None,
     ) -> None:
         self.name = name or f"draco-sw:{profile.name}" + ("" if times == 1 else f"x{times}")
         self.profile = profile
         tables = build_process_tables(profile, table=profile.table)
         self.draco = SoftwareDraco(
             tables,
-            _attach(profile, times, compiler, fastpath=fastpath),
+            _attach(profile, times, compiler),
             costs=costs,
             use_jit=use_jit,
         )
@@ -404,7 +378,6 @@ class DracoHwRegime(CheckingRegime):
         preload_enabled: bool = True,
         context_switch_interval_cycles: Optional[float] = 4_000_000.0,
         name: Optional[str] = None,
-        fastpath: Optional[bool] = None,
     ) -> None:
         self.name = name or f"draco-hw:{profile.name}" + ("" if times == 1 else f"x{times}")
         self.profile = profile
@@ -412,7 +385,7 @@ class DracoHwRegime(CheckingRegime):
         self.hierarchy = MemoryHierarchy(processor)
         self.draco = HardwareDraco(
             tables,
-            _attach(profile, times, compiler, fastpath=fastpath),
+            _attach(profile, times, compiler),
             processor=processor,
             hw=hw,
             costs=costs,

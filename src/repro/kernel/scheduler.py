@@ -30,7 +30,7 @@ from repro.cpu.params import (
     ProcessorParams,
     SoftwareCostParams,
 )
-from repro.seccomp.compiler import compile_profile_chunked
+from repro.seccomp.compiler import programs_for
 from repro.seccomp.engine import SeccompKernelModule
 from repro.seccomp.profile import SeccompProfile
 from repro.syscalls.events import SyscallTrace
@@ -222,7 +222,7 @@ class DracoCore:
         pipeline = self._pipelines.get(process.name)
         if pipeline is None:
             module = SeccompKernelModule()
-            for program in compile_profile_chunked(process.profile):
+            for program in programs_for(process.profile):
                 module.attach(program)
             pipeline = HardwareDraco(
                 build_process_tables(process.profile, table=process.profile.table),

@@ -23,6 +23,7 @@ from repro.bpf.insn import Insn
 from repro.bpf.seccomp_data import ARCH_OFFSET, NR_OFFSET, args_off, args_off_high
 from repro.bpf.verifier import verify
 from repro.common.errors import ProfileError
+from repro.common.memo import memo_insert
 from repro.seccomp.actions import SECCOMP_RET_ALLOW, SECCOMP_RET_KILL_PROCESS
 from repro.seccomp.profile import ArgSetRule, CmpOp, SeccompProfile, SyscallRule
 from repro.syscalls.abi import AUDIT_ARCH_X86_64
@@ -161,6 +162,28 @@ def compile_profile_chunked(
         )
         programs.append(_compile_ranged(sub, strategy, lo, hi))
     return tuple(programs)
+
+
+#: Assembled-program memo: profiles are immutable, while regimes and
+#: multicore pipelines are built fresh per evaluation, so the same
+#: (profile, strategy) pair is lowered to cBPF hundreds of times per
+#: suite.  Keyed by profile identity with a strong reference to the
+#: profile so the id cannot be recycled.
+_PROGRAM_MEMO: Dict[tuple, tuple] = {}
+_PROGRAM_MEMO_LIMIT = 256
+
+
+def programs_for(
+    profile: SeccompProfile, strategy: str = "linear"
+) -> Tuple[Tuple[Insn, ...], ...]:
+    """:func:`compile_profile_chunked`, memoised per profile object."""
+    key = (id(profile), strategy)
+    hit = _PROGRAM_MEMO.get(key)
+    if hit is not None and hit[0] is profile:
+        return hit[1]
+    programs = compile_profile_chunked(profile, strategy=strategy)
+    memo_insert(_PROGRAM_MEMO, key, (profile, programs), _PROGRAM_MEMO_LIMIT)
+    return programs
 
 
 def _compile_ranged(

@@ -9,9 +9,10 @@ the OS cost model converts into cycles.
 Two simulation fast paths ride on the statelessness property Draco's
 caching relies on (Section V):
 
-* attached programs are **compiled once** into specialized closures
+* attached programs are **decoded once** into a flat table
   (:mod:`repro.bpf.compile`), so repeated executions skip instruction
-  decode and ``seccomp_data`` packing;
+  decode and ``seccomp_data`` packing (``REPRO_FASTPATH=0`` runs the
+  reference interpreter instead);
 * decisions are **memoized** keyed by the SID plus the masked argument
   bytes the attached filters can actually observe (the union of their
   statically-derived ``seccomp_data`` reads — the simulator analogue of
@@ -81,12 +82,10 @@ class AttachedFilter:
 class SeccompKernelModule:
     """Per-process stack of attached seccomp filters."""
 
-    def __init__(
-        self, memoize: bool = True, compile_filters: Optional[bool] = None
-    ) -> None:
+    def __init__(self, memoize: bool = True) -> None:
         self._filters: List[AttachedFilter] = []
         self._memoize = memoize
-        self._compile = fastpath_enabled() if compile_filters is None else compile_filters
+        self._compile = fastpath_enabled()
         self._memo: Dict[Any, SeccompDecision] = {}
         self._key_fn: Optional[Callable[[SyscallEvent], Any]] = None
         #: Execution accounting (ledger observability layer): how often
@@ -104,10 +103,6 @@ class SeccompKernelModule:
     @property
     def enabled(self) -> bool:
         return bool(self._filters)
-
-    @property
-    def compiles_filters(self) -> bool:
-        return self._compile
 
     @property
     def total_instructions(self) -> int:
@@ -168,12 +163,10 @@ class SeccompKernelModule:
         if self._compile:
             words = event_words(event)
             for attached in filters:
-                result = attached.compiled.run_words(words)
-                executed += result.instructions_executed
+                value, count = attached.compiled.run_words(words)
+                executed += count
                 combined = (
-                    result.return_value
-                    if combined is None
-                    else most_restrictive(combined, result.return_value)
+                    value if combined is None else most_restrictive(combined, value)
                 )
         else:
             data = SeccompData.from_event(event)

@@ -1,6 +1,6 @@
-"""Differential tests for the compile-once BPF fast path.
+"""Differential tests for the decode-once BPF fast path.
 
-The compiled closures must be observably indistinguishable from the
+The decoded table must be observably indistinguishable from the
 interpreter: same return value, same ``instructions_executed``, same
 runtime errors — over randomized programs, randomized inputs, and the
 real bundled profiles (docker-default, gVisor, Firecracker).
@@ -195,6 +195,22 @@ class TestRandomizedDifferential:
         with pytest.raises(BpfRuntimeError):
             compile_program(program).run(data)
 
+    def test_verified_ldx_abs_faults_only_when_reached(self):
+        """The verifier admits ``ldx [k]``, which the interpreter faults
+        on when it runs; the table must fault on exactly that path."""
+        program = [
+            stmt(BPF_LD | BPF_W | BPF_ABS, NR_OFFSET),
+            jump(BPF_JMP | BPF_JEQ | BPF_K, 1, 0, 1),
+            stmt(BPF_LDX | BPF_W | BPF_ABS, NR_OFFSET),
+            stmt(BPF_RET | BPF_K, 0),
+        ]
+        compiled = compile_program(program)
+        assert compiled.run(SeccompData(nr=2)) == run(program, SeccompData(nr=2))
+        with pytest.raises(BpfRuntimeError):
+            run(program, SeccompData(nr=1))
+        with pytest.raises(BpfRuntimeError):
+            compiled.run(SeccompData(nr=1))
+
 
 # ---------------------------------------------------------------------------
 # bundled-profile differential (the acceptance-criteria sweep)
@@ -293,9 +309,3 @@ class TestCompileCache:
         second = compile_program(list(program))
         assert isinstance(first, CompiledFilter)
         assert second is first
-
-    def test_source_is_inspectable(self):
-        compiled = compile_program(
-            [stmt(BPF_LD | BPF_W | BPF_ABS, NR_OFFSET), stmt(BPF_RET | BPF_A)]
-        )
-        assert "def _s0" in compiled.source

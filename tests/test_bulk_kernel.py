@@ -242,7 +242,7 @@ def test_bulk_byte_identical_on_long_runs(regime, monkeypatch):
 @pytest.mark.parametrize("regime", ("syscall-complete", "draco-sw-complete"))
 def test_bulk_identity_survives_fastpath_toggle(regime, monkeypatch):
     # REPRO_BULK and REPRO_FASTPATH are independent axes: the bulk
-    # identity must hold with the BPF code generator disabled too.
+    # identity must hold with the decoded BPF tables disabled too.
     slow = _run_result_json("grep", regime, monkeypatch, bulk=False, fastpath=False)
     fast = _run_result_json("grep", regime, monkeypatch, bulk=True, fastpath=False)
     assert fast == slow

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bpf.compile import compile_program
 from repro.bpf.interpreter import run
 from repro.bpf.seccomp_data import SeccompData
 from repro.bpf.verifier import verify
-from repro.seccomp.actions import SECCOMP_RET_ALLOW, action_of
+from repro.seccomp.actions import SECCOMP_RET_ALLOW, action_of, most_restrictive
 from repro.seccomp.compiler import (
     compile_binary_tree,
     compile_linear,
     compile_profile,
     compile_profile_chunked,
 )
+from repro.seccomp.engine import SeccompKernelModule
 from repro.seccomp.profile import ArgCmp, ArgSetRule, CmpOp, SeccompProfile, SyscallRule
 from repro.seccomp.profiles import build_docker_default
 from repro.syscalls.events import make_event
@@ -192,6 +194,68 @@ def events(draw):
     return make_event(name, args)
 
 
+#: A Mini-Docker-shaped container profile: a whitelist assembled from
+#: whole syscall categories of the x86-64 table, an arch check and a
+#: default of KILL_PROCESS (both emitted by every compiler), and ptrace
+#: in no category, so it is always blocked.
+_CATEGORIES = {
+    "file-io": ("read", "write", "open", "openat", "close", "lseek"),
+    "file-info": ("stat", "fstat", "lstat", "newfstatat", "statx"),
+    "memory": ("mmap", "mprotect", "munmap", "brk", "mremap", "madvise"),
+    "process": ("fork", "vfork", "clone", "execve", "exit", "exit_group"),
+    "signals": ("rt_sigaction", "rt_sigprocmask", "rt_sigreturn"),
+    "network": ("socket", "connect", "bind", "listen", "accept", "sendto", "recvfrom"),
+    "directory": ("getdents", "getdents64", "mkdir", "rmdir", "getcwd", "chdir"),
+    "time": ("clock_gettime", "gettimeofday", "nanosleep"),
+    "ids": ("getpid", "getuid", "getgid", "geteuid", "getegid"),
+    "sync": ("epoll_wait", "epoll_ctl", "poll", "select", "futex"),
+}
+_CATEGORY_NAMES = tuple(sorted({n for names in _CATEGORIES.values() for n in names}))
+#: Argument values: small ones the rules use, and ones that differ from
+#: them only in the high 32-bit word.
+_ARG_VALUES = (0, 1, 2, 3, 2**32 + 1, 2**63 + 2)
+
+
+@st.composite
+def mini_docker_profiles(draw):
+    categories = draw(
+        st.lists(st.sampled_from(sorted(_CATEGORIES)), min_size=1, max_size=4, unique=True)
+    )
+    allowed = sorted({n for c in categories for n in _CATEGORIES[c]})
+    arg_rules = {}
+    for name in allowed:
+        checkable = LINUX_X86_64.by_name(name).checkable_args
+        if not checkable or draw(st.booleans()):
+            continue
+        sets = draw(
+            st.lists(
+                st.tuples(*[st.integers(0, 3) for _ in checkable]),
+                min_size=1,
+                max_size=3,
+                unique=True,
+            )
+        )
+        arg_rules[name] = [
+            ArgSetRule(tuple(ArgCmp(i, v) for i, v in zip(checkable, values)))
+            for values in sets
+        ]
+    return SeccompProfile.from_names("mini-docker", allowed, arg_rules=arg_rules)
+
+
+@st.composite
+def mini_docker_events(draw):
+    name = draw(st.sampled_from(_CATEGORY_NAMES + ("ptrace", "mount", "reboot")))
+    checkable = LINUX_X86_64.by_name(name).checkable_args
+    return make_event(name, tuple(draw(st.sampled_from(_ARG_VALUES)) for _ in checkable))
+
+
+def _stacked_module(programs, memoize):
+    module = SeccompKernelModule(memoize=memoize)
+    for program in programs:
+        module.attach(program)
+    return module
+
+
 class TestEquivalenceProperty:
     @settings(max_examples=60, deadline=None)
     @given(profile=profiles(), event=events(), strategy=st.sampled_from(["linear", "binary_tree"]))
@@ -200,3 +264,34 @@ class TestEquivalenceProperty:
         result = run(program, SeccompData.from_event(event))
         compiled_allows = action_of(result.return_value) == SECCOMP_RET_ALLOW
         assert compiled_allows == profile.allows(event)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        profile=mini_docker_profiles(),
+        trace=st.lists(mini_docker_events(), min_size=1, max_size=12),
+        layout=st.sampled_from(["linear", "binary_tree", "chunked-linear", "chunked-binary_tree"]),
+    )
+    def test_mini_docker_stack_matches_reference(self, profile, trace, layout):
+        """Fast path, interpreter, profile semantics and the decision memo
+        agree on every event of a (possibly stacked) container filter."""
+        if layout.startswith("chunked-"):
+            # A small budget splits the whitelist into stacked filters.
+            programs = compile_profile_chunked(profile, layout[len("chunked-"):], max_insns=96)
+        else:
+            programs = (compile_profile(profile, layout),)
+        memoized = _stacked_module(programs, memoize=True)
+        plain = _stacked_module(programs, memoize=False)
+        for event in trace + trace:  # the second pass repeats every event
+            data = SeccompData.from_event(event)
+            combined = None
+            for program in programs:
+                expected = run(program, data)
+                assert compile_program(program).run(data) == expected
+                value = expected.return_value
+                combined = value if combined is None else most_restrictive(combined, value)
+            decision = plain.check(event)
+            assert decision.return_value == combined
+            assert decision.allowed == profile.allows(event)
+            assert memoized.check(event) == decision
+        assert memoized.memo_hits >= len(trace)
+        assert not profile.allows(make_event("ptrace", (0, 0)))
