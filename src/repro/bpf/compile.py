@@ -26,8 +26,8 @@ simulator itself:
   observable words agree are guaranteed the same filter result, so the
   engine can serve the cached decision.
 
-``REPRO_FASTPATH=0`` runs the reference interpreter instead of the
-table (the decision memo still runs).
+The interpreter stays the reference: the differential tests compare the
+table with it on random and bundled programs.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ from repro.bpf.insn import (
 from repro.bpf.interpreter import ExecResult
 from repro.bpf.seccomp_data import SeccompData
 from repro.bpf.verifier import verify
-from repro.common import storage
 from repro.common.errors import BpfRuntimeError
 from repro.syscalls.abi import AUDIT_ARCH_X86_64
 
@@ -82,10 +81,6 @@ from repro.syscalls.abi import AUDIT_ARCH_X86_64
 #: the experiment result cache folds this into its digests so stale
 #: cached results are invalidated when the compiler changes.
 COMPILER_VERSION = 1
-
-#: Environment variable: set to ``0``/``off`` to fall back to the
-#: interpreter (decision memoization stays on).
-FASTPATH_ENV = "REPRO_FASTPATH"
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 
@@ -127,8 +122,7 @@ NUM_WORDS = 16
     _TXA,
     _ALU_K,  # jf holds the BPF ALU op
     _ALU_X,  # jf holds the BPF ALU op
-    _FAULT,  # verified, but the interpreter faults if it runs
-) = range(24)
+) = range(23)
 
 _JUMP_ROWS = {
     BPF_JEQ: (_JEQ_K, _JEQ_X),
@@ -136,11 +130,6 @@ _JUMP_ROWS = {
     BPF_JGE: (_JGE_K, _JGE_X),
     BPF_JSET: (_JSET_K, _JSET_X),
 }
-
-
-def fastpath_enabled() -> bool:
-    """True unless ``REPRO_FASTPATH`` selects the reference interpreter."""
-    return storage._truthy(FASTPATH_ENV)
 
 
 def words_of(data: SeccompData) -> Tuple[int, ...]:
@@ -307,10 +296,8 @@ class CompiledFilter:
                     A = X
                 elif op == _ALU_K:
                     A = _alu(jf, A, k, pc)
-                elif op == _ALU_X:
+                else:  # _ALU_X
                     A = _alu(jf, A, X, pc)
-                else:
-                    raise BpfRuntimeError(f"unsupported ldx mode at pc={pc}")
                 pc = jt
 
     def run(self, data: SeccompData) -> ExecResult:
@@ -362,11 +349,8 @@ def _decode(insn: Insn, pc: int) -> Row:
         if mode == BPF_ABS:
             return (_LD_ABS, k // 4, nxt, 0)
         return (_LD_MEM if mode == BPF_MEM else _LD_IMM, k, nxt, 0)
-    if cls == BPF_LDX:
-        mode = bpf_mode(code)
-        if mode == BPF_IMM:
-            return (_LDX_IMM, k, nxt, 0)
-        return (_LDX_MEM if mode == BPF_MEM else _FAULT, k, nxt, 0)
+    if cls == BPF_LDX:  # the verifier admits IMM and MEM only
+        return (_LDX_IMM if bpf_mode(code) == BPF_IMM else _LDX_MEM, k, nxt, 0)
     if cls == BPF_ST:
         return (_ST, k, nxt, 0)
     if cls == BPF_STX:

@@ -2,9 +2,11 @@
 
 Mirrors the kernel's ``bpf_check_classic`` constraints for seccomp
 filters: bounded length, forward-only jumps that stay in range, valid
-scratch-memory indices, aligned in-bounds ``seccomp_data`` loads, a
-terminating return on every straight-line suffix, and division by a
-non-zero constant.
+scratch-memory indices, aligned in-bounds ``seccomp_data`` loads, ``ldx``
+from an immediate or scratch word only, a terminating return on every
+straight-line suffix, and division by a non-zero constant.  A program
+that passes can fault at run time only on division or modulo by a zero
+``X``.
 """
 
 from __future__ import annotations
@@ -101,6 +103,10 @@ def _check_jump(program: Sequence[Insn], pc: int, insn: Insn) -> None:
 
 def _check_load(pc: int, insn: Insn) -> None:
     mode = bpf_mode(insn.code)
+    if bpf_class(insn.code) == BPF_LDX and mode not in (BPF_IMM, BPF_MEM):
+        # bpf_check_classic admits ldx only as IMM, MEM, LEN and MSH,
+        # and seccomp rejects the last two: there is no ``ldx [k]``.
+        raise BpfVerifyError(f"unsupported ldx mode for seccomp at {pc}")
     if mode == BPF_ABS:
         if bpf_size(insn.code) != BPF_W:
             raise BpfVerifyError(f"seccomp loads must be 32-bit words at {pc}")

@@ -10,7 +10,7 @@ equivalence and measure the speedup.
 
 This lives in ``repro.common`` so the core structures, the regimes and
 the simulator can all consult it without import cycles (the same
-pattern as ``repro.bpf.compile.fastpath_enabled``).
+pattern as ``repro.common.analytic.analytic_enabled``).
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
 """Low-level persistent-cache plumbing shared across layers.
 
 The experiment-level cache (:mod:`repro.experiments.cache`) and the
-lower layers that read switches (:mod:`repro.bpf.compile`,
+lower layers that read switches (:mod:`repro.common.analytic`,
 :mod:`repro.common.bulk`) sit at opposite ends of the import graph, but
 they must agree on where the cache lives and how a switch is read — one
-``REPRO_CACHE_DIR``, one ``REPRO_CACHE_DISABLE``, one
-``REPRO_CONTEXT_CACHE`` kill switch.  This module owns those decisions
-plus the atomic write discipline, and depends on nothing above
-``repro.common``.
+``REPRO_CACHE_DIR``, one ``REPRO_CACHE_DISABLE``.  This module owns
+those decisions plus the atomic write discipline, and depends on nothing
+above ``repro.common``.
 
 All writes are temp-file-then-``os.replace`` so concurrent workers
 never observe a torn entry; all reads treat a missing, truncated, or
@@ -29,10 +28,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Environment variable disabling the cache entirely (any non-empty value).
 CACHE_DISABLE_ENV = "REPRO_CACHE_DISABLE"
 
-#: Kill switch for the persistent context cache (traces, bundles,
-#: filter sweeps).  ``0``/``off``/``false``/``no`` disables it; the
-#: result and calibration tiers are unaffected.
-CONTEXT_CACHE_ENV = "REPRO_CONTEXT_CACHE"
 
 def _truthy(name: str) -> bool:
     return os.environ.get(name, "1").lower() not in ("0", "off", "false", "no")
@@ -84,18 +79,6 @@ def cache_enabled() -> bool:
     if override is not None:
         return not override
     return not os.environ.get(CACHE_DISABLE_ENV)
-
-
-def context_cache_enabled() -> bool:
-    """True when the persistent context cache is active.
-
-    Requires the cache itself (``REPRO_CACHE_DISABLE`` unset) *and*
-    ``REPRO_CONTEXT_CACHE`` not set to ``0``/``off``/``false``/``no``
-    (case-insensitive); defaults to on.
-    """
-    if not cache_enabled():
-        return False
-    return _truthy(CONTEXT_CACHE_ENV)
 
 
 def cache_root() -> Path:

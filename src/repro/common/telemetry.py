@@ -6,11 +6,19 @@ and aggregates them into a :class:`RunReport` — a structured JSON
 document written next to the result cache and rendered by
 ``python -m repro.experiments summary``.
 
-Simulation counters are collected process-locally: the syscall-level
-simulator calls :func:`record_simulation` on every trace it drives, and
-the engine snapshots/resets the counters around each experiment.  Each
-engine worker is a separate process, so counters never race and are
-attributed to exactly one experiment even when workers are reused.
+Counters are one process-local tree of named numbers.  The simulator
+calls :func:`record_simulation` on every trace it drives (measured-window
+totals, per-regime ``flows`` and ``structures``, the sampled tier's
+``derived_traces``); other layers :func:`count` one leaf
+(``context_cache/<kind>/<hit|miss|store>`` per disk probe of a trace,
+bundle, sweep or calibration; ``cache_store_skipped`` per refused cache
+write) or :func:`count_numbers` a mapping of them (``fleet/<policy>``
+serving totals).  The stage executor resets the tree around each stage
+and freezes it with :func:`counters_snapshot`.  Each engine worker is a
+separate process, so counters never race and are attributed to exactly
+one stage even when workers are reused.  :func:`merge_simulations` is
+the one merge: it sums stage snapshots into an experiment's record, and
+records into the run through :meth:`RunReport.totals`.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 #: Cache-status values an ExperimentRecord may carry.
 CACHE_HIT = "hit"
@@ -28,126 +36,55 @@ CACHE_REFRESH = "refresh"
 CACHE_OFF = "off"
 
 
-@dataclass
-class SimulationCounters:
-    """Process-local totals across every simulated trace."""
+#: The leaves every snapshot carries, zero or not.
+_ZEROS: Dict[str, Any] = {
+    "traces_run": 0, "events_simulated": 0, "warmup_events": 0, "runs_coalesced": 0,
+    "check_cycles": 0.0, "total_cycles": 0.0, "regime_cycles": {}, "regime_events": {},
+}
 
-    traces_run: int = 0
-    #: Events in the measured (post-warm-up) window, matching the
-    #: cycle totals below; warm-up events are counted separately.
-    events_simulated: int = 0
-    warmup_events: int = 0
-    #: Run-length-encoded (event, count) pairs consumed over the
-    #: measured windows; ``events_simulated / runs_coalesced`` is the
-    #: mean consecutive-identical run length the bulk kernel exploited.
-    runs_coalesced: int = 0
-    check_cycles: float = 0.0
-    total_cycles: float = 0.0
-    #: Per-regime totals over the measured (post-warm-up) window.
-    regime_cycles: Dict[str, float] = field(default_factory=dict)
-    regime_events: Dict[str, int] = field(default_factory=dict)
-    #: Per-regime checking cycles (the per-flow ledger's conservation
-    #: reference) and per-(regime, flow) event/cycle buckets.
-    regime_check_cycles: Dict[str, float] = field(default_factory=dict)
-    regime_flow_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    regime_flow_cycles: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: Per-regime structure counters (SLB/STB/VAT/SPT hit/miss/evict,
-    #: seccomp execution totals), numeric scalars only.
-    regime_structures: Dict[str, Dict[str, Dict[str, float]]] = field(
-        default_factory=dict
-    )
-    #: Analytic-backend provenance: traces whose results were
-    #: *extrapolated* from a sample rather than simulated exactly, the
-    #: events those results account for beyond what was simulated, and
-    #: the worst split-half error estimate among them.
-    derived_traces: int = 0
-    events_extrapolated: int = 0
-    max_error_estimate: float = 0.0
-    #: Persistent context-cache activity, per artifact kind ("trace",
-    #: "bundle", "sweep", "calibration"): how many disk probes hit,
-    #: missed, and how many rebuilt artifacts were stored back.
-    context_cache: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: Fleet-serving counters, per dispatch policy: cold/warm starts,
-    #: evictions, keep-alive expiries, cold-resume storms, pool peaks.
-    fleet: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: Cache writes skipped because the cache directory refused them
-    #: (read-only, full, or not a directory).
-    cache_store_skipped: int = 0
-
-    def as_dict(self) -> Dict[str, Any]:
-        flows: Dict[str, Any] = {}
-        for regime in sorted(self.regime_flow_counts):
-            counts = self.regime_flow_counts[regime]
-            cycles = self.regime_flow_cycles.get(regime, {})
-            flows[regime] = {
-                "events": sum(counts.values()),
-                "check_cycles": round(self.regime_check_cycles.get(regime, 0.0), 3),
-                "counts": dict(sorted(counts.items())),
-                "cycles": {k: round(v, 3) for k, v in sorted(cycles.items())},
-            }
-        structures = {
-            regime: {
-                name: {k: round(v, 3) for k, v in sorted(counters.items())}
-                for name, counters in sorted(per_structure.items())
-            }
-            for regime, per_structure in sorted(self.regime_structures.items())
-        }
-        payload = {
-            "traces_run": self.traces_run,
-            "events_simulated": self.events_simulated,
-            "warmup_events": self.warmup_events,
-            "runs_coalesced": self.runs_coalesced,
-            "mean_run_length": (
-                round(self.events_simulated / self.runs_coalesced, 3)
-                if self.runs_coalesced
-                else 0.0
-            ),
-            "check_cycles": round(self.check_cycles, 3),
-            "total_cycles": round(self.total_cycles, 3),
-            "regime_cycles": {k: round(v, 3) for k, v in sorted(self.regime_cycles.items())},
-            "regime_events": dict(sorted(self.regime_events.items())),
-        }
-        if flows:
-            payload["flows"] = flows
-        if structures:
-            payload["structures"] = structures
-        if self.derived_traces:
-            payload["derived_traces"] = self.derived_traces
-            payload["events_extrapolated"] = self.events_extrapolated
-            payload["max_error_estimate"] = round(self.max_error_estimate, 6)
-        if self.context_cache:
-            payload["context_cache"] = {
-                kind: dict(sorted(counters.items()))
-                for kind, counters in sorted(self.context_cache.items())
-            }
-        if self.fleet:
-            payload["fleet"] = {
-                policy: {k: counters[k] for k in sorted(counters)}
-                for policy, counters in sorted(self.fleet.items())
-            }
-        if self.cache_store_skipped:
-            payload["cache_store_skipped"] = self.cache_store_skipped
-        return payload
+#: The process-local counter tree: nested dicts whose leaves are numbers.
+_TREE: Dict[str, Any] = {}
 
 
-_COUNTERS = SimulationCounters()
+def reset_counters() -> None:
+    """Zero the process-local counter tree."""
+    global _TREE
+    _TREE = {k: {} if isinstance(v, dict) else v for k, v in _ZEROS.items()}
 
 
-def _merge_structures(
-    target: Dict[str, Dict[str, float]], source: Mapping[str, Any]
-) -> None:
-    """Accumulate numeric structure counters; rates are derived
-    quantities and are dropped (recompute them from the sums)."""
-    for name, counters in source.items():
-        if not isinstance(counters, Mapping):
-            continue
-        bucket = target.setdefault(name, {})
-        for key, value in counters.items():
-            if key.endswith("_rate") or key == "hit_rate":
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            bucket[key] = bucket.get(key, 0) + value
+reset_counters()
+
+
+def _node(path: Sequence[str]) -> Dict[str, Any]:
+    """The sub-tree at *path*, created empty where missing."""
+    node = _TREE
+    for key in path:
+        node = node.setdefault(key, {})
+    return node
+
+
+def count(*path: str, n: float = 1) -> None:
+    """Add *n* to the counter at *path*; a new counter starts at zero."""
+    node = _node(path[:-1])
+    leaf = path[-1]
+    node[leaf] = node.get(leaf, 0) + n
+
+
+def _add_numbers(node: Dict[str, Any], mapping: Mapping[str, Any]) -> None:
+    for key, value in mapping.items():
+        if isinstance(value, (int, float)):
+            if not isinstance(value, bool) and not key.endswith("_rate"):
+                node[key] = node.get(key, 0) + value
+        elif isinstance(value, Mapping):
+            _add_numbers(node.setdefault(key, {}), value)
+
+
+def count_numbers(mapping: Mapping[str, Any], *path: str) -> None:
+    """Add every numeric leaf of *mapping* to the counters under *path*.
+
+    Derived ``*_rate`` keys are skipped (recompute them from the sums),
+    and so is anything that is not a number."""
+    _add_numbers(_node(path), mapping)
 
 
 def record_simulation(
@@ -171,83 +108,59 @@ def record_simulation(
     ``flow_counts``/``flow_cycles`` are the trace's per-flow ledger and
     ``structures`` its per-structure counters; all three are optional so
     external callers of the simulator stay source-compatible.
+    ``runs_coalesced`` counts the (event, count) pairs the kernel
+    consumed, so ``events / runs_coalesced`` is the mean run length.
     ``derived`` marks an analytic sampled run: ``events_extrapolated``
     of its events were accounted without being simulated, with
     ``error_estimate`` as its split-half error bound.
     """
-    _COUNTERS.traces_run += 1
-    if derived:
-        _COUNTERS.derived_traces += 1
-        _COUNTERS.events_extrapolated += events_extrapolated
-        if error_estimate > _COUNTERS.max_error_estimate:
-            _COUNTERS.max_error_estimate = error_estimate
-    _COUNTERS.events_simulated += events
-    _COUNTERS.warmup_events += warmup_events
-    _COUNTERS.runs_coalesced += runs_coalesced
-    _COUNTERS.check_cycles += check_cycles
-    _COUNTERS.total_cycles += total_cycles
-    _COUNTERS.regime_cycles[regime] = _COUNTERS.regime_cycles.get(regime, 0.0) + total_cycles
-    _COUNTERS.regime_events[regime] = _COUNTERS.regime_events.get(regime, 0) + events
-    _COUNTERS.regime_check_cycles[regime] = (
-        _COUNTERS.regime_check_cycles.get(regime, 0.0) + check_cycles
-    )
+    # Cycle counters are floats even when a caller passes an int zero.
+    check_cycles = float(check_cycles)
+    total_cycles = float(total_cycles)
+    counters: Dict[str, Any] = {
+        "traces_run": 1,
+        "events_simulated": events,
+        "warmup_events": warmup_events,
+        "runs_coalesced": runs_coalesced,
+        "check_cycles": check_cycles,
+        "total_cycles": total_cycles,
+        "regime_cycles": {regime: total_cycles},
+        "regime_events": {regime: events},
+    }
     if flow_counts:
-        bucket = _COUNTERS.regime_flow_counts.setdefault(regime, {})
-        for flow, count in flow_counts.items():
-            bucket[flow] = bucket.get(flow, 0) + count
-    if flow_cycles:
-        bucket_cycles = _COUNTERS.regime_flow_cycles.setdefault(regime, {})
-        for flow, cycles in flow_cycles.items():
-            bucket_cycles[flow] = bucket_cycles.get(flow, 0.0) + cycles
+        counters["flows"] = {
+            regime: {
+                "events": sum(flow_counts.values()),
+                "check_cycles": check_cycles,
+                "counts": flow_counts,
+                "cycles": flow_cycles or {},
+            }
+        }
     if structures:
-        _merge_structures(
-            _COUNTERS.regime_structures.setdefault(regime, {}), structures
+        counters["structures"] = {regime: structures}
+    if derived:
+        counters["derived_traces"] = 1
+        counters["events_extrapolated"] = events_extrapolated
+        # A worst-case bound: the largest, not the sum.
+        _TREE["max_error_estimate"] = max(
+            _TREE.get("max_error_estimate", 0.0), error_estimate
         )
-
-
-def record_context_cache(kind: str, outcome: str) -> None:
-    """Account one persistent-context-cache event.
-
-    ``kind`` names the artifact family (``trace`` / ``bundle`` /
-    ``sweep`` / ``calibration``); ``outcome`` is ``hit`` (served from
-    disk), ``miss`` (probed, absent or invalid), or ``store`` (rebuilt
-    artifact written back).  Only *disk* activity is recorded —
-    in-process memo hits never reach this function.
-    """
-    bucket = _COUNTERS.context_cache.setdefault(kind, {})
-    bucket[outcome] = bucket.get(outcome, 0) + 1
-
-
-def record_cache_store_skipped() -> None:
-    """Account one cache write the cache directory refused."""
-    _COUNTERS.cache_store_skipped += 1
-
-
-def record_fleet(policy: str, counters: Mapping[str, float]) -> None:
-    """Account one fleet serving run under *policy*.
-
-    ``counters`` are the numeric pool/churn totals of
-    :func:`repro.kernel.fleet.simulate_fleet` (cold/warm starts,
-    evictions, keep-alive expiries, cold-resume storms, peaks); they
-    accumulate per policy so repeated runs in one process sum, matching
-    :func:`merge_simulations` across processes."""
-    bucket = _COUNTERS.fleet.setdefault(policy, {})
-    for key, value in counters.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        bucket[key] = bucket.get(key, 0) + value
+    count_numbers(counters)
 
 
 def merge_simulations(parts: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Combine per-stage simulation snapshots into one experiment-level
-    snapshot: numeric leaves are summed recursively (matching how the
-    counters would have accumulated in a single process) and the
-    derived ``mean_run_length`` is recomputed from the merged totals."""
+    """Combine counter snapshots (a stage's, an experiment's, or any
+    sub-tree of them): numeric leaves are summed recursively, matching
+    how the counters would have accumulated in a single process,
+    ``max_error_estimate`` merges by max, and a top-level
+    ``mean_run_length`` is recomputed from the merged totals."""
 
     def _merge_into(target: Dict[str, Any], source: Mapping[str, Any]) -> None:
         for key, value in source.items():
             if isinstance(value, Mapping):
                 _merge_into(target.setdefault(key, {}), value)
+            elif key == "max_error_estimate":
+                target[key] = max(target.get(key, 0.0), value)
             elif isinstance(value, bool):
                 target.setdefault(key, value)
             elif isinstance(value, (int, float)):
@@ -258,28 +171,54 @@ def merge_simulations(parts: List[Dict[str, Any]]) -> Dict[str, Any]:
     merged: Dict[str, Any] = {}
     for part in parts:
         _merge_into(merged, part)
-    runs = merged.get("runs_coalesced", 0)
     if "mean_run_length" in merged:
+        runs = merged.get("runs_coalesced", 0)
         merged["mean_run_length"] = (
             round(merged.get("events_simulated", 0) / runs, 3) if runs else 0.0
-        )
-    # A worst-case bound merges by max, not by sum.
-    if "max_error_estimate" in merged:
-        merged["max_error_estimate"] = max(
-            (part.get("max_error_estimate", 0.0) for part in parts), default=0.0
         )
     return merged
 
 
-def reset_counters() -> None:
-    """Zero the process-local simulation counters."""
-    global _COUNTERS
-    _COUNTERS = SimulationCounters()
+def _frozen(node: Mapping[str, Any]) -> Dict[str, Any]:
+    """Key-sorted copy of *node*, float leaves rounded to 3 decimals."""
+    out: Dict[str, Any] = {}
+    for key in sorted(node):
+        value = node[key]
+        if isinstance(value, dict):
+            value = _frozen(value)
+        elif isinstance(value, float):
+            value = round(value, 3)
+        out[key] = value
+    return out
+
+
+def _snapshot(tree: Mapping[str, Any]) -> Dict[str, Any]:
+    runs = tree["runs_coalesced"]
+    mean_run_length = tree["events_simulated"] / runs if runs else 0.0
+    snapshot = _frozen({**tree, "mean_run_length": mean_run_length})
+    if "max_error_estimate" in tree:
+        snapshot["max_error_estimate"] = round(tree["max_error_estimate"], 6)
+    return snapshot
 
 
 def counters_snapshot() -> Dict[str, Any]:
-    """JSON-ready snapshot of the current counters."""
-    return _COUNTERS.as_dict()
+    """The counter tree frozen into a record's JSON: keys sorted, float
+    leaves rounded to 3 decimals (the error bound to 6), and the mean
+    run length derived."""
+    return _snapshot(_TREE)
+
+
+def empty_snapshot() -> Dict[str, Any]:
+    """The snapshot of a stage that counted nothing."""
+    return _snapshot(_ZEROS)
+
+
+def _table(title: str, rows: List[Sequence[str]]) -> List[str]:
+    """*title*, then *rows* in left-aligned columns, the first row a header."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    lines = [title] + ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in rows]
+    lines.insert(2, "-" * len(lines[1]))
+    return lines
 
 
 @dataclass
@@ -356,50 +295,27 @@ class RunReport:
     def cache_misses(self) -> int:
         return sum(1 for r in self.records if r.cache in (CACHE_MISS, CACHE_REFRESH))
 
-    def events_simulated(self) -> int:
-        return sum(r.simulation.get("events_simulated", 0) for r in self.records)
-
-    def derived_traces(self) -> int:
-        return sum(r.simulation.get("derived_traces", 0) for r in self.records)
-
-    def events_extrapolated(self) -> int:
-        return sum(r.simulation.get("events_extrapolated", 0) for r in self.records)
-
-    def max_error_estimate(self) -> float:
-        return max(
-            (r.simulation.get("max_error_estimate", 0.0) for r in self.records),
-            default=0.0,
-        )
-
-    def runs_coalesced(self) -> int:
-        return sum(r.simulation.get("runs_coalesced", 0) for r in self.records)
-
-    def cache_store_skipped(self) -> int:
-        return sum(r.simulation.get("cache_store_skipped", 0) for r in self.records)
-
-    def context_cache(self) -> Dict[str, Dict[str, int]]:
-        """Per-kind context-cache counters summed across every record."""
-        merged: Dict[str, Dict[str, int]] = {}
+    def totals(self, *path: str) -> Any:
+        """Every record's counters at *path* merged with
+        :func:`merge_simulations`: the whole tree when no path is given,
+        else the one sub-tree or leaf asked for (``{}`` when no record
+        has it)."""
+        if not path:
+            return merge_simulations([r.simulation for r in self.records])
+        *outer, name = path
+        parts = []
         for record in self.records:
-            for kind, counters in record.simulation.get("context_cache", {}).items():
-                bucket = merged.setdefault(kind, {})
-                for outcome, count in counters.items():
-                    bucket[outcome] = bucket.get(outcome, 0) + count
-        return {kind: merged[kind] for kind in sorted(merged)}
-
-    def mean_run_length(self) -> float:
-        runs = self.runs_coalesced()
-        return self.events_simulated() / runs if runs else 0.0
+            node = record.simulation
+            for key in outer:
+                node = node.get(key, {})
+            if name in node:
+                parts.append({name: node[name]})
+        return merge_simulations(parts).get(name, {})
 
     def stage_counters(self) -> Dict[str, int]:
         """Stage-graph hit/exec/dedup/store totals summed across records
         (empty when every experiment was a whole-result cache hit)."""
-        merged: Dict[str, int] = {}
-        for record in self.records:
-            block = record.simulation.get("stages", {})
-            for outcome, count in block.get("counters", {}).items():
-                merged[outcome] = merged.get(outcome, 0) + count
-        return merged
+        return self.totals("stages", "counters")
 
     def stage_detail(self) -> List[Dict[str, Any]]:
         """Per-stage rows (experiment, kind, label, status, elapsed)
@@ -413,54 +329,16 @@ class RunReport:
                 rows.append(row)
         return rows
 
-    def regime_cycles(self) -> Dict[str, float]:
-        totals: Dict[str, float] = {}
-        for record in self.records:
-            for regime, cycles in record.simulation.get("regime_cycles", {}).items():
-                totals[regime] = totals.get(regime, 0.0) + cycles
-        return totals
-
     def flows(self) -> Dict[str, Dict[str, Any]]:
-        """Per-regime flow ledger aggregated across every record.
+        """Per-regime flow ledger totals, ``{regime: {"events",
+        "check_cycles", "counts", "cycles"}}`` sorted by regime.
 
-        Returns ``{regime: {"events", "check_cycles", "counts", "cycles"}}``
-        with counts summed exactly and cycles summed from the per-record
-        JSON (which rounds to 3 decimals — see
-        :meth:`audit_flow_conservation` for the matching tolerance).
+        Cycles are summed from the per-record JSON, which rounds to 3
+        decimals — see :meth:`audit_flow_conservation` for the matching
+        tolerance.
         """
-        merged: Dict[str, Dict[str, Any]] = {}
-        for record in self.records:
-            for regime, block in record.simulation.get("flows", {}).items():
-                into = merged.setdefault(
-                    regime,
-                    {"events": 0, "check_cycles": 0.0, "counts": {}, "cycles": {}},
-                )
-                into["events"] += block.get("events", 0)
-                into["check_cycles"] += block.get("check_cycles", 0.0)
-                for flow, count in block.get("counts", {}).items():
-                    into["counts"][flow] = into["counts"].get(flow, 0) + count
-                for flow, cycles in block.get("cycles", {}).items():
-                    into["cycles"][flow] = into["cycles"].get(flow, 0.0) + cycles
-        return {regime: merged[regime] for regime in sorted(merged)}
-
-    def structures(self) -> Dict[str, Dict[str, Dict[str, float]]]:
-        """Per-regime structure counters aggregated across every record."""
-        merged: Dict[str, Dict[str, Dict[str, float]]] = {}
-        for record in self.records:
-            for regime, per_structure in record.simulation.get("structures", {}).items():
-                _merge_structures(merged.setdefault(regime, {}), per_structure)
-        return {regime: merged[regime] for regime in sorted(merged)}
-
-    def fleet(self) -> Dict[str, Dict[str, float]]:
-        """Per-policy fleet serving counters aggregated across records."""
-        merged: Dict[str, Dict[str, float]] = {}
-        for record in self.records:
-            for policy, counters in record.simulation.get("fleet", {}).items():
-                bucket = merged.setdefault(policy, {})
-                for key, value in counters.items():
-                    if isinstance(value, (int, float)) and not isinstance(value, bool):
-                        bucket[key] = bucket.get(key, 0) + value
-        return {policy: merged[policy] for policy in sorted(merged)}
+        flows = self.totals("flows")
+        return {regime: flows[regime] for regime in sorted(flows)}
 
     def audit_flow_conservation(self) -> List[str]:
         """Cross-check every regime's aggregated flow ledger.
@@ -472,7 +350,7 @@ class RunReport:
         empty means the ledger conserves.
         """
         problems: List[str] = []
-        traces = max(sum(r.simulation.get("traces_run", 0) for r in self.records), 1)
+        traces = self.totals("traces_run") or 1
         # Each (record, flow) bucket contributes up to 5e-4 of rounding
         # error on each side of the comparison.
         tolerance = 1e-3 * traces * 16 + 1e-6
@@ -511,7 +389,7 @@ class RunReport:
                 "failed": len(self.failures),
                 "cache_hits": self.cache_hits,
                 "cache_misses": self.cache_misses,
-                "events_simulated": self.events_simulated(),
+                "events_simulated": self.totals("events_simulated") or 0,
             },
             "records": [r.to_json_dict() for r in self.records],
         }
@@ -564,31 +442,26 @@ class RunReport:
                     f"{sim.get('total_cycles', 0.0) / 1e6:.1f}",
                 )
             )
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        lines = ["== run summary"]
-        for index, row in enumerate(rows):
-            lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-            if index == 0:
-                lines.append("-" * len(lines[-1]))
+        lines = _table("== run summary", rows)
         lines.append(
             f"total: {len(self.records)} experiments in {self.wall_time_s:.2f}s "
             f"(jobs={self.jobs}, cache: {self.cache_hits} hit / "
             f"{self.cache_misses} miss, {len(self.failures)} failed)"
         )
-        context = self.context_cache()
+        context = self.totals("context_cache")
         if context:
             hits = sum(c.get("hit", 0) for c in context.values())
             misses = sum(c.get("miss", 0) for c in context.values())
             stores = sum(c.get("store", 0) for c in context.values())
             detail = ", ".join(
                 f"{kind} {c.get('hit', 0)}/{c.get('hit', 0) + c.get('miss', 0)}"
-                for kind, c in context.items()
+                for kind, c in sorted(context.items())
             )
             lines.append(
                 f"context cache: {hits} hit / {misses} miss / {stores} "
-                f"store ({detail}) — REPRO_CONTEXT_CACHE"
+                f"store ({detail})"
             )
-        for policy, counters in self.fleet().items():
+        for policy, counters in sorted(self.totals("fleet").items()):
             lines.append(
                 f"fleet[{policy}]: {counters.get('invocations', 0):.0f} "
                 f"invocations over {counters.get('tenants', 0):.0f} tenants — "
@@ -600,15 +473,15 @@ class RunReport:
                 f"storm(s), peak {counters.get('peak_containers', 0):.0f} "
                 f"containers"
             )
-        derived = self.derived_traces()
+        derived = self.totals("derived_traces")
         if derived:
             lines.append(
                 f"analytic: {derived} derived trace(s) — "
-                f"{self.events_extrapolated()} events accounted by sampled "
+                f"{self.totals('events_extrapolated')} events accounted by sampled "
                 f"extrapolation (REPRO_ANALYTIC=1), max split-half error "
-                f"{self.max_error_estimate():.2%}"
+                f"{self.totals('max_error_estimate'):.2%}"
             )
-        skipped = self.cache_store_skipped()
+        skipped = self.totals("cache_store_skipped")
         if skipped:
             lines.append(
                 f"WARNING: {skipped} cache write(s) skipped — {self.cache_dir or 'the cache'} "
@@ -641,26 +514,12 @@ class RunReport:
         for row in detail:
             bucket = by_kind.setdefault(row["kind"], {})
             bucket[row["status"]] = bucket.get(row["status"], 0) + 1
-        header = ("kind", "exec", "hit", "dedup", "failed", "total")
-        rows = [header]
+        rows = [("kind", "exec", "hit", "dedup", "failed", "total")]
         for kind in sorted(by_kind):
             bucket = by_kind[kind]
-            rows.append(
-                (
-                    kind,
-                    str(bucket.get("exec", 0)),
-                    str(bucket.get("hit", 0)),
-                    str(bucket.get("dedup", 0)),
-                    str(bucket.get("failed", 0)),
-                    str(sum(bucket.values())),
-                )
-            )
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        lines = ["== stages"]
-        for index, row in enumerate(rows):
-            lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-            if index == 0:
-                lines.append("-" * len(lines[-1]))
+            counts = [bucket.get(status, 0) for status in ("exec", "hit", "dedup", "failed")]
+            rows.append((kind, *map(str, counts), str(sum(bucket.values()))))
+        lines = _table("== stages", rows)
         counters = self.stage_counters()
         lines.append(
             f"totals: {counters.get('executed', 0)} executed / "
@@ -686,22 +545,15 @@ class RunReport:
         flows = self.flows()
         if not flows:
             return "== flows\n(no flow telemetry recorded)"
-        header = ("regime", "flow", "events", "share", "cycles", "cyc/event")
-        rows = [header]
+        rows = [("regime", "flow", "events", "share", "cycles", "cyc/event")]
         for regime, block in flows.items():
             events = block["events"] or 1
             for flow in sorted(block["counts"]):
-                count = block["counts"][flow]
+                n = block["counts"][flow]
                 cycles = block["cycles"].get(flow, 0.0)
+                per_event = f"{cycles / n:.2f}" if n else "-"
                 rows.append(
-                    (
-                        regime,
-                        flow,
-                        str(count),
-                        f"{count / events:.1%}",
-                        f"{cycles:.0f}",
-                        f"{cycles / count:.2f}" if count else "-",
-                    )
+                    (regime, flow, str(n), f"{n / events:.1%}", f"{cycles:.0f}", per_event)
                 )
             rows.append(
                 (
@@ -717,12 +569,7 @@ class RunReport:
                     ),
                 )
             )
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        lines = ["== flows (measured window, per regime)"]
-        for index, row in enumerate(rows):
-            lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-            if index == 0:
-                lines.append("-" * len(lines[-1]))
+        lines = _table("== flows (measured window, per regime)", rows)
         problems = self.audit_flow_conservation()
         if problems:
             lines.append("CONSERVATION DRIFT:")

@@ -49,8 +49,7 @@ Layout (under :func:`cache_root`, default ``~/.cache/repro-draco`` or
     runs/run-<timestamp>.json                archived run reports
 
 Set ``REPRO_CACHE_DISABLE=1`` (or pass ``--no-cache`` to the CLI) to
-bypass both reads and writes.  ``REPRO_CONTEXT_CACHE=0`` disables only
-the context tier (results and calibration still cache).  All writes are
+bypass every tier, the context tier included.  All writes are
 atomic (temp-file-then-rename) so concurrent engine workers never
 observe a torn entry.  A write the cache directory refuses (read-only,
 full, or not a directory) is skipped and counted in the run's
@@ -72,10 +71,8 @@ from repro.common.analytic import ANALYTIC_VERSION, analytic_enabled
 from repro.common.storage import (
     CACHE_DIR_ENV,
     CACHE_DISABLE_ENV,
-    CONTEXT_CACHE_ENV,
     cache_enabled,
     cache_root,
-    context_cache_enabled,
 )
 from repro.common.storage import atomic_write_text as _atomic_write
 from repro.common.storage import read_json as _read_json
@@ -87,7 +84,6 @@ from repro.syscalls.events import SyscallTrace
 __all__ = [
     "CACHE_DIR_ENV",
     "CACHE_DISABLE_ENV",
-    "CONTEXT_CACHE_ENV",
     "CONTEXT_FORMAT_VERSION",
     "COMPILER_VERSION",
     "SIM_KERNEL_VERSION",
@@ -96,7 +92,6 @@ __all__ = [
     "cache_enabled",
     "cache_root",
     "code_fingerprint",
-    "context_cache_enabled",
     "context_digest",
     "params_digest",
     "spec_payload",
@@ -148,7 +143,7 @@ def _store(path: Path, text: str) -> bool:
     try:
         _atomic_write(path, text)
     except OSError:
-        telemetry.record_cache_store_skipped()
+        telemetry.count("cache_store_skipped")
         return False
     return True
 

@@ -30,7 +30,6 @@ remain the outer defaults for callers that set nothing.
 Parallel suites run on the persistent warm pool
 (:mod:`repro.experiments.pool`): workers are forked once per process
 lifetime with preloaded memos and reused across calls.
-``REPRO_WARM_POOL=0`` restores a throwaway pool per suite.
 """
 
 from __future__ import annotations

@@ -20,10 +20,12 @@ contexts) from scratch.  This module keeps **one** pool alive across
   (:func:`repro.common.storage.cache_overrides`), so one pool serves
   requests against different cache directories.
 
-Kill switch: ``REPRO_WARM_POOL=0`` restores the historical throwaway
-pool per call.  Results are byte-identical either way — the pool only
-changes *where* tasks run, never what they compute — and
-``tests/test_switches.py`` asserts it over the full registry markdown.
+The pool only changes *where* tasks run, never what they compute: a
+``--jobs 2`` suite renders the same markdown as a serial one
+(``tests/test_bulk_kernel.py::TestEngineParallel``).  A scheduler that
+sees :class:`~concurrent.futures.process.BrokenProcessPool` must
+:func:`discard` the executor, so the next suite forks a fresh pool
+instead of failing forever on dead workers.
 """
 
 from __future__ import annotations
@@ -31,20 +33,8 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
-
-from repro.common import storage
-
-#: Kill switch: ``0``/``off``/``false``/``no`` disables the persistent
-#: warm pool and every parallel suite gets a throwaway executor again.
-WARM_POOL_ENV = "REPRO_WARM_POOL"
-
-
-def warm_pool_enabled() -> bool:
-    """True unless ``REPRO_WARM_POOL`` is ``0``/``off``/``false``/``no``."""
-    return storage._truthy(WARM_POOL_ENV)
+from typing import Optional
 
 
 def warm_worker() -> None:
@@ -143,22 +133,3 @@ def stats() -> dict:
         if _CURRENT is not None:
             snapshot["max_workers"] = _CURRENT.max_workers
     return snapshot
-
-
-@contextmanager
-def suite_executor(jobs: int, task_count: int) -> Iterator[ProcessPoolExecutor]:
-    """An executor for one suite: the persistent warm pool when enabled,
-    a throwaway ``ProcessPoolExecutor`` (shut down on exit) otherwise.
-
-    A caller that sees :class:`~concurrent.futures.process.BrokenProcessPool`
-    must :func:`discard` the executor, so the next suite forks a fresh
-    pool instead of failing forever on dead workers.
-    """
-    if warm_pool_enabled():
-        yield get_pool(jobs).executor
-    else:
-        executor = ProcessPoolExecutor(max_workers=min(jobs, max(task_count, 1)))
-        try:
-            yield executor
-        finally:
-            executor.shutdown()

@@ -98,20 +98,18 @@ def _bundle_for(spec: WorkloadSpec, seed: int) -> ProfileBundle:
         return hit[1]
     bundle = None
     digest = None
-    if result_cache.context_cache_enabled():
+    if result_cache.cache_enabled():
         digest = result_cache.context_digest("bundle", spec, seed=seed)
         payload = result_cache.ResultCache().load_context("bundle", digest)
         if payload is not None:
             bundle = bundle_from_payload(payload, spec.name)
-        telemetry.record_context_cache(
-            "bundle", "hit" if bundle is not None else "miss"
-        )
+        telemetry.count("context_cache", "bundle", "hit" if bundle is not None else "miss")
     if bundle is None:
         bundle = generate_bundle(profile_trace(spec, seed=seed), spec.name)
         if digest is not None and result_cache.ResultCache().store_context(
             "bundle", digest, bundle_to_payload(bundle)
         ):
-            telemetry.record_context_cache("bundle", "store")
+            telemetry.count("context_cache", "bundle", "store")
     memo_insert(_BUNDLE_MEMO, key, (spec, bundle), _BUNDLE_MEMO_LIMIT)
     return bundle
 
@@ -209,15 +207,16 @@ class WorkloadContext:
         """Serve a Seccomp evaluation from the shared filter sweep, or
         ``None`` to run the trace for real.
 
-        Gated on both the context cache and the analytic backend: with
-        ``REPRO_ANALYTIC=0`` every run must go through the exact
-        kernels (the kill-switch contract), and replayed results are
-        byte-identical to those by the differential tests.
+        Gated on both the cache, which holds the sweeps, and the
+        analytic backend: with ``REPRO_ANALYTIC=0`` every run must go
+        through the exact kernels (the kill-switch contract), and
+        replayed results are byte-identical to those by the
+        differential tests.
         """
         variant = _SECCOMP_REPLAY_VARIANTS.get(regime_name)
         if variant is None:
             return None
-        if not (result_cache.context_cache_enabled() and analytic_enabled()):
+        if not (result_cache.cache_enabled() and analytic_enabled()):
             return None
         from repro.experiments import seccomp_replay
 
@@ -323,7 +322,7 @@ def _trace_for(spec: WorkloadSpec, events: int, seed: int) -> SyscallTrace:
         return hit[1]
     trace = None
     digest = None
-    if result_cache.context_cache_enabled():
+    if result_cache.cache_enabled():
         digest = result_cache.context_digest(
             "trace",
             spec,
@@ -334,15 +333,13 @@ def _trace_for(spec: WorkloadSpec, events: int, seed: int) -> SyscallTrace:
         trace = result_cache.ResultCache().load_trace_context(digest)
         if trace is not None and len(trace) != events:
             trace = None  # digest collision or stale entry: rebuild
-        telemetry.record_context_cache(
-            "trace", "hit" if trace is not None else "miss"
-        )
+        telemetry.count("context_cache", "trace", "hit" if trace is not None else "miss")
     if trace is None:
         trace = generate_trace(spec, events, seed=seed)
         if digest is not None and result_cache.ResultCache().store_trace_context(
             digest, trace
         ):
-            telemetry.record_context_cache("trace", "store")
+            telemetry.count("context_cache", "trace", "store")
     memo_insert(_TRACE_MEMO, key, (spec, trace), _TRACE_MEMO_LIMIT)
     return trace
 
@@ -405,8 +402,8 @@ def calibrate_work_cycles(
             }
         )
         cached = result_cache.ResultCache().load_calibration(digest)
-        telemetry.record_context_cache(
-            "calibration", "hit" if cached is not None else "miss"
+        telemetry.count(
+            "context_cache", "calibration", "hit" if cached is not None else "miss"
         )
         if cached is not None:
             memo_insert(
@@ -418,7 +415,7 @@ def calibrate_work_cycles(
             return cached
 
     probe = None
-    if result_cache.context_cache_enabled() and analytic_enabled():
+    if result_cache.cache_enabled() and analytic_enabled():
         # The probe is a plain syscall-complete evaluation at W = S = 1,
         # so it replays the same shared filter sweep the syscall-complete
         # bars use (byte-identical mean_check_cycles by contract).
@@ -449,7 +446,7 @@ def calibrate_work_cycles(
     baseline = c_complete / (target - 1.0)
     work = max(baseline - costs.syscall_base_cycles, MIN_WORK_CYCLES)
     if digest is not None and result_cache.ResultCache().store_calibration(digest, work):
-        telemetry.record_context_cache("calibration", "store")
+        telemetry.count("context_cache", "calibration", "store")
     memo_insert(
         _CALIBRATION_MEMO, memo_key, (spec, trace, work), _CALIBRATION_MEMO_LIMIT
     )

@@ -25,10 +25,10 @@ parameters, profile role, compiler strategy, BPF compiler version, and
 the code fingerprint.  ``syscall-complete``, ``syscall-complete-2x``,
 and the calibration probe all share the single ``complete`` sweep.
 
-Replays are only served when both the context cache
-(``REPRO_CONTEXT_CACHE``) and the analytic backend (``REPRO_ANALYTIC``)
-are enabled — with the analytic tier off, every run goes through the
-exact kernels, as ``docs/PERFORMANCE.md`` promises.  Callers gate; this
+Replays are only served when both the cache (``REPRO_CACHE_DISABLE``
+unset, no ``--no-cache``) and the analytic backend (``REPRO_ANALYTIC``)
+are enabled — with either off, every run goes through the exact
+kernels, as ``docs/PERFORMANCE.md`` promises.  Callers gate; this
 module assumes it.
 """
 
@@ -233,7 +233,7 @@ def sweep_for(
         bpf_compiler=COMPILER_VERSION,
     )
     sweep = _sweep_from_payload(store.load_context("sweep", digest), windows)
-    telemetry.record_context_cache("sweep", "hit" if sweep is not None else "miss")
+    telemetry.count("context_cache", "sweep", "hit" if sweep is not None else "miss")
     if sweep is not None:
         sweeps_loaded += 1
     else:
@@ -242,7 +242,7 @@ def sweep_for(
             return None
         sweeps_built += 1
         if store.store_context("sweep", digest, _sweep_payload(sweep)):
-            telemetry.record_context_cache("sweep", "store")
+            telemetry.count("context_cache", "sweep", "store")
     memo_insert(_SWEEP_MEMO, memo_key, (trace, profile, sweep), _SWEEP_MEMO_LIMIT)
     return sweep
 

@@ -547,7 +547,7 @@ def execute_suite(
                     cache=telemetry.CACHE_HIT,
                     wall_time_s=time.perf_counter() - probe_started,
                     params_digest=result_digest,
-                    simulation=telemetry.SimulationCounters().as_dict(),
+                    simulation=telemetry.empty_snapshot(),
                 )
                 prebuilt[index] = {
                     "result": cached.to_json_dict(),
@@ -663,30 +663,30 @@ def execute_suite(
                 continue
             _finish(_execute_stage(*_submit_args(key)))
     elif order:
-        with warm_pool.suite_executor(jobs, len(order)) as executor:
-            futures: Dict[Any, str] = {}
-            ready = [key for key in order if unmet[key] == 0]
-            try:
-                while ready or futures:
-                    for key in ready:
-                        futures[executor.submit(_execute_stage, *_submit_args(key))] = key
-                    ready = []
-                    if not futures:
-                        break
-                    completed, _ = wait(set(futures), return_when=FIRST_COMPLETED)
-                    for future in completed:
-                        futures.pop(future)
-                        ready.extend(_finish(future.result()))
-            except BrokenProcessPool:
-                # A worker died mid-stage (killed, out of memory,
-                # os._exit) and the executor is unusable.  Fail every
-                # stage in flight or not yet run, and their dependents,
-                # and retire the pool so the next suite forks a fresh one.
-                error = traceback.format_exc()
-                for key in order:
-                    if key not in done:
-                        _propagate_failure(key, error)
-                warm_pool.discard(executor)
+        executor = warm_pool.get_pool(jobs).executor
+        futures: Dict[Any, str] = {}
+        ready = [key for key in order if unmet[key] == 0]
+        try:
+            while ready or futures:
+                for key in ready:
+                    futures[executor.submit(_execute_stage, *_submit_args(key))] = key
+                ready = []
+                if not futures:
+                    break
+                completed, _ = wait(set(futures), return_when=FIRST_COMPLETED)
+                for future in completed:
+                    futures.pop(future)
+                    ready.extend(_finish(future.result()))
+        except BrokenProcessPool:
+            # A worker died mid-stage (killed, out of memory,
+            # os._exit) and the executor is unusable.  Fail every
+            # stage in flight or not yet run, and their dependents,
+            # and retire the pool so the next suite forks a fresh one.
+            error = traceback.format_exc()
+            for key in order:
+                if key not in done:
+                    _propagate_failure(key, error)
+            warm_pool.discard(executor)
 
     # Assemble per-task payloads in task order.
     out: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
@@ -739,7 +739,7 @@ def execute_suite(
         simulation = (
             telemetry.merge_simulations(owned_sims)
             if owned_sims
-            else telemetry.SimulationCounters().as_dict()
+            else telemetry.empty_snapshot()
         )
         simulation["stages"] = {"counters": counters, "detail": detail}
         record = telemetry.ExperimentRecord(

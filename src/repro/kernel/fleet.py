@@ -707,12 +707,13 @@ def simulate_fleet(
             flow_counts=result.flow_counts,
             flow_cycles=result.flow_cycles,
         )
-        telemetry.record_fleet(
-            policy,
+        telemetry.count_numbers(
             {
                 "tenants": params.tenants,
                 "invocations": len(load),
                 **{k: float(v) for k, v in counters.items()},
             },
+            "fleet",
+            policy,
         )
     return result

@@ -11,8 +11,7 @@ caching relies on (Section V):
 
 * attached programs are **decoded once** into a flat table
   (:mod:`repro.bpf.compile`), so repeated executions skip instruction
-  decode and ``seccomp_data`` packing (``REPRO_FASTPATH=0`` runs the
-  reference interpreter instead);
+  decode and ``seccomp_data`` packing;
 * decisions are **memoized** keyed by the SID plus the masked argument
   bytes the attached filters can actually observe (the union of their
   statically-derived ``seccomp_data`` reads — the simulator analogue of
@@ -38,13 +37,9 @@ from repro.bpf.compile import (
     build_key_fn,
     compile_program,
     event_words,
-    fastpath_enabled,
     read_word_indices,
 )
 from repro.bpf.insn import Insn
-from repro.bpf.interpreter import run
-from repro.bpf.seccomp_data import SeccompData
-from repro.bpf.verifier import verify
 from repro.common.errors import SimulationError
 from repro.seccomp.actions import (
     SECCOMP_RET_ALLOW,
@@ -76,7 +71,7 @@ class SeccompDecision:
 class AttachedFilter:
     name: str
     program: Tuple[Insn, ...]
-    compiled: Optional[CompiledFilter] = None
+    compiled: CompiledFilter
 
 
 class SeccompKernelModule:
@@ -85,7 +80,6 @@ class SeccompKernelModule:
     def __init__(self, memoize: bool = True) -> None:
         self._filters: List[AttachedFilter] = []
         self._memoize = memoize
-        self._compile = fastpath_enabled()
         self._memo: Dict[Any, SeccompDecision] = {}
         self._key_fn: Optional[Callable[[SyscallEvent], Any]] = None
         #: Execution accounting (ledger observability layer): how often
@@ -112,13 +106,8 @@ class SeccompKernelModule:
     def attach(self, program: Sequence[Insn], name: str = "") -> None:
         """Verify and attach a filter; attached filters are permanent."""
         program = tuple(program)
-        if self._compile:
-            compiled: Optional[CompiledFilter] = compile_program(program)
-        else:
-            verify(program)
-            compiled = None
         self._filters.append(
-            AttachedFilter(name=name, program=program, compiled=compiled)
+            AttachedFilter(name=name, program=program, compiled=compile_program(program))
         )
         # A new filter may observe words earlier ones did not: rebuild
         # the memo key over the union and drop now-stale decisions.
@@ -160,24 +149,11 @@ class SeccompKernelModule:
                 return cached
         combined: Optional[int] = None
         executed = 0
-        if self._compile:
-            words = event_words(event)
-            for attached in filters:
-                value, count = attached.compiled.run_words(words)
-                executed += count
-                combined = (
-                    value if combined is None else most_restrictive(combined, value)
-                )
-        else:
-            data = SeccompData.from_event(event)
-            for attached in filters:
-                result = run(attached.program, data)
-                executed += result.instructions_executed
-                combined = (
-                    result.return_value
-                    if combined is None
-                    else most_restrictive(combined, result.return_value)
-                )
+        words = event_words(event)
+        for attached in filters:
+            value, count = attached.compiled.run_words(words)
+            executed += count
+            combined = value if combined is None else most_restrictive(combined, value)
         if combined is None:  # pragma: no cover - guarded by the early return
             raise SimulationError("no filter produced a result")
         self.instructions_executed += executed

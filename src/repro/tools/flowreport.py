@@ -103,7 +103,7 @@ def structure_hit_rates(per_structure: Mapping[str, Mapping[str, float]]) -> Dic
 def build_report(report: RunReport) -> Dict[str, Any]:
     """The flow-report JSON document for *report*."""
     flows = report.flows()
-    structures = report.structures()
+    structures = report.totals("structures")
     regimes: Dict[str, Any] = {}
     for regime, block in flows.items():
         entry: Dict[str, Any] = {
@@ -130,6 +130,8 @@ def build_report(report: RunReport) -> Dict[str, Any]:
                 entry["structure_hit_rates"] = rates
         regimes[regime] = entry
     problems = report.audit_flow_conservation()
+    events = report.totals("events_simulated") or 0
+    runs = report.totals("runs_coalesced") or 0
     return {
         "schema": SCHEMA,
         "code_fingerprint": report.code_fingerprint,
@@ -137,9 +139,9 @@ def build_report(report: RunReport) -> Dict[str, Any]:
         "simulation": {
             # Batched-kernel telemetry: how much consecutive-identical
             # locality the RLE fast path had to work with.
-            "events_simulated": report.events_simulated(),
-            "runs_coalesced": report.runs_coalesced(),
-            "mean_run_length": report.mean_run_length(),
+            "events_simulated": events,
+            "runs_coalesced": runs,
+            "mean_run_length": events / runs if runs else 0.0,
         },
         "regimes": regimes,
         "conservation": {"ok": not problems, "problems": problems},

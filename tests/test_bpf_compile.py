@@ -195,22 +195,6 @@ class TestRandomizedDifferential:
         with pytest.raises(BpfRuntimeError):
             compile_program(program).run(data)
 
-    def test_verified_ldx_abs_faults_only_when_reached(self):
-        """The verifier admits ``ldx [k]``, which the interpreter faults
-        on when it runs; the table must fault on exactly that path."""
-        program = [
-            stmt(BPF_LD | BPF_W | BPF_ABS, NR_OFFSET),
-            jump(BPF_JMP | BPF_JEQ | BPF_K, 1, 0, 1),
-            stmt(BPF_LDX | BPF_W | BPF_ABS, NR_OFFSET),
-            stmt(BPF_RET | BPF_K, 0),
-        ]
-        compiled = compile_program(program)
-        assert compiled.run(SeccompData(nr=2)) == run(program, SeccompData(nr=2))
-        with pytest.raises(BpfRuntimeError):
-            run(program, SeccompData(nr=1))
-        with pytest.raises(BpfRuntimeError):
-            compiled.run(SeccompData(nr=1))
-
 
 # ---------------------------------------------------------------------------
 # bundled-profile differential (the acceptance-criteria sweep)

@@ -163,9 +163,7 @@ def test_bulk_enabled_parsing(monkeypatch, value, expected):
 # -- differential: run_trace under REPRO_BULK=0 vs 1 --------------------
 
 
-def _run_result_json(
-    workload, regime_name, monkeypatch, *, bulk, fastpath=True, events=2_000, trace=None
-):
+def _run_result_json(workload, regime_name, monkeypatch, *, bulk, events=2_000, trace=None):
     """One (workload, regime) simulation serialized for byte comparison.
 
     ``run_trace`` on a fresh regime with the analytic tier off, so the
@@ -180,7 +178,6 @@ def _run_result_json(
     from repro.kernel.simulator import run_trace
 
     monkeypatch.setenv("REPRO_BULK", "1" if bulk else "0")
-    monkeypatch.setenv("REPRO_FASTPATH", "1" if fastpath else "0")
     ctx = get_context(workload, events=events, seed=7)
     result = run_trace(
         ctx.trace if trace is None else trace(ctx),
@@ -236,15 +233,6 @@ def test_bulk_byte_identical_on_long_runs(regime, monkeypatch):
     fast = _run_result_json(
         "pipe-ipc", regime, monkeypatch, bulk=True, trace=_amplified
     )
-    assert fast == slow
-
-
-@pytest.mark.parametrize("regime", ("syscall-complete", "draco-sw-complete"))
-def test_bulk_identity_survives_fastpath_toggle(regime, monkeypatch):
-    # REPRO_BULK and REPRO_FASTPATH are independent axes: the bulk
-    # identity must hold with the decoded BPF tables disabled too.
-    slow = _run_result_json("grep", regime, monkeypatch, bulk=False, fastpath=False)
-    fast = _run_result_json("grep", regime, monkeypatch, bulk=True, fastpath=False)
     assert fast == slow
 
 
@@ -490,6 +478,69 @@ def test_merge_simulations_sums_and_rederives_run_length():
     assert merged["flows"]["seccomp"]["events"] == 90
     # Derived, not summed: recomputed from the merged totals.
     assert merged["mean_run_length"] == 1.5
+
+    # The merge law: one run's records split into stages, their
+    # snapshots merged, equal the snapshot of the whole run.
+    from repro.common import telemetry
+    from repro.experiments.runner import get_context
+    from repro.kernel.simulator import run_trace
+
+    ctx = get_context("pipe-ipc", events=1_500, seed=3)
+
+    def simulate(regime_name):
+        return lambda: run_trace(
+            ctx.trace,
+            ctx.make_regime(regime_name),
+            work_cycles_per_syscall=ctx.work_cycles,
+            syscall_base_cycles=ctx.syscall_base_cycles,
+            workload_name=ctx.spec.name,
+            analytic=False,
+        )
+
+    def sampled():
+        telemetry.record_simulation(
+            "draco-hw:x", events=900, check_cycles=1234.5678, total_cycles=9876.54321,
+            derived=True, events_extrapolated=600, error_estimate=0.0123456,
+            structures={"vat": {"hits": 7, "misses": 2, "hit_rate": 0.778}},
+        )
+
+    steps = [
+        simulate("syscall-complete"),
+        lambda: telemetry.count("context_cache", "trace", "miss"),
+        simulate("draco-sw-complete"),
+        sampled,
+        lambda: telemetry.count_numbers({"tenants": 3, "cold_starts": 2.0}, "fleet", "rr"),
+        simulate("draco-hw-complete"),
+        sampled,
+        lambda: telemetry.count("cache_store_skipped"),
+        simulate("syscall-complete"),
+    ]
+    stages = [steps[:2], steps[2:5], steps[5:6], steps[6:]]
+
+    def snapshot(chunk):
+        telemetry.reset_counters()
+        for step in chunk:
+            step()
+        return telemetry.counters_snapshot()
+
+    whole = snapshot(steps)
+    merged = merge_simulations([snapshot(chunk) for chunk in stages])
+    telemetry.reset_counters()
+
+    def assert_close(want, got, path=()):
+        assert sorted(want) == sorted(got), path
+        for key, value in want.items():
+            if isinstance(value, dict):
+                assert_close(value, got[key], path + (key,))
+            elif isinstance(value, int):
+                assert got[key] == value and isinstance(got[key], int), path + (key,)
+            else:
+                # Each stage snapshot rounds its floats to 3 decimals.
+                assert abs(got[key] - value) <= 5e-4 * len(stages), path + (key,)
+
+    assert_close(whole, merged)
+    assert whole["max_error_estimate"] == merged["max_error_estimate"] == 0.012346
+    assert "hit_rate" not in whole["structures"]["draco-hw:x"]["vat"]
 
 
 def test_run_trace_records_runs_coalesced(monkeypatch):

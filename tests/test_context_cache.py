@@ -6,7 +6,7 @@ bundles, filter sweeps, and calibration values persist across processes
 keyed by content digests; a corrupt or stale entry always reads as a
 miss and the caller rebuilds; and every replayed Seccomp evaluation is
 byte-identical to the exact-kernel run it replaces — with
-``REPRO_CONTEXT_CACHE=0`` as the kill switch that forces the real path.
+``REPRO_CACHE_DISABLE=1`` forcing the real path, as ``--no-cache`` does.
 """
 
 import gc
@@ -252,13 +252,12 @@ class TestCalibrationMemoKey:
 class TestReplayDifferential:
     @pytest.mark.parametrize("workload", ["nginx", "pipe-ipc"])
     def test_replay_matches_exact_kernels(self, cache_dir, monkeypatch, workload):
-        """The acceptance bar: results byte-identical with the context
-        cache on (replay path) and off (exact kernels) for every
-        regime."""
+        """The acceptance bar: results byte-identical with the cache on
+        (replay path) and off (exact kernels) for every regime."""
         with_cache = _evaluate_all(workload)
         assert seccomp_replay.replays_served > 0
         runner.reset_context_memos()
-        monkeypatch.setenv(result_cache.CONTEXT_CACHE_ENV, "0")
+        monkeypatch.setenv(result_cache.CACHE_DISABLE_ENV, "1")
         without_cache = _evaluate_all(workload)
         assert seccomp_replay.replays_served == 0
         assert with_cache == without_cache
@@ -290,10 +289,10 @@ class TestDiskRoundTrip:
             experiment_id="fig2", simulation=telemetry.counters_snapshot()
         )
         report = telemetry.RunReport(records=[record])
-        assert report.context_cache()["sweep"]["store"] == 3
+        assert report.totals("context_cache")["sweep"]["store"] == 3
         summary = report.format_summary()
-        assert "context cache:" in summary
-        assert "REPRO_CONTEXT_CACHE" in summary
+        assert "context cache: " in summary
+        assert "sweep 0/3" in summary
 
 
 class TestBundlePayload:
@@ -343,7 +342,7 @@ class TestFig2SharedReplay:
         assert seccomp_replay.replays_served == 5 * len(workloads)
 
         runner.reset_context_memos()
-        monkeypatch.setenv(result_cache.CONTEXT_CACHE_ENV, "0")
+        monkeypatch.setenv(result_cache.CACHE_DISABLE_ENV, "1")
         without_cache = fig2_seccomp_overhead.run(events=EVENTS, workloads=workloads)
         # repr-compare: the paper-target columns carry NaN placeholders,
         # which never compare equal to themselves.

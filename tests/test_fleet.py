@@ -208,7 +208,7 @@ class TestServing:
 
 
 class TestTelemetry:
-    def test_record_fleet_counters(self):
+    def test_fleet_counters_reach_the_snapshot(self):
         from repro.common import telemetry
 
         telemetry.reset_counters()
@@ -290,7 +290,7 @@ class TestExperiment:
         summary = run.report.format_summary()
         assert "fleet[round-robin]" in summary
         assert "cold-resume storm" in summary
-        assert run.report.fleet()[POLICY_SHORTEST]["invocations"] == 1200
+        assert run.report.totals("fleet")[POLICY_SHORTEST]["invocations"] == 1200
 
     def test_default_params_meet_fleet_scale(self):
         from repro.experiments.fleet_serving import resolve_params

@@ -1,14 +1,13 @@
 """Tests for the per-flow cycle-accounting ledger and its audits.
 
 Covers the ledger primitives (`repro.common.ledger`), the simulator's
-conservation invariant across every regime (with the BPF fast path on
-and off), the per-process attribution in the scheduler/multicore
-models, the telemetry flows block and its renderers, and regressions
-for the warm-up, summary-rendering, and SLB-fill bugfixes.
+conservation invariant across every regime, the per-process
+attribution in the scheduler/multicore models, the telemetry flows
+block and its renderers, and regressions for the warm-up,
+summary-rendering, and SLB-fill bugfixes.
 """
 
 import json
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -262,32 +261,23 @@ def _assert_conserves(result):
     )
 
 
-@pytest.mark.parametrize("fastpath", ["0", "1"])
 @settings(
     max_examples=6,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(trace=_random_traces())
-def test_conservation_across_regimes(fastpath, trace):
-    saved = os.environ.get("REPRO_FASTPATH")
-    os.environ["REPRO_FASTPATH"] = fastpath
-    try:
-        profile = generate_complete(trace, "t")
-        regimes = (
-            InsecureRegime(),
-            SeccompRegime(profile),
-            DracoSwRegime(profile),
-            DracoHwRegime(profile),
-        )
-        for regime in regimes:
-            result = run_trace(trace, regime, 100.0, 150.0, workload_name="w")
-            _assert_conserves(result)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_FASTPATH", None)
-        else:
-            os.environ["REPRO_FASTPATH"] = saved
+def test_conservation_across_regimes(trace):
+    profile = generate_complete(trace, "t")
+    regimes = (
+        InsecureRegime(),
+        SeccompRegime(profile),
+        DracoSwRegime(profile),
+        DracoHwRegime(profile),
+    )
+    for regime in regimes:
+        result = run_trace(trace, regime, 100.0, 150.0, workload_name="w")
+        _assert_conserves(result)
 
 
 def test_flow_tags_cover_every_event():

@@ -1,12 +1,10 @@
 """Warm pool: pool lifecycle and explicit cache threading.
 
-The contract under test (docs/PERFORMANCE.md): ``REPRO_WARM_POOL=1``
-(the default) keeps one preloaded worker pool alive across suites; the
-pool recycles when its identity (jobs, source fingerprint, any
-``REPRO_*`` variable) changes; ``run_suite`` never mutates
-``os.environ``; and a fully-cached parallel run never pays pool
-dispatch.  ``tests/test_switches.py`` checks that the markdown is
-byte-identical with the pool off.
+The contract under test (docs/PERFORMANCE.md): one preloaded worker
+pool stays alive across suites; the pool recycles when its identity
+(jobs, source fingerprint, any ``REPRO_*`` variable) changes;
+``run_suite`` never mutates ``os.environ``; and a fully-cached parallel
+run never pays pool dispatch.
 """
 
 import os
@@ -67,7 +65,7 @@ class TestWarmPool:
         engine.run_suite(["fig13"], jobs=2, cache_mode=engine.CACHE_OFF,
                          run_overrides=overrides)
         first_key = warm_pool.pool_key(2)
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
+        monkeypatch.setenv("REPRO_BULK", "0")
         assert warm_pool.pool_key(2) != first_key
         recycled_before = warm_pool.stats()["recycled"]
         engine.run_suite(["fig13"], jobs=2, cache_mode=engine.CACHE_OFF,
@@ -75,16 +73,6 @@ class TestWarmPool:
         stats = warm_pool.stats()
         assert stats["recycled"] == recycled_before + 1
         assert stats["active"]
-
-    def test_kill_switch_uses_throwaway_pool(self, cache_dir, monkeypatch):
-        monkeypatch.setenv(warm_pool.WARM_POOL_ENV, "0")
-        created_before = warm_pool.stats()["created"]
-        run = engine.run_suite(
-            ["fig13"], jobs=2, cache_mode=engine.CACHE_OFF,
-            run_overrides={"fig13": {"workloads": WORKLOADS, "events": EVENTS}},
-        )
-        assert not run.failures
-        assert warm_pool.stats()["created"] == created_before
 
     def test_jobs_change_recycles(self, cache_dir):
         assert warm_pool.pool_key(2) != warm_pool.pool_key(4)
@@ -131,10 +119,10 @@ class TestCacheThreading:
         )
         assert not cold.failures
 
-        def _no_pool(jobs, task_count):
+        def _no_pool(jobs):
             raise AssertionError("fully-cached suite must not start a pool")
 
-        monkeypatch.setattr(warm_pool, "suite_executor", _no_pool)
+        monkeypatch.setattr(warm_pool, "get_pool", _no_pool)
         warm = engine.run_suite(
             ["fig12", "fig13"], jobs=4, cache_mode=engine.CACHE_ON,
             run_overrides=overrides,

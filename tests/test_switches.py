@@ -3,11 +3,18 @@
 Every remaining behavioural switch picks between byte-identical paths,
 so the full registry's markdown must not change when one is flipped.
 Each leg runs ``python -m repro.experiments`` in a fresh interpreter:
-not every in-process memo is keyed on the switches (the bitmap
-regime's shared outcome memo ignores ``REPRO_FASTPATH``, for one), so
-flipping them inside one process would compare a memo with itself.
-Caching stays on, in a fresh directory per leg, because under
-``--no-cache`` the context-cache switch would change nothing.
+not every in-process memo is keyed on the switches, so flipping them
+inside one process would compare a memo with itself.  Caching stays
+on, in a fresh directory per leg.
+
+``REPRO_BULK`` is the one behavioural switch with a leg.  The legs that
+turned off the BPF tables, the context tier and the warm pool went with
+their switches: each selected a byte-identical fork that only tests
+set.  The BPF table is checked against the reference interpreter
+in ``tests/test_bpf_compile.py``, the context tier's replays against
+the exact kernels (``REPRO_CACHE_DISABLE=1``) in
+``tests/test_context_cache.py``, and the warm pool against a serial
+suite in ``tests/test_bulk_kernel.py::TestEngineParallel``.
 
 ``REPRO_ANALYTIC`` has no leg.  It still changes hardware-Draco cells
 at the default 12 000 events until the sampled tier is deleted
@@ -28,10 +35,7 @@ EVENTS = 1200
 SERIAL = ("--serial",)
 
 LEGS = {
-    "fastpath-off": ({"REPRO_FASTPATH": "0"}, SERIAL),
     "bulk-off": ({"REPRO_BULK": "0"}, SERIAL),
-    "context-cache-off": ({"REPRO_CONTEXT_CACHE": "0"}, SERIAL),
-    "warm-pool-off-jobs2": ({"REPRO_WARM_POOL": "0"}, ("--jobs", "2")),
 }
 
 
