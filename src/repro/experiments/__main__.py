@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cache_group = parser.add_mutually_exclusive_group()
     cache_group.add_argument(
         "--no-cache", action="store_true",
-        help="bypass the on-disk result/calibration cache entirely",
+        help="bypass every on-disk cache tier (as REPRO_CACHE_DISABLE=1 does)",
     )
     cache_group.add_argument(
         "--refresh", action="store_true",

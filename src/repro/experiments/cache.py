@@ -19,9 +19,10 @@ the safe direction for a research repo.  The *params digest* is a
 SHA-256 of the canonical-JSON encoding of the run parameters.
 
 A third tier is the **context cache**: the expensive inputs a
-simulation consumes — materialised traces, derived profile bundles,
-compiled-filter sweep artifacts — persisted so ``--refresh`` (or a
-regime-only change) re-runs simulation without re-deriving contexts.
+simulation consumes — materialised traces and derived profile bundles
+— persisted so ``--refresh`` (or a regime-only change) re-runs
+simulation without re-deriving contexts.  (Filter sweeps stay in
+:mod:`repro.experiments.seccomp_replay`'s in-process memo.)
 Context entries are versioned JSON documents keyed by
 :func:`context_digest` (spec payload + parameters + code fingerprint +
 ``CONTEXT_FORMAT_VERSION``); traces use the RLE trace format from
@@ -30,11 +31,11 @@ schema-drifted entry always reads as a miss and the caller rebuilds.
 
 A fourth tier is the **stage cache** (``stages/``): intermediate
 payloads of the stage-graph orchestrator
-(:mod:`repro.experiments.stages`) — trace/calibration manifests and
-full evaluation ``RunResult`` JSON — keyed by content digests that
-fold each stage's parameters, its upstream stage digests, the code
-fingerprint, and ``STAGE_FORMAT_VERSION``.  Terminal analysis results
-do *not* live here: they store in ``results/`` under the
+(:mod:`repro.experiments.stages`) — context manifests and full
+evaluation ``RunResult`` / ``FleetResult`` JSON — keyed by content
+digests that fold each stage's parameters, its upstream stage digests,
+the code fingerprint, and ``STAGE_FORMAT_VERSION``.  Terminal analysis
+results do *not* live here: they store in ``results/`` under the
 whole-experiment digest, so a warm rerun is one read per experiment.
 
 Layout (under :func:`cache_root`, default ``~/.cache/repro-draco`` or
@@ -44,14 +45,14 @@ Layout (under :func:`cache_root`, default ``~/.cache/repro-draco`` or
     stages/<kind>/<digest>.json              intermediate stage payloads
     calibration/<digest>.json                cached work-cycle value
     contexts/trace/<digest>.jsonl            RLE-serialised traces
-    contexts/<kind>/<digest>.json            other context artifacts
+    contexts/bundle/<digest>.json            derived profile bundles
     runs/latest.json                         most recent run report
     runs/run-<timestamp>.json                archived run reports
 
 Set ``REPRO_CACHE_DISABLE=1`` (or pass ``--no-cache`` to the CLI) to
-bypass every tier, the context tier included.  All writes are
-atomic (temp-file-then-rename) so concurrent engine workers never
-observe a torn entry.  A write the cache directory refuses (read-only,
+bypass every tier: a suite then runs as ``cache_mode="off"``.  All
+writes are atomic (temp-file-then-rename) so concurrent engine workers
+never observe a torn entry.  A write the cache directory refuses (read-only,
 full, or not a directory) is skipped and counted in the run's
 telemetry, so an unwritable cache degrades the run to uncached instead
 of failing it.

@@ -119,6 +119,11 @@ def run_suite(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
 
+    # REPRO_CACHE_DISABLE (or an enclosing override) bypasses every
+    # tier, exactly as --no-cache does; the explicit ``disable`` below
+    # would otherwise beat the environment.
+    if not storage.cache_enabled():
+        cache_mode = CACHE_OFF
     # Cache settings are context-local, never process-global; workers
     # get the resolved root as an explicit task argument.
     with storage.cache_overrides(

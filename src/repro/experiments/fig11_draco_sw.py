@@ -40,7 +40,7 @@ ROW_DECIMALS = 3
 
 #: Stage-graph DAG: the six Seccomp/software-Draco regimes per
 #: workload.  The three Seccomp evaluations are shared with fig2, and
-#: trace/calibration stages with every other catalog experiment.
+#: context stages with every other catalog experiment.
 STAGE_PLAN = EvalPlan(regimes=tuple(r for pair in PAIRS for r in pair))
 
 

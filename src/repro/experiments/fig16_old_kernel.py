@@ -16,7 +16,7 @@ from repro.experiments.results import ExperimentResult
 from repro.experiments.stages import EvalPlan
 
 #: Stage-graph DAG: fig2's regimes under the Appendix A cost model.
-#: Trace and calibration stages are shared with the modern-kernel
+#: Context stages are shared with the modern-kernel
 #: experiments (W is a property of the application, not the kernel);
 #: only the evaluations key on ``old_kernel``.
 STAGE_PLAN = EvalPlan(regimes=fig2_seccomp_overhead.REGIMES, old_kernel=True)

@@ -15,7 +15,7 @@ from repro.experiments.results import ExperimentResult
 from repro.experiments.stages import EvalPlan
 
 #: Stage-graph DAG: fig11's regime set under the Appendix A cost
-#: model, sharing trace/calibration stages with fig11 (the evaluations
+#: model, sharing context stages with fig11 (the evaluations
 #: differ — the old-kernel cost model changes every simulated check).
 STAGE_PLAN = EvalPlan(
     regimes=tuple(r for pair in fig11_draco_sw.PAIRS for r in pair), old_kernel=True

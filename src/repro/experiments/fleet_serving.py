@@ -26,16 +26,15 @@ from repro.experiments.results import ExperimentResult
 from repro.experiments.stages import FleetPlan
 from repro.kernel.fleet import (
     POLICIES,
-    ClassCost,
     FleetParams,
-    Invocation,
     calibrate_classes,
     generate_load,
     simulate_fleet,
 )
 
-#: Stage-graph DAG: load + calibration provenance stages feeding one
-#: ``fleet-eval`` per dispatch policy, all shared across policies.
+#: Stage-graph DAG: one ``fleet-eval`` per dispatch policy feeding the
+#: analysis; the policies share one load and one set of class
+#: calibrations through this module's in-process memo.
 STAGE_PLAN = FleetPlan(policies=POLICIES)
 
 #: Default fleet scale (the paper's motivation is ~10⁶ containers; the
@@ -91,6 +90,9 @@ def seed_eval(dep_params: Mapping[str, Any], payload: Dict[str, Any]) -> None:
 
 
 def _shared(params: FleetParams, name: str, build: Callable[[FleetParams], Any]) -> Any:
+    """One input of the scenario (its invocation stream or its class
+    calibrations), built once per process: the first ``fleet-eval``
+    stage builds it, the other reuses it."""
     key = (params.tenants, params.invocations, params.seed)
     if key not in _SHARED:
         _SHARED.clear()  # one fleet scenario in memory at a time
@@ -101,18 +103,6 @@ def _shared(params: FleetParams, name: str, build: Callable[[FleetParams], Any])
     return inputs[name]
 
 
-def fleet_load(params: FleetParams) -> Tuple[Invocation, ...]:
-    """The scenario's invocation stream, built once per process (the
-    ``fleet-load`` stage builds it, the ``fleet-eval`` stages reuse it)."""
-    return _shared(params, "load", generate_load)
-
-
-def fleet_classes(params: FleetParams) -> Tuple[ClassCost, ...]:
-    """The scenario's class calibrations, built once per process (the
-    ``fleet-calibration`` stage builds them, ``fleet-eval`` reuses them)."""
-    return _shared(params, "classes", calibrate_classes)
-
-
 def eval_payload(params: FleetParams, policy: str) -> Dict[str, Any]:
     """Compute one policy's
     :meth:`~repro.kernel.fleet.FleetResult.to_json_dict` (always runs
@@ -120,7 +110,10 @@ def eval_payload(params: FleetParams, policy: str) -> Dict[str, Any]:
     fallback of a direct :func:`run`; staged seeds are consumed by
     :func:`run` only)."""
     result = simulate_fleet(
-        params, policy, classes=fleet_classes(params), load=fleet_load(params)
+        params,
+        policy,
+        classes=_shared(params, "classes", calibrate_classes),
+        load=_shared(params, "load", generate_load),
     )
     return result.to_json_dict()
 

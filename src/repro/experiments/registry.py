@@ -38,10 +38,10 @@ class Experiment:
     experiment_id: str
     title: str
     run: Callable[..., ExperimentResult]
-    benchmark: str  # pytest-benchmark target that regenerates it
+    benchmark: str  # the test file that regenerates it
     #: Declarative DAG plan (:class:`repro.experiments.stages.EvalPlan`)
     #: for the stage-graph orchestrator; ``None`` runs the experiment
-    #: monolithically as a single terminal stage.
+    #: monolithically as a single analysis stage.
     stage_plan: Optional[Any] = None
 
 
@@ -83,7 +83,7 @@ REGISTRY: Tuple[Experiment, ...] = (
     Experiment("bitmap", "Draco vs 5.11 action-cache bitmap (extension)",
                bitmap_comparison.run, "benchmarks/test_bitmap_comparison.py"),
     Experiment("fleet", "Fleet-scale FaaS serving (extension)",
-               fleet_serving.run, "benchmarks/bench_fleet.py",
+               fleet_serving.run, "tests/test_fleet.py",
                stage_plan=fleet_serving.STAGE_PLAN),
 )
 

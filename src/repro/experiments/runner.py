@@ -11,18 +11,22 @@ where ``C_complete`` is *measured* by executing the real compiled filter
 over the workload's trace, and ``S`` is the base syscall cost.  Every
 other number the experiments produce (other Seccomp profiles, software
 Draco, hardware Draco) is emergent.
+
+Each artifact is kept in one place per process: :func:`get_context` is
+the one in-process context memo, and a context's trace, profile bundle
+and W load from (or store to) the persistent context cache
+(:mod:`repro.experiments.cache`) only when that memo misses.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from repro.common import telemetry
 from repro.common.analytic import analytic_enabled
 from repro.common.errors import AnalyticPreconditionError, ConfigError
-from repro.common.memo import memo_insert
 from repro.common.rng import DEFAULT_SEED
 from repro.cpu.params import (
     DEFAULT_SW_COSTS,
@@ -67,35 +71,19 @@ DEFAULT_EVENTS = 12_000
 #: syscall-bound but the model remains well-posed.
 MIN_WORK_CYCLES = 20.0
 
-#: docker-default is a pure function of the syscall table, but regimes
-#: are instantiated fresh per evaluation; share one profile object per
-#: table so downstream program-assembly memos hit.  Keyed by identity
-#: with a strong table reference so the id cannot be recycled; bounded
-#: with oldest-first eviction like every other context memo.
-_DOCKER_MEMO: dict = {}
-_DOCKER_MEMO_LIMIT = 64
 
-
+@lru_cache(maxsize=64)
 def _docker_profile_for(table):
-    hit = _DOCKER_MEMO.get(id(table))
-    if hit is not None and hit[0] is table:
-        return hit[1]
-    profile = build_docker_default(table)
-    memo_insert(_DOCKER_MEMO, id(table), (table, profile), _DOCKER_MEMO_LIMIT)
-    return profile
-
-
-#: Profile bundles depend only on (workload spec, seed) — not on the
-#: trace length — so contexts with different ``events`` share them.
-_BUNDLE_MEMO: dict = {}
-_BUNDLE_MEMO_LIMIT = 64
+    """docker-default is a pure function of the syscall table, but
+    regimes are instantiated fresh per evaluation; share one profile
+    object per table so downstream program-assembly memos hit.
+    ``SyscallTable`` hashes by identity."""
+    return build_docker_default(table)
 
 
 def _bundle_for(spec: WorkloadSpec, seed: int) -> ProfileBundle:
-    key = (id(spec), seed)
-    hit = _BUNDLE_MEMO.get(key)
-    if hit is not None and hit[0] is spec:
-        return hit[1]
+    """Load-or-build the profile bundle.  Bundles depend only on (spec,
+    seed), not on the trace length, so the disk entry omits ``events``."""
     bundle = None
     digest = None
     if result_cache.cache_enabled():
@@ -110,7 +98,6 @@ def _bundle_for(spec: WorkloadSpec, seed: int) -> ProfileBundle:
             "bundle", digest, bundle_to_payload(bundle)
         ):
             telemetry.count("context_cache", "bundle", "store")
-    memo_insert(_BUNDLE_MEMO, key, (spec, bundle), _BUNDLE_MEMO_LIMIT)
     return bundle
 
 
@@ -207,11 +194,12 @@ class WorkloadContext:
         """Serve a Seccomp evaluation from the shared filter sweep, or
         ``None`` to run the trace for real.
 
-        Gated on both the cache, which holds the sweeps, and the
-        analytic backend: with ``REPRO_ANALYTIC=0`` every run must go
-        through the exact kernels (the kill-switch contract), and
-        replayed results are byte-identical to those by the
-        differential tests.
+        The cache no longer holds sweeps (they stay in
+        :mod:`~repro.experiments.seccomp_replay`'s in-process memo), but
+        replays stay gated on it as well as on the analytic backend:
+        ``--no-cache`` and ``REPRO_ANALYTIC=0`` both mean "exact
+        kernels", which is the reference the differential tests hold
+        replayed results to, byte for byte.
         """
         variant = _SECCOMP_REPLAY_VARIANTS.get(regime_name)
         if variant is None:
@@ -225,9 +213,7 @@ class WorkloadContext:
             self.spec,
             self.trace,
             self.profile_for_role(role),
-            role,
             self.compiler,
-            self.seed,
             times=times,
             costs=self.costs,
             work_cycles=self.work_cycles,
@@ -244,11 +230,12 @@ class WorkloadContext:
         byte-identical paths), so its frozen :class:`RunResult` is
         memoised per context on ``(regime, analytic_enabled())``;
         overrides (unhashable cost objects) always run fresh.  Seccomp
-        regimes are additionally served by replaying the persistent
-        per-(trace, profile) filter sweep when the context cache allows
-        it.  When an analytic replay finds its precondition broken (a
-        VAT eviction under software Draco), the exact kernels rerun the
-        trace on a fresh regime.
+        regimes are additionally served by replaying the shared
+        per-(trace, profile) filter sweep when the cache and the
+        analytic backend allow it (see :meth:`_replay`).  When an
+        analytic replay finds its precondition broken (a VAT eviction
+        under software Draco), the exact kernels rerun the trace on a
+        fresh regime.
         """
         key = None
         if not overrides:
@@ -307,19 +294,8 @@ class WorkloadContext:
         return result, regime
 
 
-#: Traces are pure functions of (spec, events, seed); old-kernel
-#: contexts rebuild the same trace the modern-kernel context already
-#: generated, so share the frozen events.  Keyed by spec identity with
-#: a strong reference so the id cannot be recycled.
-_TRACE_MEMO: dict = {}
-_TRACE_MEMO_LIMIT = 64
-
-
 def _trace_for(spec: WorkloadSpec, events: int, seed: int) -> SyscallTrace:
-    key = (id(spec), events, seed)
-    hit = _TRACE_MEMO.get(key)
-    if hit is not None and hit[0] is spec:
-        return hit[1]
+    """Load-or-build the workload trace."""
     trace = None
     digest = None
     if result_cache.cache_enabled():
@@ -340,16 +316,7 @@ def _trace_for(spec: WorkloadSpec, events: int, seed: int) -> SyscallTrace:
             digest, trace
         ):
             telemetry.count("context_cache", "trace", "store")
-    memo_insert(_TRACE_MEMO, key, (spec, trace), _TRACE_MEMO_LIMIT)
     return trace
-
-
-#: Calibration solves one float from a (spec, trace, costs, compiler)
-#: probe run; old-kernel contexts calibrate against the *same* inputs
-#: (W is a property of the application — see :func:`build_context`), so
-#: memoise in-process as well as on disk.
-_CALIBRATION_MEMO: dict = {}
-_CALIBRATION_MEMO_LIMIT = 256
 
 
 def calibrate_work_cycles(
@@ -371,15 +338,6 @@ def calibrate_work_cycles(
     target = spec.fig2_targets.get(REGIME_COMPLETE)
     if target is None or target <= 1.0:
         raise ConfigError(f"{spec.name}: needs a syscall-complete target > 1.0")
-
-    # Keyed on the cost *values* (a frozen, hashable dataclass), not
-    # id(costs): ids get recycled after garbage collection, and the old
-    # identity guard only pinned spec and trace, so a different cost set
-    # landing on a recycled id could be served a stale W.
-    memo_key = (id(spec), id(trace), costs, compiler, seed)
-    memo_hit = _CALIBRATION_MEMO.get(memo_key)
-    if memo_hit is not None and memo_hit[0] is spec and memo_hit[1] is trace:
-        return memo_hit[2]
 
     digest = None
     if result_cache.cache_enabled():
@@ -406,12 +364,6 @@ def calibrate_work_cycles(
             "context_cache", "calibration", "hit" if cached is not None else "miss"
         )
         if cached is not None:
-            memo_insert(
-                _CALIBRATION_MEMO,
-                memo_key,
-                (spec, trace, cached),
-                _CALIBRATION_MEMO_LIMIT,
-            )
             return cached
 
     probe = None
@@ -425,9 +377,7 @@ def calibrate_work_cycles(
             spec,
             trace,
             bundle.complete,
-            "complete",
             compiler,
-            seed,
             times=1,
             costs=costs,
             work_cycles=1.0,
@@ -447,9 +397,6 @@ def calibrate_work_cycles(
     work = max(baseline - costs.syscall_base_cycles, MIN_WORK_CYCLES)
     if digest is not None and result_cache.ResultCache().store_calibration(digest, work):
         telemetry.count("context_cache", "calibration", "store")
-    memo_insert(
-        _CALIBRATION_MEMO, memo_key, (spec, trace, work), _CALIBRATION_MEMO_LIMIT
-    )
     return work
 
 
@@ -489,14 +436,22 @@ def _cached_context(
     costs: SoftwareCostParams,
     compiler: str,
 ) -> WorkloadContext:
-    """In-process memo keyed on *every* context input.
+    """The one in-process context memo, keyed on *every* context input.
 
-    ``costs`` is a frozen dataclass, so two parameter sets hash equal
-    exactly when every cost constant matches — changing any parameter
-    (not just the ``old_kernel`` flag) yields a fresh calibration.
+    Trace, bundle and W do not depend on the cost model
+    (:func:`build_context` always calibrates against
+    ``DEFAULT_SW_COSTS``), so a context for any other cost model is the
+    default-cost context with its own ``costs`` and an empty evaluation
+    memo.  Sharing the trace and profile objects keeps the
+    identity-keyed filter-sweep memo hitting across cost models.
+    ``costs`` is a frozen dataclass: two parameter sets hash equal
+    exactly when every cost constant matches.
     """
+    if costs != DEFAULT_SW_COSTS:
+        base = _cached_context(workload, events, seed, DEFAULT_SW_COSTS, compiler)
+        return replace(base, costs=costs, _eval_memo={})
     spec = CATALOG[workload]
-    return build_context(spec, events=events, seed=seed, costs=costs, compiler=compiler)
+    return build_context(spec, events=events, seed=seed, compiler=compiler)
 
 
 def get_context(
@@ -524,9 +479,6 @@ def reset_context_memos() -> None:
     services that need to observe disk-cache behaviour afresh)."""
     from repro.experiments import seccomp_replay
 
-    _DOCKER_MEMO.clear()
-    _TRACE_MEMO.clear()
-    _BUNDLE_MEMO.clear()
-    _CALIBRATION_MEMO.clear()
+    _docker_profile_for.cache_clear()
     _cached_context.cache_clear()
     seccomp_replay.reset_memos()

@@ -18,33 +18,32 @@ have produced for a :class:`repro.kernel.regimes.SeccompRegime`, so the
 frozen :class:`RunResult` is byte-identical — proven by the
 differential tests in ``tests/test_context_cache.py``.
 
-Sweeps are cached twice: in-process (bounded, oldest-first eviction)
-and on disk via the persistent context cache
-(:mod:`repro.experiments.cache`), keyed by the spec payload, trace
-parameters, profile role, compiler strategy, BPF compiler version, and
-the code fingerprint.  ``syscall-complete``, ``syscall-complete-2x``,
-and the calibration probe all share the single ``complete`` sweep.
+Sweeps live in one bounded in-process memo keyed by (trace, profile,
+compiler) identity: ``syscall-complete``, ``syscall-complete-2x``, the
+calibration probe and fig16's old-kernel bars all share the single
+``complete`` sweep per (trace, profile).  Nothing goes to disk: the
+memo serves every reuse within a process, and the 45 sweeps of a
+default suite take about 0.13 s to build.
 
 Replays are only served when both the cache (``REPRO_CACHE_DISABLE``
 unset, no ``--no-cache``) and the analytic backend (``REPRO_ANALYTIC``)
 are enabled — with either off, every run goes through the exact
-kernels, as ``docs/PERFORMANCE.md`` promises.  Callers gate; this
-module assumes it.
+kernels, as ``docs/PERFORMANCE.md`` promises, which is what the
+differential tests compare replays against.  Callers gate; this module
+assumes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.bpf.compile import COMPILER_VERSION
 from repro.common import analytic as analytic_backend
-from repro.common import ledger, telemetry
+from repro.common import ledger
 from repro.common.errors import SimulationError
 from repro.common.memo import memo_insert
 from repro.core.software import CheckOutcome
 from repro.cpu.params import SoftwareCostParams
-from repro.experiments import cache as result_cache
 from repro.kernel.regimes import _attach
 from repro.kernel.simulator import (
     DEFAULT_WARMUP_FRACTION,
@@ -65,13 +64,9 @@ class FilterSweep:
     order over the warm then measured histograms), the filter's return
     value and its *single-attachment* instruction count.
     ``warm_keys``/``measured_keys`` align positionally with the
-    ``TraceWindows`` histogram entries the sweep was built from — the
-    histograms themselves are recomputed from the in-memory trace at
-    replay time, so events never serialise with the sweep.
+    ``TraceWindows`` histogram entries the sweep was built from.
     """
 
-    events: int
-    warmup: int
     warm_keys: Tuple[int, ...]
     measured_keys: Tuple[int, ...]
     returns: Tuple[int, ...]
@@ -84,18 +79,16 @@ _SWEEP_MEMO: Dict[tuple, tuple] = {}
 _SWEEP_MEMO_LIMIT = 64
 
 #: Test-visible counters: how many sweeps were built by running the
-#: real filter vs. loaded from disk, and how many replays were served.
+#: real filter, and how many replays were served.
 sweeps_built = 0
-sweeps_loaded = 0
 replays_served = 0
 
 
 def reset_memos() -> None:
     """Drop the in-process sweep memo and zero the counters (tests)."""
-    global sweeps_built, sweeps_loaded, replays_served
+    global sweeps_built, replays_served
     _SWEEP_MEMO.clear()
     sweeps_built = 0
-    sweeps_loaded = 0
     replays_served = 0
 
 
@@ -137,8 +130,6 @@ def _build_sweep(
             return None
         measured_keys.append(index)
     return FilterSweep(
-        events=windows.total,
-        warmup=windows.warmup,
         warm_keys=tuple(warm_keys),
         measured_keys=tuple(measured_keys),
         returns=tuple(returns),
@@ -146,103 +137,22 @@ def _build_sweep(
     )
 
 
-def _sweep_payload(sweep: FilterSweep) -> Dict[str, Any]:
-    return {
-        "events": sweep.events,
-        "warmup": sweep.warmup,
-        "warm_keys": list(sweep.warm_keys),
-        "measured_keys": list(sweep.measured_keys),
-        "returns": list(sweep.returns),
-        "insns": list(sweep.insns),
-    }
-
-
-def _sweep_from_payload(
-    payload: Any, windows: "analytic_backend.TraceWindows"
-) -> Optional[FilterSweep]:
-    """Validate a stored payload against the live histograms; ``None``
-    on any shape, bound, or window mismatch (the caller rebuilds)."""
-    if not isinstance(payload, Mapping):
-        return None
-    try:
-        warm_keys = tuple(int(k) for k in payload["warm_keys"])
-        measured_keys = tuple(int(k) for k in payload["measured_keys"])
-        returns = tuple(int(r) for r in payload["returns"])
-        insns = tuple(int(i) for i in payload["insns"])
-        events = int(payload["events"])
-        warmup = int(payload["warmup"])
-    except (KeyError, TypeError, ValueError):
-        return None
-    distinct = len(returns)
-    if len(insns) != distinct:
-        return None
-    if events != windows.total or warmup != windows.warmup:
-        return None
-    if len(warm_keys) != len(windows.warm) or len(measured_keys) != len(
-        windows.measured
-    ):
-        return None
-    if any(k < 0 or k >= distinct for k in warm_keys + measured_keys):
-        return None
-    return FilterSweep(
-        events=events,
-        warmup=warmup,
-        warm_keys=warm_keys,
-        measured_keys=measured_keys,
-        returns=returns,
-        insns=insns,
-    )
-
-
 def sweep_for(
-    spec: WorkloadSpec,
     trace: SyscallTrace,
+    windows: "analytic_backend.TraceWindows",
     profile: SeccompProfile,
-    role: str,
     compiler: str,
-    seed: int,
 ) -> Optional[FilterSweep]:
-    """Load-or-build the filter sweep for (trace, profile, compiler).
-
-    ``role`` names which bundle profile this is ("docker" / "noargs" /
-    "complete") — it keys the disk entry alongside everything that
-    shapes the filter: the spec payload (argument sets and the syscall
-    table), trace length/seed/warm-up, compiler strategy and version,
-    and the source fingerprint.
-    """
-    global sweeps_built, sweeps_loaded
-    windows = analytic_backend.trace_windows(
-        trace, int(len(trace) * DEFAULT_WARMUP_FRACTION)
-    )
-    if windows is None:
-        return None
+    """The memoised filter sweep for (trace, profile, compiler)."""
+    global sweeps_built
     memo_key = (id(trace), id(profile), compiler)
     hit = _SWEEP_MEMO.get(memo_key)
     if hit is not None and hit[0] is trace and hit[1] is profile:
         return hit[2]
-
-    store = result_cache.ResultCache()
-    digest = result_cache.context_digest(
-        "sweep",
-        spec,
-        events=len(trace),
-        seed=seed,
-        warmup=windows.warmup,
-        role=role,
-        compiler=compiler,
-        bpf_compiler=COMPILER_VERSION,
-    )
-    sweep = _sweep_from_payload(store.load_context("sweep", digest), windows)
-    telemetry.count("context_cache", "sweep", "hit" if sweep is not None else "miss")
-    if sweep is not None:
-        sweeps_loaded += 1
-    else:
-        sweep = _build_sweep(windows, profile, compiler)
-        if sweep is None:
-            return None
-        sweeps_built += 1
-        if store.store_context("sweep", digest, _sweep_payload(sweep)):
-            telemetry.count("context_cache", "sweep", "store")
+    sweep = _build_sweep(windows, profile, compiler)
+    if sweep is None:
+        return None
+    sweeps_built += 1
     memo_insert(_SWEEP_MEMO, memo_key, (trace, profile, sweep), _SWEEP_MEMO_LIMIT)
     return sweep
 
@@ -348,9 +258,7 @@ def replay_evaluation(
     spec: WorkloadSpec,
     trace: SyscallTrace,
     profile: SeccompProfile,
-    role: str,
     compiler: str,
-    seed: int,
     *,
     times: int,
     costs: SoftwareCostParams,
@@ -358,14 +266,14 @@ def replay_evaluation(
     base_cycles: float,
     use_jit: bool = True,
 ) -> Optional[RunResult]:
-    """Full load-or-build-then-replay, or ``None`` to fall back to a
-    real :func:`repro.kernel.simulator.run_trace` evaluation."""
+    """Sweep (memoised) then replay, or ``None`` to fall back to a real
+    :func:`repro.kernel.simulator.run_trace` evaluation."""
     windows = analytic_backend.trace_windows(
         trace, int(len(trace) * DEFAULT_WARMUP_FRACTION)
     )
     if windows is None:
         return None
-    sweep = sweep_for(spec, trace, profile, role, compiler, seed)
+    sweep = sweep_for(trace, windows, profile, compiler)
     if sweep is None:
         return None
     return replay_result(

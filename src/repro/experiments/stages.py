@@ -5,24 +5,30 @@ that only affects an experiment's *analysis* still re-runs its
 simulations, and two experiments that consume the same evaluation
 (fig13 and the flow-mix extension both read ``draco-hw-complete``)
 would each recompute it.  This module decomposes the catalog-loop
-experiments into a DAG of **stages**::
+experiments into a DAG of **stages** of four kinds::
 
-    trace ──► calibration ──► eval (one per workload × regime) ──► analysis
+    context ──► eval (one per workload × regime) ──► analysis
+    fleet-eval (one per dispatch policy) ─────────► analysis
+
+An experiment the planner cannot decompose is a single ``analysis``
+stage without dependencies, which runs its whole ``run()``.
 
 Each stage is content-addressed: its digest folds the stage kind and
 parameters, the digests of its upstream stages, the source
 fingerprint, the compiler / simulation-kernel / analytic format
-versions, ``STAGE_FORMAT_VERSION``, and the runtime knobs that change
-what a stage records.  Identical stages requested by several
-experiments execute **once** per suite run (and dedupe on disk); a
-parameter change invalidates exactly the affected stages and their
-descendants.
+versions, and ``STAGE_FORMAT_VERSION``.  Identical stages requested by
+several experiments execute **once** per suite run (and dedupe on
+disk); a parameter change invalidates exactly the affected stages and
+their descendants.
 
-Stage payloads are plain JSON: ``trace`` and ``calibration`` stages
-return tiny manifests (their real output lands in the persistent
-context cache, which downstream stages read), ``eval`` stages return
-the exact :meth:`~repro.kernel.simulator.RunResult.to_json_dict`
-payload, and terminal stages return the experiment's
+Stage payloads are plain JSON: a ``context`` stage builds the
+workload context through :func:`~repro.experiments.runner.get_context`
+and returns a tiny manifest (``events`` and ``work_cycles``; the trace
+and profile bundle land in the persistent context cache, which
+downstream stages read), ``eval`` and ``fleet-eval`` stages return the
+exact :meth:`~repro.kernel.simulator.RunResult.to_json_dict` /
+:meth:`~repro.kernel.fleet.FleetResult.to_json_dict` payload, and
+``analysis`` stages return the experiment's
 :class:`~repro.experiments.results.ExperimentResult`.  Intermediate
 payloads persist in the ``stages/<kind>/<digest>.json`` tier of
 :class:`repro.experiments.cache.ResultCache`; terminal payloads are
@@ -57,10 +63,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.common import storage, telemetry
 from repro.common.analytic import ANALYTIC_VERSION, analytic_enabled
 from repro.common.rng import DEFAULT_SEED
-from repro.cpu.params import DEFAULT_SW_COSTS
 from repro.experiments import cache as result_cache
 from repro.experiments import pool as warm_pool
-from repro.experiments import runner
 from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import DEFAULT_EVENTS, get_context
 from repro.kernel.simulator import RunResult
@@ -72,33 +76,20 @@ CACHE_ON = "on"
 CACHE_OFF = "off"
 CACHE_REFRESH = "refresh"
 
-#: Stage kinds, in pipeline order.
-KIND_TRACE = "trace"
-KIND_CALIBRATION = "calibration"
+#: Stage kinds, in pipeline order.  Every kind but ``analysis`` is
+#: intermediate and persists in the ``stages/`` tier; ``analysis`` is
+#: the one terminal kind, whose ExperimentResult is stored in the
+#: ``results/`` tier under the whole-experiment digest instead.  One
+#: ``fleet-eval`` per dispatch policy (see :class:`FleetPlan`) carries
+#: the full :meth:`~repro.kernel.fleet.FleetResult.to_json_dict`
+#: payload.
+KIND_CONTEXT = "context"
 KIND_EVAL = "eval"
-KIND_ANALYSIS = "analysis"
-KIND_EXPERIMENT = "experiment"  # monolithic fallback: the whole run()
-#: Fleet-serving stage kinds (see :class:`FleetPlan`): load and
-#: calibration are provenance manifests (their outputs are pure
-#: functions of the stage params, kept in the in-process memo of
-#: :mod:`repro.experiments.fleet_serving` that the eval stages read,
-#: and rebuilt only by a process that has not built them), one
-#: ``fleet-eval`` per dispatch policy carries the full
-#: :meth:`~repro.kernel.fleet.FleetResult.to_json_dict` payload.
-KIND_FLEET_LOAD = "fleet-load"
-KIND_FLEET_CALIBRATION = "fleet-calibration"
 KIND_FLEET_EVAL = "fleet-eval"
-
-#: Kinds persisted in the ``stages/`` tier.  Terminal kinds
-#: (analysis / experiment) store their ExperimentResult in the
-#: ``results/`` tier under the whole-experiment digest instead.
-_INTERMEDIATE_KINDS = frozenset(
-    {KIND_TRACE, KIND_CALIBRATION, KIND_EVAL,
-     KIND_FLEET_LOAD, KIND_FLEET_CALIBRATION, KIND_FLEET_EVAL}
-)
+KIND_ANALYSIS = "analysis"
 
 #: run() keyword arguments the DAG planner understands.  Anything else
-#: (unknown overrides) falls back to a monolithic experiment stage.
+#: (unknown overrides) falls back to a monolithic analysis stage.
 _PLANNABLE_KWARGS = frozenset({"events", "seed", "workloads", "old_kernel"})
 
 
@@ -122,9 +113,10 @@ class EvalPlan:
 class FleetPlan:
     """Declarative stage plan for the fleet-serving experiment.
 
-    Expands to load + calibration provenance stages shared by one
-    ``fleet-eval`` stage per dispatch policy, feeding the terminal
-    analysis.  Parameter resolution is delegated to
+    Expands to one ``fleet-eval`` stage per dispatch policy, feeding
+    the terminal analysis; each builds the scenario's load and class
+    calibrations through :mod:`repro.experiments.fleet_serving`'s
+    in-process memo.  Parameter resolution is delegated to
     :func:`repro.experiments.fleet_serving.resolve_params` so staged
     and direct ``run()`` calls derive identical
     :class:`~repro.kernel.fleet.FleetParams`.
@@ -183,7 +175,7 @@ def build_plan(
 
     Returns ``None`` when ``run_kwargs`` carries overrides the planner
     does not understand — the caller then falls back to a monolithic
-    experiment stage, which runs the experiment's whole ``run()``.
+    analysis stage, which runs the experiment's whole ``run()``.
     """
     if isinstance(plan, FleetPlan):
         return _build_fleet_plan(experiment_id, plan, run_kwargs, result_digest)
@@ -208,20 +200,14 @@ def build_plan(
 
     eval_keys: List[str] = []
     for name in names:
-        # Trace and calibration are cost-model independent (calibration
-        # always solves W against the modern-kernel costs — see
-        # runner.build_context), so modern and old-kernel experiments
-        # share these stages; only evals key on ``old_kernel``.
-        trace_key = add(
-            KIND_TRACE,
-            f"trace:{name}",
-            {"workload": name, "events": events, "seed": seed},
-        )
-        calib_key = add(
-            KIND_CALIBRATION,
-            f"calibration:{name}",
+        # The context (trace, bundle and W) is cost-model independent
+        # (calibration always solves W against the modern-kernel costs
+        # — see runner.build_context), so modern and old-kernel
+        # experiments share this stage; only evals key on ``old_kernel``.
+        context_key = add(
+            KIND_CONTEXT,
+            f"context:{name}",
             {"workload": name, "events": events, "seed": seed, "compiler": "binary_tree"},
-            (trace_key,),
         )
         for regime in plan.regimes:
             eval_keys.append(
@@ -235,7 +221,7 @@ def build_plan(
                         "regime": regime,
                         "old_kernel": old_kernel,
                     },
-                    (trace_key, calib_key),
+                    (context_key,),
                 )
             )
     terminal = add(
@@ -259,7 +245,7 @@ def _build_fleet_plan(
     run_kwargs: Mapping[str, Any],
     result_digest: str,
 ) -> Optional[ExperimentPlan]:
-    """Expand a :class:`FleetPlan` into load/calibration/eval stages."""
+    """Expand a :class:`FleetPlan` into fleet-eval and analysis stages."""
     if not _FLEET_PLANNABLE_KWARGS.issuperset(run_kwargs):
         return None
     from repro.experiments import fleet_serving
@@ -284,15 +270,8 @@ def _build_fleet_plan(
         )
         return key
 
-    load_key = add(KIND_FLEET_LOAD, "fleet-load", {"fleet": fleet})
-    calib_key = add(KIND_FLEET_CALIBRATION, "fleet-calibration", {"fleet": fleet})
     eval_keys = tuple(
-        add(
-            KIND_FLEET_EVAL,
-            f"fleet-eval:{policy}",
-            {"fleet": fleet, "policy": policy},
-            (load_key, calib_key),
-        )
+        add(KIND_FLEET_EVAL, f"fleet-eval:{policy}", {"fleet": fleet, "policy": policy})
         for policy in plan.policies
     )
     terminal = add(
@@ -313,11 +292,12 @@ def _build_fleet_plan(
 def monolithic_plan(
     experiment_id: str, run_kwargs: Mapping[str, Any], result_digest: str
 ) -> ExperimentPlan:
-    """Single-stage plan wrapping the whole ``run()`` (non-DAG experiments)."""
+    """Single-stage plan: an analysis stage without dependencies, which
+    runs the whole ``run()`` (non-DAG experiments)."""
     params = {"experiment_id": experiment_id, "run_kwargs": dict(run_kwargs)}
-    key = _stage_digest(KIND_EXPERIMENT, params, ())
+    key = _stage_digest(KIND_ANALYSIS, params, ())
     stage = Stage(
-        key=key, kind=KIND_EXPERIMENT, label=f"run:{experiment_id}", params=params, deps=()
+        key=key, kind=KIND_ANALYSIS, label=f"analysis:{experiment_id}", params=params, deps=()
     )
     return ExperimentPlan(
         experiment_id=experiment_id,
@@ -331,22 +311,16 @@ def monolithic_plan(
 # -- stage executors (run in workers; must stay module-top-level) -------
 
 
-def _run_trace_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
-    spec = CATALOG[params["workload"]]
-    trace = runner._trace_for(spec, params["events"], params["seed"])
-    # The trace itself lands in the persistent context cache (or the
-    # in-process memo); the stage payload is just a manifest.
-    return {"events": len(trace)}
-
-
-def _run_calibration_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
-    spec = CATALOG[params["workload"]]
-    trace = runner._trace_for(spec, params["events"], params["seed"])
-    bundle = runner._bundle_for(spec, params["seed"])
-    work = runner.calibrate_work_cycles(
-        spec, trace, bundle, DEFAULT_SW_COSTS, params["compiler"], seed=params["seed"]
+def _run_context_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
+    ctx = get_context(
+        params["workload"],
+        events=params["events"],
+        seed=params["seed"],
+        compiler=params["compiler"],
     )
-    return {"work_cycles": work}
+    # The trace and bundle themselves live in the context memo and the
+    # persistent context cache; the stage payload is a manifest.
+    return {"events": len(ctx.trace), "work_cycles": ctx.work_cycles}
 
 
 def _run_eval_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
@@ -368,28 +342,6 @@ def _run_fleet_params(params: Mapping[str, Any]):
         invocations=int(fleet["invocations"]),
         seed=int(fleet["seed"]),
     )
-
-
-def _run_fleet_load_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from repro.experiments import fleet_serving
-
-    load = fleet_serving.fleet_load(_run_fleet_params(params))
-    # Provenance manifest only: the eval stages read the load itself
-    # from fleet_serving's in-process memo.
-    return {
-        "invocations": len(load),
-        "last_arrival_ms": round(load[-1].arrival_ms, 3),
-    }
-
-
-def _run_fleet_calibration_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from repro.experiments import fleet_serving
-
-    classes = fleet_serving.fleet_classes(_run_fleet_params(params))
-    return {
-        "classes": len(classes),
-        "footprint_bytes": [c.footprint_bytes for c in classes],
-    }
 
 
 def _run_fleet_eval_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
@@ -418,13 +370,6 @@ def _run_analysis_stage(
             old_kernel=dep_params["old_kernel"],
         )
         ctx.seed_evaluation(dep_params["regime"], RunResult.from_json_dict(payload))
-    result = by_id(params["experiment_id"]).run(**params["run_kwargs"])
-    return result.to_json_dict()
-
-
-def _run_experiment_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from repro.experiments.registry import by_id
-
     result = by_id(params["experiment_id"]).run(**params["run_kwargs"])
     return result.to_json_dict()
 
@@ -470,29 +415,21 @@ def _execute_stage_inner(
     started = time.perf_counter()
     out: Dict[str, Any] = {"key": key, "error": None, "payload": None, "stored": False}
     try:
-        if kind == KIND_TRACE:
-            payload = _run_trace_stage(params)
-        elif kind == KIND_CALIBRATION:
-            payload = _run_calibration_stage(params)
+        if kind == KIND_CONTEXT:
+            payload = _run_context_stage(params)
         elif kind == KIND_EVAL:
             payload = _run_eval_stage(params)
-        elif kind == KIND_FLEET_LOAD:
-            payload = _run_fleet_load_stage(params)
-        elif kind == KIND_FLEET_CALIBRATION:
-            payload = _run_fleet_calibration_stage(params)
         elif kind == KIND_FLEET_EVAL:
             payload = _run_fleet_eval_stage(params)
         elif kind == KIND_ANALYSIS:
             payload = _run_analysis_stage(params, dep_info)
-        elif kind == KIND_EXPERIMENT:
-            payload = _run_experiment_stage(params)
         else:
             raise RuntimeError(f"unknown stage kind {kind!r}")
     except Exception:
         out["error"] = traceback.format_exc()
     else:
         out["payload"] = payload
-        if kind in _INTERMEDIATE_KINDS:
+        if kind != KIND_ANALYSIS:
             if cache_mode != CACHE_OFF and result_cache.cache_enabled():
                 out["stored"] = result_cache.ResultCache().store_stage(kind, key, payload)
         elif cache_mode in (CACHE_ON, CACHE_REFRESH):
@@ -584,7 +521,7 @@ def execute_suite(
     # never probing them here).
     if cache_mode != CACHE_OFF:
         for key, stage in stages.items():
-            if stage.kind in _INTERMEDIATE_KINDS:
+            if stage.kind != KIND_ANALYSIS:
                 cached = store.load_stage(stage.kind, key)
                 if cached is not None:
                     payloads[key] = cached
@@ -592,7 +529,7 @@ def execute_suite(
                     done.add(key)
 
     # Prune to the stages actually needed: the transitive dependency
-    # closure of unsatisfied terminals.  (A trace stage whose evals all
+    # closure of unsatisfied terminals.  (A context stage whose evals all
     # hit has no reason to run.)
     needed: set = set()
     stack = [plan.terminal for _, plan in plans if plan.terminal not in done]

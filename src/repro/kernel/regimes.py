@@ -22,7 +22,6 @@ from repro.common import analytic as analytic_backend
 from repro.common import ledger as common_ledger
 from repro.common.bulk import bulk_enabled
 from repro.common.errors import AnalyticPreconditionError
-from repro.common.memo import memo_insert
 from repro.core.hardware import HardwareDraco
 from repro.core.software import (
     CheckOutcome,
@@ -157,34 +156,6 @@ class InsecureRegime(CheckingRegime):
 
     def ledger_snapshot(self) -> common_ledger.FlowLedger:
         return self._ledger.snapshot()
-
-
-#: Shared outcome memos: a filter decision — and therefore the whole
-#: CheckOutcome — is a pure function of (profile, times, compiler,
-#: use_jit, costs) and the masked argument bytes, while regimes are
-#: rebuilt fresh for every evaluation.  Sharing the memo across regime
-#: instances means each distinct event value runs the filter once per
-#: process rather than once per evaluation.  Keyed by profile and cost
-#: identity, with strong references so ids cannot be recycled.
-_OUTCOME_MEMO: Dict[tuple, tuple] = {}
-_OUTCOME_MEMO_LIMIT = 256
-
-
-def _shared_outcome_memo(
-    profile: SeccompProfile,
-    times: int,
-    compiler: str,
-    use_jit: bool,
-    costs: SoftwareCostParams,
-    kind: str,
-) -> Dict[object, CheckOutcome]:
-    key = (kind, id(profile), times, compiler, use_jit, id(costs))
-    hit = _OUTCOME_MEMO.get(key)
-    if hit is not None and hit[0] is profile and hit[1] is costs:
-        return hit[2]
-    memo: Dict[object, CheckOutcome] = {}
-    memo_insert(_OUTCOME_MEMO, key, (profile, costs, memo), _OUTCOME_MEMO_LIMIT)
-    return memo
 
 
 def _attach(profile: SeccompProfile, times: int, compiler: str) -> SeccompKernelModule:

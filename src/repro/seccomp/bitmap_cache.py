@@ -22,7 +22,7 @@ can be measured:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bpf.abstract import constant_actions
 from repro.common import analytic as analytic_backend
@@ -32,7 +32,6 @@ from repro.kernel.regimes import (
     CheckingRegime,
     _attach,
     _merge_segment,
-    _shared_outcome_memo,
 )
 from repro.cpu.params import DEFAULT_SW_COSTS, SoftwareCostParams
 from repro.seccomp.actions import SECCOMP_RET_ALLOW, action_of
@@ -118,11 +117,8 @@ class SeccompBitmapRegime(CheckingRegime):
             allowed=True, cycles=self.BITMAP_HIT_CYCLES, path="bitmap_hit"
         )
         #: Filter outcomes are pure functions of the masked argument
-        #: bytes (same argument as SeccompRegime's memo), shared across
-        #: instances with the same configuration.
-        self._outcome_memo = _shared_outcome_memo(
-            profile, times, compiler, use_jit, costs, kind="bitmap"
-        )
+        #: bytes (same argument as SeccompRegime's memo).
+        self._outcome_memo: Dict[object, CheckOutcome] = {}
         self._bulk = bulk_enabled()
 
     def check(self, event: SyscallEvent) -> CheckOutcome:

@@ -1,12 +1,14 @@
 """Persistent context cache: disk round-trips, corruption fallback,
-sound memo keys, and byte-identical Seccomp replay differentials.
+sound memo keys, the one context memo, and byte-identical Seccomp
+replay differentials.
 
 The contract under test (docs/EXPERIMENT_GUIDE.md): traces, profile
-bundles, filter sweeps, and calibration values persist across processes
-keyed by content digests; a corrupt or stale entry always reads as a
-miss and the caller rebuilds; and every replayed Seccomp evaluation is
-byte-identical to the exact-kernel run it replaces — with
-``REPRO_CACHE_DISABLE=1`` forcing the real path, as ``--no-cache`` does.
+bundles and calibration values persist across processes keyed by
+content digests; a corrupt or stale entry always reads as a miss and
+the caller rebuilds; filter sweeps stay in an in-process memo; and
+every replayed Seccomp evaluation is byte-identical to the exact-kernel
+run it replaces — with ``REPRO_CACHE_DISABLE=1`` forcing the real path,
+as ``--no-cache`` does.
 """
 
 import gc
@@ -18,13 +20,14 @@ import pytest
 from repro.common import telemetry
 from repro.common.memo import memo_insert
 from repro.common.rng import DEFAULT_SEED
-from repro.cpu.params import DEFAULT_SW_COSTS
+from repro.cpu.params import DEFAULT_SW_COSTS, OLD_KERNEL_SW_COSTS
 from repro.experiments import cache as result_cache
 from repro.experiments import fig2_seccomp_overhead, runner, seccomp_replay
 from repro.kernel.regimes import SeccompRegime
 from repro.seccomp.toolkit import bundle_from_payload, bundle_to_payload
 from repro.workloads.catalog import (
     CATALOG,
+    REGIME_COMPLETE,
     REGIME_INSECURE,
     SECCOMP_REGIMES,
 )
@@ -179,12 +182,11 @@ class TestCorruptionFallback:
             for p in cache_dir.rglob("*")
             if p.is_file() and p.suffix in (".json", ".jsonl")
         ]
-        # Trace, bundle, and sweep context entries plus the calibration
-        # value must all be on disk before the corruption pass.
+        # Trace and bundle context entries plus the calibration value
+        # must all be on disk before the corruption pass.
         assert {p.parent.name for p in paths} >= {
             "trace",
             "bundle",
-            "sweep",
             "calibration",
         }
         for path in paths:
@@ -198,13 +200,15 @@ class TestCorruptionFallback:
 
 
 class TestCalibrationMemoKey:
-    """Regression: the memo once keyed on ``id(costs)`` while the hit
-    guard pinned only spec and trace, so a different cost set landing on
-    a recycled id was served a stale W."""
+    """Regression: an in-process calibration memo once keyed on
+    ``id(costs)`` while the hit guard pinned only spec and trace, so a
+    different cost set landing on a recycled id was served a stale W.
+    That memo is gone (contexts are memoised once, in ``get_context``);
+    W must still follow the cost values."""
 
     @pytest.fixture
     def inputs(self, cache_dir, monkeypatch):
-        # Disk tiers off: isolate the in-process memo under test.
+        # Disk tiers off: every call solves W afresh.
         monkeypatch.setenv(result_cache.CACHE_DISABLE_ENV, "1")
         spec = CATALOG[WORKLOAD]
         trace = runner._trace_for(spec, 800, DEFAULT_SEED)
@@ -229,24 +233,28 @@ class TestCalibrationMemoKey:
         w_b = runner.calibrate_work_cycles(spec, trace, bundle, costs_b, "binary_tree")
         assert w_b != w_a  # a pricier per-insn cost must re-solve W
 
-    def test_equal_costs_hit_across_identities(self, inputs, monkeypatch):
-        spec, trace, bundle = inputs
-        probes = []
-        real_run_trace = runner.run_trace
 
-        def spy(trace_arg, regime, **kwargs):
-            probes.append(regime)
-            return real_run_trace(trace_arg, regime, **kwargs)
-
-        monkeypatch.setattr(runner, "run_trace", spy)
-        w_1 = runner.calibrate_work_cycles(
-            spec, trace, bundle, replace(DEFAULT_SW_COSTS), "binary_tree"
-        )
-        w_2 = runner.calibrate_work_cycles(
-            spec, trace, bundle, replace(DEFAULT_SW_COSTS), "binary_tree"
-        )
-        assert w_1 == w_2
-        assert len(probes) == 1  # second distinct-identity object: memo hit
+class TestContextMemo:
+    def test_old_kernel_context_derives_from_the_default(self, cache_dir, monkeypatch):
+        """An old-kernel context shares the modern context's trace,
+        bundle and W but keeps its own evaluation memo; building it
+        generates no trace and runs no calibration."""
+        modern = runner.get_context(WORKLOAD, events=EVENTS)
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "generate_trace", lambda *a, **k: calls.append("trace"))
+            patch.setattr(
+                runner, "calibrate_work_cycles", lambda *a, **k: calls.append("calibrate")
+            )
+            old = runner.get_context(WORKLOAD, events=EVENTS, old_kernel=True)
+        assert calls == []
+        assert old is runner.get_context(WORKLOAD, events=EVENTS, old_kernel=True)
+        assert old.trace is modern.trace
+        assert old.bundle is modern.bundle
+        assert old.work_cycles == modern.work_cycles
+        assert old.costs == OLD_KERNEL_SW_COSTS
+        assert old._eval_memo is not modern._eval_memo
+        assert old.evaluate(REGIME_COMPLETE) != modern.evaluate(REGIME_COMPLETE)
 
 
 class TestReplayDifferential:
@@ -269,17 +277,19 @@ class TestDiskRoundTrip:
         # 3 sweeps (docker / noargs / complete) serve 5 replays: four
         # figure bars plus the calibration probe.
         assert seccomp_replay.sweeps_built == 3
-        assert seccomp_replay.sweeps_loaded == 0
         assert seccomp_replay.replays_served == 5
 
         runner.reset_context_memos()  # "new process": only disk survives
         telemetry.reset_counters()
         second = _evaluate_all()
         assert second == first
-        assert seccomp_replay.sweeps_built == 0
-        assert seccomp_replay.sweeps_loaded == 3
+        # The calibration is read back, so only the four bars replay,
+        # from sweeps rebuilt in memory (sweeps never go to disk).
+        assert seccomp_replay.sweeps_built == 3
+        assert seccomp_replay.replays_served == 4
         counters = telemetry.counters_snapshot()["context_cache"]
-        for kind in ("trace", "bundle", "sweep", "calibration"):
+        assert set(counters) == {"trace", "bundle", "calibration"}
+        for kind in counters:
             assert counters[kind]["hit"] > 0, kind
             assert "store" not in counters[kind], kind
 
@@ -289,10 +299,10 @@ class TestDiskRoundTrip:
             experiment_id="fig2", simulation=telemetry.counters_snapshot()
         )
         report = telemetry.RunReport(records=[record])
-        assert report.totals("context_cache")["sweep"]["store"] == 3
+        assert report.totals("context_cache")["trace"]["store"] == 1
         summary = report.format_summary()
         assert "context cache: " in summary
-        assert "sweep 0/3" in summary
+        assert "trace 0/1" in summary
 
 
 class TestBundlePayload:

@@ -77,6 +77,17 @@ class TestResultCache:
         assert run.report.records[0].cache == "off"
         assert not (result_cache.cache_root() / "results").exists()
 
+    def test_disable_env_bypasses_every_tier(self, monkeypatch):
+        """``REPRO_CACHE_DISABLE=1`` means what ``--no-cache`` means:
+        records say ``off`` and no tier is read or written."""
+        monkeypatch.setenv(result_cache.CACHE_DISABLE_ENV, "1")
+        run = engine.run_suite(("table2", "fig14"), events=1000)
+        assert not run.failures
+        assert [record.cache for record in run.report.records] == ["off", "off"]
+        assert run.report.totals("context_cache") == {}
+        root = result_cache.cache_root()
+        assert [p for p in root.rglob("*") if p.is_file()] == []
+
     def test_torn_entry_is_a_miss(self):
         run = engine.run_suite(("table3",), jobs=1)
         digest = run.report.records[0].params_digest
@@ -167,19 +178,19 @@ class TestFailureIsolation:
         stages it had not finished; the suite still returns a record per
         experiment, and the next suite runs on a freshly forked pool."""
         parent = os.getpid()
-        run_trace_stage = stages._run_trace_stage
+        run_context_stage = stages._run_context_stage
 
         def die_in_worker(params):
             if os.getpid() != parent:
                 os._exit(1)
-            return run_trace_stage(params)
+            return run_context_stage(params)
 
         ids = ("fig13", "table2")
         overrides = {"fig13": {"workloads": ("nginx", "pipe-ipc")}}
         warm_pool.shutdown()  # the pool must fork after the patch
         try:
             with monkeypatch.context() as patch:
-                patch.setattr(stages, "_run_trace_stage", die_in_worker)
+                patch.setattr(stages, "_run_context_stage", die_in_worker)
                 run = engine.run_suite(
                     ids, events=600, jobs=2,
                     cache_mode=engine.CACHE_OFF, run_overrides=overrides,

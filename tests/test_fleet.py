@@ -238,17 +238,17 @@ class TestExperiment:
         staged = run_suite(["fleet"], events=1200, cache_dir=str(tmp_path))
         record = staged.outcomes[0].record
         stages = record.simulation["stages"]
-        assert stages["counters"]["executed"] == 5
-        assert stages["counters"]["stored"] == 5
+        assert stages["counters"]["executed"] == 3
+        assert stages["counters"]["stored"] == 3
         kinds = {row["kind"] for row in stages["detail"]}
-        assert {"fleet-load", "fleet-calibration", "fleet-eval", "analysis"} <= kinds
+        assert kinds == {"fleet-eval", "analysis"}
 
         # Refresh: intermediates dedupe on disk, only analysis re-runs.
         refreshed = run_suite(
             ["fleet"], events=1200, cache_dir=str(tmp_path), cache_mode="refresh"
         )
         counters = refreshed.outcomes[0].record.simulation["stages"]["counters"]
-        assert counters["hit"] == 4
+        assert counters["hit"] == 2
         assert counters["executed"] == 1
 
         with storage.cache_overrides(disable=True):
@@ -256,8 +256,8 @@ class TestExperiment:
         assert direct.to_markdown() == staged.results["fleet"].to_markdown()
 
     def test_staged_run_builds_load_and_calibrations_once(self, tmp_path, monkeypatch):
-        """The fleet-load and fleet-calibration stages build the inputs
-        the fleet-eval stages then reuse from the in-process memo."""
+        """The first fleet-eval stage builds the load and the class
+        calibrations; the other reuses them from the in-process memo."""
         from repro.experiments import fleet_serving
         from repro.experiments.engine import run_suite
         from repro.kernel import fleet
@@ -280,7 +280,7 @@ class TestExperiment:
                 monkeypatch.setattr(module, name, wrapper)
         run = run_suite(["fleet"], events=1200, cache_dir=str(tmp_path))
         assert not run.failures
-        assert run.outcomes[0].record.simulation["stages"]["counters"]["executed"] == 5
+        assert run.outcomes[0].record.simulation["stages"]["counters"]["executed"] == 3
         assert calls == {"generate_load": 1, "calibrate_classes": 1}
 
     def test_summary_renders_fleet_counters(self):

@@ -11,6 +11,7 @@ intermediates from disk.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -113,7 +114,7 @@ class TestPlanner:
         for stage in new.stages.values():
             new_by_kind[stage.kind].add(stage.key)
         for stage in old.stages.values():
-            if stage.kind in ("trace", "calibration"):
+            if stage.kind == "context":
                 assert stage.key in new_by_kind[stage.kind], stage.label
             elif stage.kind == "eval":
                 assert stage.key not in new_by_kind[stage.kind], stage.label
@@ -121,7 +122,24 @@ class TestPlanner:
     def test_monolithic_plan_is_single_terminal_stage(self):
         plan = monolithic_plan("table1", {}, "d")
         assert list(plan.stages) == [plan.terminal]
-        assert plan.stages[plan.terminal].kind == "experiment"
+        assert plan.stages[plan.terminal].kind == "analysis"
+        assert plan.stages[plan.terminal].deps == ()
+
+    def test_default_suite_has_four_stage_kinds(self):
+        """The default suite's union graph: one context stage per
+        workload, the evals, one fleet-eval per dispatch policy and one
+        analysis per experiment."""
+        union = {}
+        for entry in REGISTRY:
+            plan = None
+            if entry.stage_plan is not None:
+                plan = build_plan(entry.experiment_id, entry.stage_plan, {}, "d")
+            if plan is None:
+                plan = monolithic_plan(entry.experiment_id, {}, "d")
+            union.update(plan.stages)
+        kinds = Counter(stage.kind for stage in union.values())
+        assert kinds == {"context": 15, "eval": 285, "fleet-eval": 2, "analysis": 16}
+        assert len(union) == 318
 
 
 class TestDifferential:
@@ -153,22 +171,22 @@ class TestDedup:
         )
         assert not run.failures
         by_id = {o.experiment_id: o.record for o in run.outcomes}
-        # fig12 owns everything: per workload a trace, a calibration and
-        # three hw evals, plus its own analysis stage.
+        # fig12 owns everything: per workload a context and three hw
+        # evals, plus its own analysis stage.
         assert _stage_counters(by_id["fig12"]) == {
-            "executed": len(WORKLOADS) * 5 + 1,
+            "executed": len(WORKLOADS) * 4 + 1,
             "hit": 0,
             "dedup": 0,
             "stored": 0,  # cache off: nothing lands on disk
             "failed": 0,
         }
-        # fig13 / flowmix execute only their analysis; the trace,
-        # calibration and shared eval per workload are dedups.
+        # fig13 / flowmix execute only their analysis; the context and
+        # shared eval per workload are dedups.
         for eid in ("fig13", "flowmix"):
             assert _stage_counters(by_id[eid]) == {
                 "executed": 1,
                 "hit": 0,
-                "dedup": len(WORKLOADS) * 3,
+                "dedup": len(WORKLOADS) * 2,
                 "stored": 0,
                 "failed": 0,
             }, eid
@@ -191,7 +209,7 @@ class TestDedup:
         assert rendered.startswith("== stages\n")
         assert "eval" in rendered
         counters = run.report.stage_counters()
-        assert counters["executed"] == len(WORKLOADS) * 3 + 1
+        assert counters["executed"] == len(WORKLOADS) * 2 + 1
 
 
 class TestCorruptionFallback:
@@ -205,8 +223,8 @@ class TestCorruptionFallback:
         )
         assert not cold.failures
         paths = list((cache_dir / "stages").rglob("*.json"))
-        # Trace, calibration and eval stages must all be on disk.
-        assert {p.parent.name for p in paths} == {"trace", "calibration", "eval"}
+        # Context and eval stages must both be on disk.
+        assert {p.parent.name for p in paths} == {"context", "eval"}
         for path in paths:
             if mode == "truncated":
                 path.write_text(path.read_text()[: len(path.read_text()) // 2])
@@ -226,7 +244,7 @@ class TestCorruptionFallback:
 class TestRefreshScoping:
     def test_warm_refresh_serves_intermediates(self, cache_dir):
         """``--refresh`` is stage-scoped: terminals recompute while
-        trace/calibration/eval stages come from the ``stages/`` tier."""
+        context and eval stages come from the ``stages/`` tier."""
         cold = engine.run_suite(
             HW_SUITE, cache_mode=engine.CACHE_ON, run_overrides=HW_OVERRIDES
         )
@@ -239,10 +257,10 @@ class TestRefreshScoping:
         assert _markdowns(refreshed) == _markdowns(cold)
         by_id = {o.experiment_id: o.record for o in refreshed.outcomes}
         assert by_id["fig12"].cache == telemetry.CACHE_REFRESH
-        # fig12: all ten intermediates served from disk, analysis re-run.
+        # fig12: all eight intermediates served from disk, analysis re-run.
         assert _stage_counters(by_id["fig12"]) == {
             "executed": 1,
-            "hit": len(WORKLOADS) * 5,
+            "hit": len(WORKLOADS) * 4,
             "dedup": 0,
             "stored": 1,  # the refreshed terminal result
             "failed": 0,
@@ -284,14 +302,14 @@ class TestIncrementalInvalidation:
         assert not rerun.failures
         by_id = {o.experiment_id: o.record for o in rerun.outcomes}
         # fig12's new events invalidate its whole subgraph.
-        assert _stage_counters(by_id["fig12"])["executed"] == len(WORKLOADS) * 5 + 1
+        assert _stage_counters(by_id["fig12"])["executed"] == len(WORKLOADS) * 4 + 1
         assert _stage_counters(by_id["fig12"])["hit"] == 0
         # fig13 / flowmix are untouched: intermediates all hit, only the
         # (always-recomputed-under-refresh) analysis executes.
         for eid in ("fig13", "flowmix"):
             assert _stage_counters(by_id[eid]) == {
                 "executed": 1,
-                "hit": len(WORKLOADS) * 3,
+                "hit": len(WORKLOADS) * 2,
                 "dedup": 0,
                 "stored": 1,
                 "failed": 0,
