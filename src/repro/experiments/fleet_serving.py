@@ -14,12 +14,13 @@ Per policy the table reports the syscall-checking totals (derived from
 the exact per-tenant flow-ledger merge), the container churn
 (cold/warm starts, evictions, keep-alive expiries), cold-resume-storm
 windows, queueing percentiles, and the per-container VAT+SPT footprint
-extrapolated to a million containers.
+extrapolated to a million containers.  Both policies serve one load
+over one set of class calibrations, built once by :func:`eval_payload`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.common.rng import DEFAULT_SEED
 from repro.experiments.results import ExperimentResult
@@ -32,10 +33,9 @@ from repro.kernel.fleet import (
     simulate_fleet,
 )
 
-#: Stage-graph DAG: one ``fleet-eval`` per dispatch policy feeding the
-#: analysis; the policies share one load and one set of class
-#: calibrations through this module's in-process memo.
-STAGE_PLAN = FleetPlan(policies=POLICIES)
+#: Stage-graph DAG: one ``fleet-eval`` stage serving every dispatch
+#: policy feeds the analysis.
+STAGE_PLAN = FleetPlan()
 
 #: Default fleet scale (the paper's motivation is ~10⁶ containers; the
 #: simulated slice is 10³ tenants over 1.2×10⁵ invocations).
@@ -66,56 +66,34 @@ def resolve_params(
     return FleetParams(tenants=tenants, invocations=invocations, seed=seed)
 
 
-def _eval_key(params: FleetParams, policy: str) -> Tuple[int, int, int, str]:
-    return (params.tenants, params.invocations, params.seed, policy)
-
-
-#: Stage-seeded evaluation payloads (see :func:`seed_eval`) and the
-#: per-process memo of shared calibration/load inputs.
-_SEEDED: Dict[Tuple[int, int, int, str], Dict[str, Any]] = {}
-_SHARED: Dict[Tuple[int, int, int], Dict[str, Any]] = {}
+#: Staged ``fleet-eval`` payloads awaiting :func:`run`, keyed by
+#: scenario ``(tenants, invocations, seed)``.
+_SEEDED: Dict[Tuple[int, int, int], Dict[str, Any]] = {}
 
 
 def seed_eval(dep_params: Mapping[str, Any], payload: Dict[str, Any]) -> None:
     """Install a staged ``fleet-eval`` payload for :func:`run` to consume
     (the fleet analogue of ``WorkloadContext.seed_evaluation``)."""
     fleet = dep_params["fleet"]
-    key = (
-        int(fleet["tenants"]),
-        int(fleet["invocations"]),
-        int(fleet["seed"]),
-        str(dep_params["policy"]),
-    )
+    key = (int(fleet["tenants"]), int(fleet["invocations"]), int(fleet["seed"]))
     _SEEDED[key] = payload
 
 
-def _shared(params: FleetParams, name: str, build: Callable[[FleetParams], Any]) -> Any:
-    """One input of the scenario (its invocation stream or its class
-    calibrations), built once per process: the first ``fleet-eval``
-    stage builds it, the other reuses it."""
-    key = (params.tenants, params.invocations, params.seed)
-    if key not in _SHARED:
-        _SHARED.clear()  # one fleet scenario in memory at a time
-        _SHARED[key] = {}
-    inputs = _SHARED[key]
-    if name not in inputs:
-        inputs[name] = build(params)
-    return inputs[name]
+def eval_payload(params: FleetParams) -> Dict[str, Dict[str, Any]]:
+    """Serve the scenario under every dispatch policy:
+    ``{policy: FleetResult.to_json_dict()}``.
 
-
-def eval_payload(params: FleetParams, policy: str) -> Dict[str, Any]:
-    """Compute one policy's
-    :meth:`~repro.kernel.fleet.FleetResult.to_json_dict` (always runs
-    the simulation — the ``fleet-eval`` stage executor, and the
-    fallback of a direct :func:`run`; staged seeds are consumed by
-    :func:`run` only)."""
-    result = simulate_fleet(
-        params,
-        policy,
-        classes=_shared(params, "classes", calibrate_classes),
-        load=_shared(params, "load", generate_load),
-    )
-    return result.to_json_dict()
+    The load and the class calibrations are built once and shared by
+    the policies.  This is the ``fleet-eval`` stage executor and the
+    fallback of a direct :func:`run`; staged payloads are consumed by
+    :func:`run` only.
+    """
+    classes = calibrate_classes(params)
+    load = generate_load(params)
+    return {
+        policy: simulate_fleet(params, policy, classes=classes, load=load).to_json_dict()
+        for policy in POLICIES
+    }
 
 
 def run(
@@ -130,15 +108,16 @@ def run(
         "cyc/sys", "cold", "warm", "evicted", "expired", "storms",
         "peak_ctr", "wait_mean_ms", "wait_p95_ms", "fleet_gb@1M",
     )
+    # Stage-graph analysis runs consume the staged payload — once;
+    # telemetry was recorded when the fleet-eval stage executed.  Direct
+    # runs (and any later run of the same params in this process)
+    # compute it here.
+    payloads = _SEEDED.pop((params.tenants, params.invocations, params.seed), None)
+    if payloads is None:
+        payloads = eval_payload(params)
     rows = []
     for policy in POLICIES:
-        # Stage-graph analysis runs consume the staged eval payloads —
-        # once; telemetry was recorded when the eval stages executed.
-        # Direct runs (and any later run of the same params in this
-        # process) compute them here.
-        payload = _SEEDED.pop(_eval_key(params, policy), None)
-        if payload is None:
-            payload = eval_payload(params, policy)
+        payload = payloads[policy]
         counters = payload["counters"]
         rows.append(
             (

@@ -8,7 +8,7 @@ would each recompute it.  This module decomposes the catalog-loop
 experiments into a DAG of **stages** of four kinds::
 
     context ──► eval (one per workload × regime) ──► analysis
-    fleet-eval (one per dispatch policy) ─────────► analysis
+    fleet-eval (every dispatch policy) ───────────► analysis
 
 An experiment the planner cannot decompose is a single ``analysis``
 stage without dependencies, which runs its whole ``run()``.
@@ -25,9 +25,10 @@ Stage payloads are plain JSON: a ``context`` stage builds the
 workload context through :func:`~repro.experiments.runner.get_context`
 and returns a tiny manifest (``events`` and ``work_cycles``; the trace
 and profile bundle land in the persistent context cache, which
-downstream stages read), ``eval`` and ``fleet-eval`` stages return the
-exact :meth:`~repro.kernel.simulator.RunResult.to_json_dict` /
-:meth:`~repro.kernel.fleet.FleetResult.to_json_dict` payload, and
+downstream stages read), an ``eval`` stage returns the exact
+:meth:`~repro.kernel.simulator.RunResult.to_json_dict` payload, the
+``fleet-eval`` stage one
+:meth:`~repro.kernel.fleet.FleetResult.to_json_dict` per policy, and
 ``analysis`` stages return the experiment's
 :class:`~repro.experiments.results.ExperimentResult`.  Intermediate
 payloads persist in the ``stages/<kind>/<digest>.json`` tier of
@@ -79,10 +80,9 @@ CACHE_REFRESH = "refresh"
 #: Stage kinds, in pipeline order.  Every kind but ``analysis`` is
 #: intermediate and persists in the ``stages/`` tier; ``analysis`` is
 #: the one terminal kind, whose ExperimentResult is stored in the
-#: ``results/`` tier under the whole-experiment digest instead.  One
-#: ``fleet-eval`` per dispatch policy (see :class:`FleetPlan`) carries
-#: the full :meth:`~repro.kernel.fleet.FleetResult.to_json_dict`
-#: payload.
+#: ``results/`` tier under the whole-experiment digest instead.  The
+#: one ``fleet-eval`` stage (see :class:`FleetPlan`) carries a full
+#: :meth:`~repro.kernel.fleet.FleetResult.to_json_dict` per policy.
 KIND_CONTEXT = "context"
 KIND_EVAL = "eval"
 KIND_FLEET_EVAL = "fleet-eval"
@@ -113,16 +113,14 @@ class EvalPlan:
 class FleetPlan:
     """Declarative stage plan for the fleet-serving experiment.
 
-    Expands to one ``fleet-eval`` stage per dispatch policy, feeding
-    the terminal analysis; each builds the scenario's load and class
-    calibrations through :mod:`repro.experiments.fleet_serving`'s
-    in-process memo.  Parameter resolution is delegated to
+    Expands to one ``fleet-eval`` stage, feeding the terminal analysis,
+    that builds the scenario's load and class calibrations once and
+    serves every policy from them, so the plan has no fields.
+    Parameter resolution is delegated to
     :func:`repro.experiments.fleet_serving.resolve_params` so staged
     and direct ``run()`` calls derive identical
     :class:`~repro.kernel.fleet.FleetParams`.
     """
-
-    policies: Tuple[str, ...]
 
 
 #: ``run()`` kwargs the fleet planner understands.
@@ -178,7 +176,7 @@ def build_plan(
     analysis stage, which runs the experiment's whole ``run()``.
     """
     if isinstance(plan, FleetPlan):
-        return _build_fleet_plan(experiment_id, plan, run_kwargs, result_digest)
+        return _build_fleet_plan(experiment_id, run_kwargs, result_digest)
     if not _PLANNABLE_KWARGS.issuperset(run_kwargs):
         return None
     names = tuple(run_kwargs.get("workloads") or tuple(CATALOG))
@@ -241,11 +239,10 @@ def build_plan(
 
 def _build_fleet_plan(
     experiment_id: str,
-    plan: FleetPlan,
     run_kwargs: Mapping[str, Any],
     result_digest: str,
 ) -> Optional[ExperimentPlan]:
-    """Expand a :class:`FleetPlan` into fleet-eval and analysis stages."""
+    """Expand a :class:`FleetPlan` into its fleet-eval and analysis stages."""
     if not _FLEET_PLANNABLE_KWARGS.issuperset(run_kwargs):
         return None
     from repro.experiments import fleet_serving
@@ -270,15 +267,12 @@ def _build_fleet_plan(
         )
         return key
 
-    eval_keys = tuple(
-        add(KIND_FLEET_EVAL, f"fleet-eval:{policy}", {"fleet": fleet, "policy": policy})
-        for policy in plan.policies
-    )
+    eval_key = add(KIND_FLEET_EVAL, "fleet-eval", {"fleet": fleet})
     terminal = add(
         KIND_ANALYSIS,
         f"analysis:{experiment_id}",
         {"experiment_id": experiment_id, "run_kwargs": dict(run_kwargs)},
-        eval_keys,
+        (eval_key,),
     )
     return ExperimentPlan(
         experiment_id=experiment_id,
@@ -333,21 +327,17 @@ def _run_eval_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
     return ctx.evaluate(params["regime"]).to_json_dict()
 
 
-def _run_fleet_params(params: Mapping[str, Any]):
+def _run_fleet_eval_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
+    from repro.experiments import fleet_serving
     from repro.kernel.fleet import FleetParams
 
     fleet = params["fleet"]
-    return FleetParams(
+    scenario = FleetParams(
         tenants=int(fleet["tenants"]),
         invocations=int(fleet["invocations"]),
         seed=int(fleet["seed"]),
     )
-
-
-def _run_fleet_eval_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from repro.experiments import fleet_serving
-
-    return fleet_serving.eval_payload(_run_fleet_params(params), params["policy"])
+    return fleet_serving.eval_payload(scenario)
 
 
 def _run_analysis_stage(

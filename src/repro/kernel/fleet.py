@@ -26,12 +26,15 @@ The model has three layers:
 * **Serving simulation** — a discrete-event loop over container pools:
   warm starts pop the tenant's most-recently-idled container, cold
   starts spawn (evicting the globally least-recently-idled container
-  at capacity), keep-alive expiry retires idle containers.  Every
-  invocation's checking cost is charged to its tenant's flow ledger as
-  an integer combination of the calibrated ledgers — cold is
-  ``cold_first + (reps-1)·steady``, warm is ``resume +
-  (reps-1)·steady`` — so fleet totals equal the sum of per-tenant
-  buckets *exactly* (integer counts) and conservation is auditable.
+  at capacity), keep-alive expiry retires idle containers.  Simulated
+  time never runs backwards and keep-alive is one constant, so one
+  FIFO of idle containers, oldest first, serves both expiry and
+  eviction.  Each start only logs its repetition count; after the loop
+  every tenant's log is folded into its flow ledger as the calibrated
+  ledgers — cold is ``cold_first + (reps-1)·steady``, warm is
+  ``resume + (reps-1)·steady`` — added in invocation order, so fleet
+  totals equal the sum of per-tenant buckets *exactly* (integer
+  counts) and conservation is auditable.
 
 Two dispatch policies make the serverless scheduler ablation:
 ``round-robin`` (FIFO arrival order) and ``shortest-task``
@@ -42,9 +45,9 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common import ledger, telemetry
 from repro.common.errors import ConfigError
@@ -132,6 +135,12 @@ class FleetParams:
             raise ConfigError("duration distribution is degenerate")
         if self.storm_threshold < 1 or self.storm_window_ms <= 0:
             raise ConfigError("storm detector needs a positive window/threshold")
+        if self.burst_every and self.burst_size < 1:
+            raise ConfigError("bursts need a positive burst_size")
+        # Service takes time and a spawn cannot finish before it starts:
+        # the serving loop relies on simulated time never decreasing.
+        if self.ms_per_syscall <= 0 or self.cold_spawn_ms < 0:
+            raise ConfigError("ms_per_syscall must be positive, cold_spawn_ms not negative")
 
 
 # -- calibration ---------------------------------------------------------
@@ -258,8 +267,7 @@ def calibrate_classes(
 # -- load generation -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Invocation:
+class Invocation(NamedTuple):
     """One arrival in the fleet stream."""
 
     seq: int
@@ -286,69 +294,71 @@ def generate_load(params: FleetParams) -> Tuple[Invocation, ...]:
         total += weight
         cumulative.append(total)
 
-    def pick_tenant() -> int:
-        return bisect.bisect_left(cumulative, rng.random() * total)
-
-    def pick_reps() -> int:
-        return min(params.max_reps, int(rng.paretovariate(params.duration_alpha)))
-
+    random, pareto, expovariate = rng.random, rng.paretovariate, rng.expovariate
+    count, alpha, max_reps = params.invocations, params.duration_alpha, params.max_reps
+    lull_every, burst_every = params.lull_every, params.burst_every
+    arrival_rate = 1.0 / params.mean_interarrival_ms
     out: List[Invocation] = []
     t = 0.0
-    while len(out) < params.invocations:
-        if params.lull_every and rng.random() < 1.0 / params.lull_every:
+    while len(out) < count:
+        if lull_every and random() < 1.0 / lull_every:
             # A fleet-wide lull: long enough that keep-alive windows
             # lapse, so the traffic after it restarts cold (a storm).
-            t += params.keep_alive_ms * (1.0 + 2.0 * rng.random())
-        if params.burst_every and rng.random() < 1.0 / params.burst_every:
-            tenant = pick_tenant()
-            size = min(
-                1 + int(rng.expovariate(1.0 / params.burst_size)),
-                params.invocations - len(out),
-            )
+            t += params.keep_alive_ms * (1.0 + 2.0 * random())
+        if burst_every and random() < 1.0 / burst_every:
+            tenant = bisect.bisect_left(cumulative, random() * total)
+            size = min(1 + int(expovariate(1.0 / params.burst_size)), count - len(out))
             for _ in range(size):
                 t += 0.01
-                out.append(Invocation(len(out), tenant, t, pick_reps()))
+                out.append(
+                    Invocation(len(out), tenant, t, min(max_reps, int(pareto(alpha))))
+                )
             continue
-        t += rng.expovariate(1.0 / params.mean_interarrival_ms)
-        out.append(Invocation(len(out), pick_tenant(), t, pick_reps()))
+        t += expovariate(arrival_rate)
+        tenant = bisect.bisect_left(cumulative, random() * total)
+        out.append(Invocation(len(out), tenant, t, min(max_reps, int(pareto(alpha)))))
     return tuple(out)
 
 
 # -- serving simulation --------------------------------------------------
 
 
-class _TenantState:
-    """Mutable per-tenant accounting (slots keep 5k tenants cheap)."""
+def _fold(starts: List[int], klass: ClassCost) -> Tuple[ledger.FlowLedger, int]:
+    """One tenant's flow ledger and syscall count from its start log:
+    ``~reps`` per cold start (negative even for ``reps == 0``), ``reps``
+    per warm start, in invocation order.
 
-    __slots__ = (
-        "klass", "invocations", "cold_starts", "warm_starts",
-        "syscalls", "flow_counts", "flow_cycles", "live", "peak_live",
-        "idle",
-    )
-
-    def __init__(self, klass: int) -> None:
-        self.klass = klass
-        self.invocations = 0
-        self.cold_starts = 0
-        self.warm_starts = 0
-        self.syscalls = 0
-        self.flow_counts: Dict[str, int] = {}
-        self.flow_cycles: Dict[str, float] = {}
-        self.live = 0
-        self.peak_live = 0
-        self.idle: List[int] = []  # LIFO stack of container ids
-
-    def charge(self, items: LedgerItems, times: int) -> None:
-        if times <= 0:
-            return
-        counts, cycles = self.flow_counts, self.flow_cycles
+    Each start adds its start ledger, then ``steady`` times the further
+    repetitions, if any.  ``cold_first`` holds fractional cycles, so the
+    additions follow invocation order: every float total is then the
+    running sum that charging each start as it happened would give.
+    The syscall count is summed from the class's per-ledger event
+    totals, apart from the ledger, so the two can be checked against
+    each other.
+    """
+    led = ledger.FlowLedger()
+    counts, cycles = led.counts, led.cycles
+    cold_events = ClassCost.events(klass.cold_first)
+    resume_events = ClassCost.events(klass.resume)
+    steady_events = ClassCost.events(klass.steady)
+    syscalls = 0
+    for entry in starts:
+        if entry < 0:
+            items, reps = klass.cold_first, ~entry
+            syscalls += cold_events
+        else:
+            items, reps = klass.resume, entry
+            syscalls += resume_events
         for flow, count, cyc in items:
-            counts[flow] = counts.get(flow, 0) + count * times
-            cycles[flow] = cycles.get(flow, 0.0) + cyc * times
-            self.syscalls += count * times
-
-    def flow_ledger(self) -> ledger.FlowLedger:
-        return ledger.FlowLedger(self.flow_counts, self.flow_cycles)
+            counts[flow] = counts.get(flow, 0) + count
+            cycles[flow] = cycles.get(flow, 0.0) + cyc
+        times = reps - 1
+        if times > 0:
+            syscalls += steady_events * times
+            for flow, count, cyc in klass.steady:
+                counts[flow] = counts.get(flow, 0) + count * times
+                cycles[flow] = cycles.get(flow, 0.0) + cyc * times
+    return led, syscalls
 
 
 @dataclass(frozen=True)
@@ -434,9 +444,9 @@ def simulate_fleet(
     """Serve the generated load through the container-pool model.
 
     ``classes``/``load`` accept precomputed calibration and load so
-    several policies (or stage-graph stages) can share them; both are
-    pure functions of ``params``, so passing them changes nothing but
-    wall time.
+    several policies can share them (the ``fleet-eval`` stage does);
+    both are pure functions of ``params``, so passing them changes
+    nothing but wall time.
     """
     params.validate()
     if policy not in POLICIES:
@@ -446,168 +456,169 @@ def simulate_fleet(
     if load is None:
         load = generate_load(params)
 
-    tenants: Dict[int, _TenantState] = {}
+    n_classes = len(classes)
+    service_ms = [klass.service_ms for klass in classes]
+    keep_alive_ms = params.keep_alive_ms
+    workers = params.workers
+    shortest = policy == POLICY_SHORTEST
 
-    def tenant_state(tenant: int) -> _TenantState:
-        state = tenants.get(tenant)
-        if state is None:
-            state = tenants[tenant] = _TenantState(tenant % len(classes))
-        return state
+    # Per tenant: its start log (~reps per cold start, reps per warm
+    # start, folded into its flow ledger after the loop), its idle
+    # containers (most recently idled last), and its live and peak
+    # container counts.
+    starts: Dict[int, List[int]] = defaultdict(list)
+    tenant_idle: Dict[int, List[int]] = defaultdict(list)
+    live: Dict[int, int] = defaultdict(int)
+    peak_live: Dict[int, int] = defaultdict(int)
 
     # Container bookkeeping.  state: 1 busy, 2 idle, 0 dead.
     container_state: List[int] = []
     container_tenant: List[int] = []
-    container_expire: List[float] = []
     container_idle_since: List[float] = []
     container_count = 0  # live (busy + idle)
-    idle_order: List[Tuple[float, int]] = []  # eviction heap (lazy)
-    expiry_heap: List[Tuple[float, int]] = []
+    # (idle_since, cid) per idling, oldest first; an entry is stale once
+    # its container is busy again or dead.  Time never decreases and
+    # keep-alive is one constant, so the oldest valid entry is both the
+    # next to expire and the least recently idled.
+    idle: deque = deque()
 
-    counters: Dict[str, float] = {
-        "cold_starts": 0, "warm_starts": 0, "spawns": 0,
-        "evictions": 0, "keepalive_expiries": 0,
-        "cold_resume_storms": 0, "max_cold_in_window": 0,
-        "peak_containers": 0, "peak_busy": 0, "queue_peak": 0,
-    }
+    evictions = expiries = peak_containers = peak_busy = queue_peak = 0
     storm_windows: Dict[int, int] = {}
     busy = 0
     waits: List[float] = []
-    queue_fifo: deque = deque()
-    queue_sjf: List[Tuple[float, int, Invocation]] = []
+    queue: Any = [] if shortest else deque()  # (expected, seq, inv) heap or FIFO
     finish_heap: List[Tuple[float, int, int, int]] = []  # (t, seq, cid, tenant)
     last_finish_ms = 0.0
 
-    def expire_idle(now: float) -> None:
-        nonlocal container_count
-        while expiry_heap and expiry_heap[0][0] <= now:
-            expire_ms, cid = heapq.heappop(expiry_heap)
-            if container_state[cid] != 2 or container_expire[cid] != expire_ms:
-                continue  # re-idled or already gone; stale heap entry
-            container_state[cid] = 0
-            container_count -= 1
-            tenants[container_tenant[cid]].live -= 1
-            counters["keepalive_expiries"] += 1
-
-    def evict_lru_idle(now: float) -> None:
-        """Free one container slot by retiring the least-recently-idled
-        container anywhere in the fleet (capacity pressure)."""
-        nonlocal container_count
-        while idle_order:
-            idle_since, cid = heapq.heappop(idle_order)
-            if container_state[cid] != 2 or container_idle_since[cid] != idle_since:
+    heappop, heappush = heapq.heappop, heapq.heappush
+    arrivals = iter(load)
+    arrival = next(arrivals, None)
+    while arrival is not None or finish_heap:
+        # Finishes go before arrivals at the same time.
+        if finish_heap and (arrival is None or finish_heap[0][0] <= arrival.arrival_ms):
+            now, _seq, cid, tenant = heappop(finish_heap)
+            invocation = None
+        else:
+            invocation, arrival = arrival, next(arrivals, None)
+            now = invocation.arrival_ms
+        while idle and idle[0][0] + keep_alive_ms <= now:
+            since, victim = idle.popleft()
+            if container_state[victim] == 2 and container_idle_since[victim] == since:
+                container_state[victim] = 0
+                container_count -= 1
+                live[container_tenant[victim]] -= 1
+                expiries += 1
+        if invocation is None:
+            busy -= 1
+            container_state[cid] = 2
+            container_idle_since[cid] = now
+            tenant_idle[tenant].append(cid)
+            # Equal idle times keep a heap's order: lowest container id first.
+            if idle and (now, cid) < idle[-1]:
+                bisect.insort(idle, (now, cid))
+            else:
+                idle.append((now, cid))
+            if not queue:
                 continue
-            container_state[cid] = 0
-            container_count -= 1
-            tenants[container_tenant[cid]].live -= 1
-            counters["evictions"] += 1
-            return
-        raise ConfigError(
-            "container cap reached with no idle container to evict"
-        )  # pragma: no cover - workers <= max_containers forbids this
+            invocation = heappop(queue)[2] if shortest else queue.popleft()
+        elif busy >= workers:
+            tenant = invocation.tenant
+            if shortest:
+                expected = service_ms[tenant % n_classes] * invocation.reps
+                heappush(queue, (expected, invocation.seq, invocation))
+            else:
+                queue.append(invocation)
+            if len(queue) > queue_peak:
+                queue_peak = len(queue)
+            continue
 
-    def start(invocation: Invocation, now: float) -> None:
-        nonlocal busy, container_count, last_finish_ms
-        state = tenant_state(invocation.tenant)
-        klass = classes[state.klass]
-        state.invocations += 1
-        # Warm start: most recently idled container of this tenant.
-        cid = None
-        while state.idle:
-            candidate = state.idle.pop()
-            if container_state[candidate] == 2:
-                cid = candidate
-                break
+        # Start the invocation.  Warm start: the most recently idled
+        # container of its tenant.
+        tenant = invocation.tenant
+        reps = invocation.reps
+        mine = tenant_idle[tenant]
+        while mine and container_state[mine[-1]] != 2:
+            mine.pop()
         begin = now
-        if cid is not None:
+        if mine:
+            cid = mine.pop()
             container_state[cid] = 1
-            state.warm_starts += 1
-            counters["warm_starts"] += 1
             # A resumed container's per-core SLB/STB are cold: the
             # first body pays the resume transient, the rest replay
             # steady.
-            state.charge(klass.resume, 1)
-            state.charge(klass.steady, invocation.reps - 1)
+            starts[tenant].append(reps)
         else:
             if container_count >= params.max_containers:
-                evict_lru_idle(now)
+                # Capacity: retire the least recently idled container
+                # anywhere in the fleet.  One is idle, because workers
+                # <= max_containers and a worker is free.
+                since, victim = idle.popleft()
+                while container_state[victim] != 2 or container_idle_since[victim] != since:
+                    since, victim = idle.popleft()
+                container_state[victim] = 0
+                container_count -= 1
+                live[container_tenant[victim]] -= 1
+                evictions += 1
             cid = len(container_state)
             container_state.append(1)
-            container_tenant.append(invocation.tenant)
-            container_expire.append(0.0)
+            container_tenant.append(tenant)
             container_idle_since.append(0.0)
             container_count += 1
-            state.live += 1
-            if state.live > state.peak_live:
-                state.peak_live = state.live
-            state.cold_starts += 1
-            counters["cold_starts"] += 1
-            counters["spawns"] += 1
+            if container_count > peak_containers:
+                peak_containers = container_count
+            live[tenant] += 1
+            if live[tenant] > peak_live[tenant]:
+                peak_live[tenant] = live[tenant]
             window = int(now // params.storm_window_ms)
             storm_windows[window] = storm_windows.get(window, 0) + 1
-            state.charge(klass.cold_first, 1)
-            state.charge(klass.steady, invocation.reps - 1)
+            starts[tenant].append(~reps)
             begin = now + params.cold_spawn_ms
         busy += 1
-        if busy > counters["peak_busy"]:
-            counters["peak_busy"] = busy
-        if container_count > counters["peak_containers"]:
-            counters["peak_containers"] = container_count
+        if busy > peak_busy:
+            peak_busy = busy
         waits.append(now - invocation.arrival_ms)
-        finish = begin + klass.service_ms * invocation.reps
+        finish = begin + service_ms[tenant % n_classes] * reps
         if finish > last_finish_ms:
             last_finish_ms = finish
-        heapq.heappush(
-            finish_heap, (finish, invocation.seq, cid, invocation.tenant)
+        heappush(finish_heap, (finish, invocation.seq, cid, tenant))
+
+    # Fleet ledger: the exact merge of the per-tenant buckets.
+    fleet = ledger.FlowLedger()
+    aggregates: List[TenantAggregate] = []
+    for tenant in sorted(starts):
+        log = starts[tenant]
+        klass = classes[tenant % n_classes]
+        tenant_ledger, tenant_syscalls = _fold(log, klass)
+        fleet.merge(tenant_ledger)
+        cold = sum(1 for entry in log if entry < 0)
+        aggregates.append(
+            TenantAggregate(
+                tenant=tenant,
+                klass=tenant % n_classes,
+                invocations=len(log),
+                cold_starts=cold,
+                warm_starts=len(log) - cold,
+                syscalls=tenant_syscalls,
+                check_cycles=tenant_ledger.total_cycles(),
+                flow_counts=tenant_ledger.counts,
+                flow_cycles=tenant_ledger.cycles,
+                peak_containers=peak_live[tenant],
+                footprint_peak_bytes=peak_live[tenant] * klass.footprint_bytes,
+            )
         )
-
-    def enqueue(invocation: Invocation) -> None:
-        if policy == POLICY_ROUND_ROBIN:
-            queue_fifo.append(invocation)
-        else:
-            klass = classes[invocation.tenant % len(classes)]
-            expected = klass.service_ms * invocation.reps
-            heapq.heappush(queue_sjf, (expected, invocation.seq, invocation))
-        depth = len(queue_fifo) + len(queue_sjf)
-        if depth > counters["queue_peak"]:
-            counters["queue_peak"] = depth
-
-    def dequeue() -> Optional[Invocation]:
-        if queue_fifo:
-            return queue_fifo.popleft()
-        if queue_sjf:
-            return heapq.heappop(queue_sjf)[2]
-        return None
-
-    arrival_index = 0
-    while arrival_index < len(load) or finish_heap:
-        run_finish = bool(finish_heap) and (
-            arrival_index >= len(load)
-            or finish_heap[0][0] <= load[arrival_index].arrival_ms
-        )
-        if run_finish:
-            now, _seq, cid, tenant = heapq.heappop(finish_heap)
-            expire_idle(now)
-            busy -= 1
-            container_state[cid] = 2
-            container_expire[cid] = now + params.keep_alive_ms
-            container_idle_since[cid] = now
-            tenants[tenant].idle.append(cid)
-            heapq.heappush(idle_order, (now, cid))
-            heapq.heappush(expiry_heap, (container_expire[cid], cid))
-            if busy < params.workers:
-                queued = dequeue()
-                if queued is not None:
-                    start(queued, now)
-        else:
-            invocation = load[arrival_index]
-            arrival_index += 1
-            now = invocation.arrival_ms
-            expire_idle(now)
-            if busy < params.workers:
-                start(invocation, now)
-            else:
-                enqueue(invocation)
-
+    cold_starts = sum(t.cold_starts for t in aggregates)
+    counters: Dict[str, float] = {
+        "cold_starts": cold_starts,
+        "warm_starts": sum(t.warm_starts for t in aggregates),
+        "spawns": cold_starts,
+        "evictions": evictions,
+        "keepalive_expiries": expiries,
+        "cold_resume_storms": 0,
+        "max_cold_in_window": 0,
+        "peak_containers": peak_containers,
+        "peak_busy": peak_busy,
+        "queue_peak": queue_peak,
+    }
     # Storm windows: any window with >= threshold cold starts.
     if storm_windows:
         counters["max_cold_in_window"] = max(storm_windows.values())
@@ -615,34 +626,9 @@ def simulate_fleet(
             1 for count in storm_windows.values()
             if count >= params.storm_threshold
         )
-    counters["active_tenants"] = len(tenants)
-    counters["idle_remaining"] = (
-        counters["spawns"] - counters["evictions"] - counters["keepalive_expiries"]
-    )
+    counters["active_tenants"] = len(starts)
+    counters["idle_remaining"] = cold_starts - evictions - expiries
 
-    # Fleet ledger: the exact merge of the per-tenant buckets.
-    fleet = ledger.FlowLedger()
-    aggregates: List[TenantAggregate] = []
-    for tenant in sorted(tenants):
-        state = tenants[tenant]
-        tenant_ledger = state.flow_ledger()
-        fleet.merge(tenant_ledger)
-        klass = classes[state.klass]
-        aggregates.append(
-            TenantAggregate(
-                tenant=tenant,
-                klass=state.klass,
-                invocations=state.invocations,
-                cold_starts=state.cold_starts,
-                warm_starts=state.warm_starts,
-                syscalls=state.syscalls,
-                check_cycles=tenant_ledger.total_cycles(),
-                flow_counts=dict(state.flow_counts),
-                flow_cycles=dict(state.flow_cycles),
-                peak_containers=state.peak_live,
-                footprint_peak_bytes=state.peak_live * klass.footprint_bytes,
-            )
-        )
     syscalls = fleet.total_events()
     check_cycles = fleet.total_cycles()
     fleet.audit_totals(syscalls, check_cycles, scope=f"fleet/{policy}")

@@ -1,5 +1,7 @@
 """Tests for the fleet-scale FaaS serving model and its experiment."""
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.common import ledger
 from repro.common.errors import ConfigError
+from repro.experiments.fleet_serving import resolve_params
 from repro.kernel.fleet import (
     POLICIES,
     POLICY_ROUND_ROBIN,
@@ -68,6 +71,18 @@ class TestLoadGeneration:
             generate_load(FleetParams(workers=64, max_containers=10))
         with pytest.raises(ConfigError):
             simulate_fleet(_tiny(invocations=10), policy="fifo")
+        # A zero burst size would divide by zero; a negative service or
+        # spawn time would schedule a finish before its start.
+        for bad in (
+            dict(burst_size=0),
+            dict(ms_per_syscall=-1.0),
+            dict(ms_per_syscall=0.0),
+            dict(cold_spawn_ms=-100.0),
+        ):
+            with pytest.raises(ConfigError):
+                simulate_fleet(_tiny(invocations=3000, **bad), record_telemetry=False)
+        # Without bursts the burst size is never used.
+        generate_load(_tiny(invocations=10, burst_every=0, burst_size=0))
 
 
 class TestConservation:
@@ -207,6 +222,110 @@ class TestServing:
         assert elapsed < 20.0  # generous CI bound; locally ~0.2s
 
 
+def _on_grid(ms):
+    """Floor each arrival to a multiple of *ms*."""
+    return lambda i: i._replace(arrival_ms=ms * (i.arrival_ms // ms))
+
+
+def _zero_reps(every):
+    """Give every *every*-th invocation zero body repetitions."""
+    return lambda i: i if i.seq % every else i._replace(reps=0)
+
+
+#: ``(params, reshape, digests...)``: SHA-256 of each policy's
+#: ``FleetResult.to_json_dict()`` as sorted-key JSON, recorded from the
+#: serving loop that charged each start to a per-tenant ledger and kept
+#: idle containers in two lazy heaps.  A ``reshape`` maps each generated
+#: invocation before serving: the ``ties`` load lies on a 2 ms grid with
+#: integral service times, so containers go idle at equal times and the
+#: FIFO's container-id tie rule decides evictions; ``zero-reps`` gives
+#: every third invocation ``reps == 0``, which charges its start ledger
+#: once and no steady body.
+PINNED = {
+    "default": (
+        resolve_params(),
+        None,
+        "f54f2a8ed3c043de7095b805f05e678db9507bcbe730e242b870ef5c3bd71e16",
+        "1b6dbdb69e2aba9ae44e594376f6f025a6acbd23abcb8d2e267690a3f4aae74d",
+    ),
+    "events-1200": (
+        resolve_params(events=1200),
+        None,
+        "1d1f3c9cc10d2448bc08f2773760ff6184c4d7fc5d5af4933958ca05c983a5ba",
+        "b1b8b60ccd978f4cd34f8abdd77732cb034348eccf96e895cbe266ceb1f91b4d",
+    ),
+    "tiny": (
+        _tiny(),
+        None,
+        "e6d8c917feeea4e9ca7f9469aa56798f118cdbd1ff9543050ddea61934d6d8d7",
+        "1befebdcb84dc6a8a0d4676d0d20e33878b4ac55675e49ce31ffdfaf476f97ff",
+    ),
+    "overload": (
+        _tiny(tenants=30, invocations=2500, workers=4, max_containers=12),
+        None,
+        "2227bc5f6b6351c69e3b5fbe27db281a3c6661a86af1226302e3837b0281cb55",
+        "aeebedf3f7b09bfcd8b49ee6259be92e9fb4bf6fa9cf54416d1058f955c384fd",
+    ),
+    "storm": (
+        _tiny(
+            invocations=2000,
+            keep_alive_ms=50.0,
+            lull_every=300,
+            storm_window_ms=100.0,
+            storm_threshold=5,
+        ),
+        None,
+        "b3e306491a52b20a0e45bf2ec631caca51f0c89c73dde313c77327db290421f6",
+        "180e690df67003c39df88d73921e36ae193efc59b1d00c34e8576e1cab4f3363",
+    ),
+    "seed7": (
+        FleetParams(tenants=500, invocations=30_000, seed=7),
+        None,
+        "f76f514d5521670ab8315d4ff170ea7062f2fdc5819ec39ff9026515569198d4",
+        "97854691c3dabf834b829713f7438952f77d5ee854593b213ff8863acb6029ae",
+    ),
+    "ties": (
+        FleetParams(
+            tenants=26,
+            invocations=900,
+            seed=0,
+            function_classes=1,
+            workers=4,
+            max_containers=6,
+            keep_alive_ms=400.0,
+            ms_per_syscall=0.25,
+            cold_spawn_ms=4.0,
+        ),
+        _on_grid(2.0),
+        "39d4c42a41a152dfddfeac16d9c6b1033967221170a1671513db46f9c9842319",
+        "61e324b349c319db83b8f32b71f1f1a126821f017f813f84d93c997c521f2d5b",
+    ),
+    "zero-reps": (
+        _tiny(),
+        _zero_reps(3),
+        "6a71fe6604fa415243ca9a644e8c0f1210b2dd5cb725305743e6b13a177866a4",
+        "30c2c21e61a0b7b5e1a08ec5a9b68b2c686f97a1ac96a2267d4409671ec5b278",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_results_match_pinned_digests(name):
+    params, reshape, *digests = PINNED[name]
+    classes = calibrate_classes(params)
+    load = generate_load(params)
+    if reshape is not None:
+        load = tuple(map(reshape, load))
+    got = []
+    for policy in POLICIES:
+        result = simulate_fleet(
+            params, policy, classes=classes, load=load, record_telemetry=False
+        )
+        document = json.dumps(result.to_json_dict(), sort_keys=True)
+        got.append(hashlib.sha256(document.encode()).hexdigest())
+    assert got == digests
+
+
 class TestTelemetry:
     def test_fleet_counters_reach_the_snapshot(self):
         from repro.common import telemetry
@@ -238,17 +357,18 @@ class TestExperiment:
         staged = run_suite(["fleet"], events=1200, cache_dir=str(tmp_path))
         record = staged.outcomes[0].record
         stages = record.simulation["stages"]
-        assert stages["counters"]["executed"] == 3
-        assert stages["counters"]["stored"] == 3
-        kinds = {row["kind"] for row in stages["detail"]}
-        assert kinds == {"fleet-eval", "analysis"}
+        assert stages["counters"]["executed"] == 2
+        assert stages["counters"]["stored"] == 2
+        kinds = [row["kind"] for row in stages["detail"]]
+        assert kinds == ["fleet-eval", "analysis"]
 
-        # Refresh: intermediates dedupe on disk, only analysis re-runs.
+        # Refresh: the fleet-eval stage dedupes on disk, only analysis
+        # re-runs.
         refreshed = run_suite(
             ["fleet"], events=1200, cache_dir=str(tmp_path), cache_mode="refresh"
         )
         counters = refreshed.outcomes[0].record.simulation["stages"]["counters"]
-        assert counters["hit"] == 2
+        assert counters["hit"] == 1
         assert counters["executed"] == 1
 
         with storage.cache_overrides(disable=True):
@@ -256,8 +376,8 @@ class TestExperiment:
         assert direct.to_markdown() == staged.results["fleet"].to_markdown()
 
     def test_staged_run_builds_load_and_calibrations_once(self, tmp_path, monkeypatch):
-        """The first fleet-eval stage builds the load and the class
-        calibrations; the other reuses them from the in-process memo."""
+        """The one fleet-eval stage builds the load and the class
+        calibrations once and serves both policies from them."""
         from repro.experiments import fleet_serving
         from repro.experiments.engine import run_suite
         from repro.kernel import fleet
@@ -270,7 +390,6 @@ class TestExperiment:
                 return build(params)
             return wrapper
 
-        monkeypatch.setattr(fleet_serving, "_SHARED", {})
         for name, build in (
             ("generate_load", generate_load),
             ("calibrate_classes", calibrate_classes),
@@ -280,7 +399,7 @@ class TestExperiment:
                 monkeypatch.setattr(module, name, wrapper)
         run = run_suite(["fleet"], events=1200, cache_dir=str(tmp_path))
         assert not run.failures
-        assert run.outcomes[0].record.simulation["stages"]["counters"]["executed"] == 3
+        assert run.outcomes[0].record.simulation["stages"]["counters"]["executed"] == 2
         assert calls == {"generate_load": 1, "calibrate_classes": 1}
 
     def test_summary_renders_fleet_counters(self):
@@ -293,8 +412,6 @@ class TestExperiment:
         assert run.report.totals("fleet")[POLICY_SHORTEST]["invocations"] == 1200
 
     def test_default_params_meet_fleet_scale(self):
-        from repro.experiments.fleet_serving import resolve_params
-
         params = resolve_params()
         assert params.tenants >= 1000
         assert params.invocations >= 100_000

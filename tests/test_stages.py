@@ -127,8 +127,8 @@ class TestPlanner:
 
     def test_default_suite_has_four_stage_kinds(self):
         """The default suite's union graph: one context stage per
-        workload, the evals, one fleet-eval per dispatch policy and one
-        analysis per experiment."""
+        workload, the evals, one fleet-eval serving both dispatch
+        policies and one analysis per experiment."""
         union = {}
         for entry in REGISTRY:
             plan = None
@@ -138,8 +138,8 @@ class TestPlanner:
                 plan = monolithic_plan(entry.experiment_id, {}, "d")
             union.update(plan.stages)
         kinds = Counter(stage.kind for stage in union.values())
-        assert kinds == {"context": 15, "eval": 285, "fleet-eval": 2, "analysis": 16}
-        assert len(union) == 318
+        assert kinds == {"context": 15, "eval": 285, "fleet-eval": 1, "analysis": 16}
+        assert len(union) == 317
 
 
 class TestDifferential:
