@@ -28,7 +28,7 @@ from repro.common import ledger as common_ledger
 from repro.common.bulk import bulk_enabled
 from repro.core.flows import Flow, classify
 from repro.core.slb import HashId, Slb, SlbEntry, SlbSubtable
-from repro.core.software import ProcessTables
+from repro.core.software import FilterCost, ProcessTables
 from repro.core.spt import HardwareSPT, SptEntry
 from repro.core.stb import Stb, StbEntry
 from repro.core.temp_buffer import TemporaryBuffer
@@ -65,6 +65,8 @@ class HwCheckResult:
     stb_hit: bool = False
     preload_hit: Optional[bool] = None
     access_hit: Optional[bool] = None
+    #: The parts of ``stall_cycles`` when the OS ran the filter.
+    filter_cost: Optional[FilterCost] = None
 
 
 @dataclass
@@ -214,9 +216,13 @@ class HardwareDraco:
         stb_hit: bool = False,
         preload_hit: Optional[bool] = None,
         access_hit: Optional[bool] = None,
+        filter_cost: Optional[FilterCost] = None,
     ) -> HwCheckResult:
         """The interned :class:`HwCheckResult` with these fields."""
-        key = (allowed, stall_cycles, flow, os_invoked, stb_hit, preload_hit, access_hit)
+        key = (
+            allowed, stall_cycles, flow, os_invoked, stb_hit, preload_hit, access_hit,
+            filter_cost,
+        )
         result = self._results.get(key)
         if result is None:
             if len(self._results) >= self._RESULTS_LIMIT:
@@ -561,9 +567,8 @@ class HardwareDraco:
             if self.use_jit
             else self.costs.cycles_per_bpf_insn_interpreted
         )
-        stall = stall_so_far + self.costs.seccomp_fixed_cycles
-        stall += decision.instructions_executed * per_insn
         allowed = decision.allowed
+        insert = 0
 
         if allowed and spt_entry is not None and key is not None:
             which = self.tables.vat.insert(event.sid, key, event.args)
@@ -571,7 +576,7 @@ class HardwareDraco:
             arg_count = spt_entry.arg_count
             self.slb.fill(event.sid, arg_count, hash_id, event.args)
             self.stb.update(event.pc, event.sid, hash_id)
-            stall += self.costs.sw_draco_insert_cycles
+            insert = self.costs.sw_draco_insert_cycles
         elif allowed and spt_entry is None:
             # Hardware SPT alias/miss for an allowed syscall: reinstall
             # the entry from the OS-side SPT so future checks are fast.
@@ -589,9 +594,18 @@ class HardwareDraco:
         flow = Flow.OS_CHECK if spt_entry is None else classify(
             stb_hit, preload_hit, access_hit=False
         )
+        # The filter's price feeds no structure, so it is kept in its
+        # parts and a walk can be priced under a deeper filter stack.
+        cost = FilterCost(
+            lookup=0,
+            entry=stall_so_far + self.costs.seccomp_fixed_cycles,
+            insns=decision.instructions_executed,
+            per_insn=per_insn,
+            insert=insert,
+        )
         return self._result(
-            allowed, stall, flow, os_invoked=True, stb_hit=stb_hit,
-            preload_hit=preload_hit, access_hit=False,
+            allowed, cost.cycles(), flow, os_invoked=True, stb_hit=stb_hit,
+            preload_hit=preload_hit, access_hit=False, filter_cost=cost,
         )
 
     def structure_stats(self) -> Dict[str, Dict[str, object]]:

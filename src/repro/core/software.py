@@ -76,6 +76,35 @@ def build_process_tables(
 
 
 @dataclass(frozen=True)
+class FilterCost:
+    """The price of one Seccomp filter run, kept in its parts so the
+    same run can be priced under a deeper filter stack.
+
+    A Draco checker adds ``lookup + (entry + insns × per_insn) +
+    insert``, in that association.  Attaching the stack *copies* times
+    runs every attached program *copies* times over the same words, so
+    only the instruction count scales: :meth:`cycles` at one copy is
+    the walked price, and at two copies exactly what a checker built
+    with the stack attached twice adds for the same run.
+    """
+
+    #: Software Draco's table lookup before the filter ran (hardware
+    #: Draco folds its stall into ``entry`` and passes 0).
+    lookup: float
+    #: The instruction-independent part: Seccomp's fixed and
+    #: slow-entry cycles, plus hardware Draco's stall so far.
+    entry: float
+    #: BPF instructions the walked filter stack executed.
+    insns: int
+    per_insn: float
+    #: The VAT insert after an allowed run, or 0.
+    insert: float
+
+    def cycles(self, copies: int = 1) -> float:
+        return self.lookup + (self.entry + copies * self.insns * self.per_insn) + self.insert
+
+
+@dataclass(frozen=True)
 class CheckOutcome:
     """Result of checking one syscall under a Draco regime."""
 
@@ -90,6 +119,9 @@ class CheckOutcome:
     #: for outcomes produced before the accounting layer existed, in
     #: which case consumers fall back to ``path``.
     flow: str = ""
+    #: The parts of ``cycles`` when a Draco checker ran the filter;
+    #: ``None`` for every outcome that ran none (see :meth:`priced`).
+    filter_cost: Optional[FilterCost] = None
 
     def __post_init__(self) -> None:
         # Outcomes key the simulator's per-event grouping dict; the
@@ -97,7 +129,9 @@ class CheckOutcome:
         object.__setattr__(
             self,
             "_hash",
-            hash((self.allowed, self.cycles, self.path, self.action, self.flow)),
+            hash(
+                (self.allowed, self.cycles, self.path, self.action, self.flow, self.filter_cost)
+            ),
         )
 
     def __hash__(self) -> int:
@@ -114,8 +148,21 @@ class CheckOutcome:
                 and self.flow == other.flow
                 and self.allowed == other.allowed
                 and self.action == other.action
+                and self.filter_cost == other.filter_cost
             )
         return NotImplemented
+
+    def priced(self, copies: int) -> "CheckOutcome":
+        """This outcome as a result under *copies* times the walked
+        filter stack reports it: a filter run re-priced from its
+        :class:`FilterCost`, which is dropped so that equal prices
+        compare equal.  An outcome that ran no filter is returned as is.
+        """
+        if self.filter_cost is None:
+            return self
+        return CheckOutcome(
+            self.allowed, self.filter_cost.cycles(copies), self.path, self.action, self.flow
+        )
 
 
 def _merge_segment(
@@ -203,7 +250,7 @@ class SoftwareDraco:
         self.seccomp.attach(program)
         self.tables.vat.clear_all()
 
-    def _filter_cycles(self, instructions: int) -> float:
+    def _filter_cost(self, lookup: float, instructions: int, insert: float = 0) -> FilterCost:
         per_insn = (
             self.costs.cycles_per_bpf_insn_jit
             if self.use_jit
@@ -212,10 +259,12 @@ class SoftwareDraco:
         # The slow-entry-path surcharge applies only when the filter
         # machinery actually runs (Draco's entry hook takes the fast
         # path on cache hits).
-        return (
-            self.costs.seccomp_slow_path_cycles
-            + self.costs.seccomp_fixed_cycles
-            + instructions * per_insn
+        return FilterCost(
+            lookup=lookup,
+            entry=self.costs.seccomp_slow_path_cycles + self.costs.seccomp_fixed_cycles,
+            insns=instructions,
+            per_insn=per_insn,
+            insert=insert,
         )
 
     def check(self, event: SyscallEvent) -> CheckOutcome:
@@ -275,9 +324,10 @@ class SoftwareDraco:
             # Unknown syscall: the filter runs and (for whitelist
             # profiles) rejects it.  Nothing is cached.
             decision = self.seccomp.check(event)
-            cycles = self.costs.sw_draco_spt_only_cycles + self._filter_cycles(
-                decision.instructions_executed
+            cost = self._filter_cost(
+                self.costs.sw_draco_spt_only_cycles, decision.instructions_executed
             )
+            cycles = cost.cycles()
             self.stats.denials += 1
             self.stats.denial_cycles += cycles
             return CheckOutcome(
@@ -286,6 +336,7 @@ class SoftwareDraco:
                 path="denied",
                 action=decision.return_value,
                 flow=ledger.FLOW_SW_DENIED,
+                filter_cost=cost,
             )
 
         if not entry.checks_arguments:
@@ -311,21 +362,25 @@ class SoftwareDraco:
         # VAT miss: execute the Seccomp filter, then cache the validation.
         # (fall through)
         decision = self.seccomp.check(event)
-        cycles = self.costs.sw_draco_hit_cycles + self._filter_cycles(
-            decision.instructions_executed
-        )
         if decision.allowed:
             self.tables.vat.insert(event.sid, key, event.args)
-            cycles += self.costs.sw_draco_insert_cycles
+            cost = self._filter_cost(
+                self.costs.sw_draco_hit_cycles,
+                decision.instructions_executed,
+                self.costs.sw_draco_insert_cycles,
+            )
+            cycles = cost.cycles()
             self.stats.filter_runs += 1
             self.stats.filter_run_cycles += cycles
             return CheckOutcome(
                 allowed=True, cycles=cycles, path="filter_run",
-                flow=ledger.FLOW_SW_FILTER,
+                flow=ledger.FLOW_SW_FILTER, filter_cost=cost,
             )
+        cost = self._filter_cost(self.costs.sw_draco_hit_cycles, decision.instructions_executed)
+        cycles = cost.cycles()
         self.stats.denials += 1
         self.stats.denial_cycles += cycles
         return CheckOutcome(
             allowed=False, cycles=cycles, path="denied",
-            action=decision.return_value, flow=ledger.FLOW_SW_DENIED,
+            action=decision.return_value, flow=ledger.FLOW_SW_DENIED, filter_cost=cost,
         )

@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--seed", type=int, default=None,
-        help="root seed; each experiment derives its own from it",
+        help="input seed, given unchanged to every experiment",
     )
     jobs = parser.add_mutually_exclusive_group()
     jobs.add_argument(

@@ -22,12 +22,29 @@ from typing import Optional, Tuple
 from repro.common.rng import DEFAULT_SEED
 from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import get_context
+from repro.experiments.stages import EvalPlan
 from repro.kernel.simulator import run_trace
 from repro.seccomp.bitmap_cache import SeccompBitmapRegime
 
 #: A representative subset of the catalog.  Any workload works: the
 #: bitmap build costs one abstract pass per attached filter.
 DEFAULT_WORKLOADS = ("nginx", "redis", "pwgen", "pipe-ipc", "unixbench-syscall")
+
+#: (profile label, Seccomp regime, software-Draco regime, hardware-Draco
+#: regime) per table row.
+PROFILES = (
+    ("noargs", "syscall-noargs", "draco-sw-noargs", "draco-hw-noargs"),
+    ("complete", "syscall-complete", "draco-sw-complete", "draco-hw-complete"),
+)
+
+#: Stage-graph DAG: the six Seccomp and Draco evaluations per workload
+#: are stages of fig2, fig11 and fig12, so the analysis stage waits for
+#: them instead of walking them itself; only the bitmap regime, which
+#: no other experiment runs, is simulated in the analysis.
+STAGE_PLAN = EvalPlan(
+    regimes=tuple(regime for row in PROFILES for regime in row[1:]),
+    workloads=DEFAULT_WORKLOADS,
+)
 
 
 def run(
@@ -51,11 +68,8 @@ def run(
         if events is not None:
             kwargs["events"] = events
         ctx = get_context(name, **kwargs)
-        for label, profile, seccomp_regime, sw_regime, hw_regime in (
-            ("noargs", ctx.bundle.noargs, "syscall-noargs", "draco-sw-noargs", "draco-hw-noargs"),
-            ("complete", ctx.bundle.complete, "syscall-complete", "draco-sw-complete", "draco-hw-complete"),
-        ):
-            bitmap = SeccompBitmapRegime(profile, costs=ctx.costs)
+        for label, seccomp_regime, sw_regime, hw_regime in PROFILES:
+            bitmap = SeccompBitmapRegime(ctx.profile_for_role(label), costs=ctx.costs)
             bitmap_result = run_trace(
                 ctx.trace, bitmap, ctx.work_cycles, ctx.syscall_base_cycles,
                 workload_name=name,

@@ -109,7 +109,8 @@ _CONTEXT_FORMAT_NAME = "repro-context"
 #: Version of the per-stage cache serialisation contract
 #: (:mod:`repro.experiments.stages`).  Folded into every stage digest,
 #: so bumping it invalidates the whole ``stages/`` tier at once.
-STAGE_FORMAT_VERSION = 1
+#: Version 2: eval payloads are ``{regime: RunResult JSON}``.
+STAGE_FORMAT_VERSION = 2
 
 #: Wrapper format marker on every stage document.
 _STAGE_FORMAT_NAME = "repro-stage"

@@ -4,11 +4,11 @@ Runs registry entries through the stage-graph orchestrator
 (:mod:`repro.experiments.stages`), serially when ``jobs=1`` or across
 a process pool otherwise, with:
 
-* **deterministic seeding** — with a root ``seed``, every experiment
-  gets ``derive_seed(seed, experiment_id)``, so results depend only on
-  the root seed and the experiment's identity, never on scheduling
-  order or worker assignment.  Without a root seed each experiment
-  keeps its module default, matching historical output exactly;
+* **one input seed** — a ``seed`` is passed to every experiment
+  unchanged, so experiments that read the same workload simulate the
+  same trace and share its stages, and results never depend on
+  scheduling order or worker assignment.  Without a seed each
+  experiment keeps its module default;
 * **result ordering** — outcomes are collected in request order
   regardless of completion order, so ``--jobs N`` output is
   byte-identical to ``--serial``;
@@ -40,7 +40,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.common import storage, telemetry
-from repro.common.rng import derive_seed
 from repro.experiments import cache as result_cache
 from repro.experiments import stages as stage_graph
 from repro.experiments.registry import REGISTRY, by_id
@@ -91,7 +90,7 @@ def _task_kwargs(
     if events is not None:
         kwargs["events"] = events
     if seed is not None:
-        kwargs["seed"] = derive_seed(seed, experiment_id)
+        kwargs["seed"] = seed
     if run_overrides and experiment_id in run_overrides:
         kwargs.update(run_overrides[experiment_id])
     return kwargs

@@ -67,7 +67,7 @@ REGISTRY: Tuple[Experiment, ...] = (
     Experiment("flowmix", "Table I flow occupancy (extension)", flow_mix.run,
                stage_plan=flow_mix.STAGE_PLAN),
     Experiment("bitmap", "Draco vs 5.11 action-cache bitmap (extension)",
-               bitmap_comparison.run),
+               bitmap_comparison.run, stage_plan=bitmap_comparison.STAGE_PLAN),
     Experiment("fleet", "Fleet-scale FaaS serving (extension)", fleet_serving.run,
                stage_plan=fleet_serving.STAGE_PLAN),
 )

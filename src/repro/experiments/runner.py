@@ -16,6 +16,13 @@ Each artifact is kept in one place per process: :func:`get_context` is
 the one in-process context memo, and a context's trace, profile bundle
 and W load from (or store to) the persistent context cache
 (:mod:`repro.experiments.cache`) only when that memo misses.
+
+:meth:`WorkloadContext.evaluate` memoises each no-override evaluation
+per context.  Either regime of a Draco ``complete``/``complete-2x``
+pair walks the ``1x`` regime once and memoises both results, the
+``-2x`` one priced from that walk
+(:func:`repro.kernel.simulator.price_walk`); :func:`walk_serves` names
+the regimes one walk produces.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from repro.kernel.regimes import (
     InsecureRegime,
     SeccompRegime,
 )
-from repro.kernel.simulator import RunResult, run_trace
+from repro.kernel.simulator import RunResult, price_walk, run_trace
 from repro.seccomp.profile import SeccompProfile
 from repro.seccomp.profiles import build_docker_default
 from repro.seccomp.toolkit import (
@@ -120,6 +127,26 @@ SECCOMP_BAR_GROUPS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("noargs", (REGIME_NOARGS,)),
     ("complete", (REGIME_COMPLETE, REGIME_COMPLETE_2X)),
 )
+
+#: Draco regimes priced from another regime's walk
+#: (:func:`repro.kernel.simulator.price_walk`): regime name -> (walked
+#: regime, filter-stack copies).  A ``-2x`` run differs from its ``1x``
+#: run only in what its filter runs cost.
+_PRICED_VARIANTS: Dict[str, Tuple[str, int]] = {
+    "draco-sw-complete-2x": ("draco-sw-complete", 2),
+    "draco-hw-complete-2x": ("draco-hw-complete", 2),
+}
+
+
+def walk_serves(regime_name: str) -> Tuple[str, ...]:
+    """The regimes whose no-override evaluations one walk produces when
+    *regime_name* is evaluated, the walked regime first: a priced
+    variant and its walked regime serve each other, any other regime
+    only itself."""
+    walked = _PRICED_VARIANTS.get(regime_name, (regime_name, 1))[0]
+    return (walked,) + tuple(
+        name for name, (base, _) in _PRICED_VARIANTS.items() if base == walked
+    )
 
 
 @dataclass
@@ -229,44 +256,64 @@ class WorkloadContext:
         of ``REPRO_ANALYTIC`` (every other switch picks between
         byte-identical paths), so its frozen :class:`RunResult` is
         memoised per context on ``(regime, analytic_enabled())``;
-        overrides (unhashable cost objects) always run fresh.  Seccomp
-        regimes are additionally served by replaying the shared
-        per-(trace, profile) filter sweep when the cache and the
-        analytic backend allow it (see :meth:`_replay`).  When an
-        analytic replay finds its precondition broken (a VAT eviction
-        under software Draco), the exact kernels rerun the trace on a
-        fresh regime.
+        overrides (unhashable cost objects) always run their own regime
+        fresh.  Seccomp regimes are additionally served by replaying
+        the shared per-(trace, profile) filter sweep when the cache and
+        the analytic backend allow it (see :meth:`_replay`).
+
+        Either regime of a Draco ``complete``/``complete-2x`` pair walks
+        the ``1x`` regime once and memoises both results, the ``-2x``
+        one priced from the walk (:func:`walk_serves`); a ``-2x``
+        evaluation walks no structure of its own.  When an analytic
+        replay finds its precondition broken (a VAT eviction under
+        software Draco), the exact kernels rerun the walk on a fresh
+        regime and both results are priced from that.
         """
-        key = None
-        if not overrides:
-            key = (regime_name, analytic_enabled())
-            hit = self._eval_memo.get(key)
-            if hit is not None:
-                return hit
-        result = self._replay(regime_name) if not overrides else None
-        if result is None:
-            try:
-                result = self._run(regime_name, overrides)
-            except AnalyticPreconditionError:
-                result = self._run(regime_name, overrides, analytic=False)
-        if key is not None:
-            self._eval_memo[key] = result
-        return result
+        if overrides:
+            return self._walk(regime_name, overrides)[regime_name]
+        analytic = analytic_enabled()
+        hit = self._eval_memo.get((regime_name, analytic))
+        if hit is not None:
+            return hit
+        replayed = self._replay(regime_name)
+        if replayed is not None:
+            results = {regime_name: replayed}
+        else:
+            results = self._walk(walk_serves(regime_name)[0], {})
+        for name, result in results.items():
+            self._eval_memo[(name, analytic)] = result
+        return results[regime_name]
+
+    def _walk(self, regime_name: str, overrides: Dict[str, object]) -> Dict[str, RunResult]:
+        try:
+            return self._run(regime_name, overrides)
+        except AnalyticPreconditionError:
+            return self._run(regime_name, overrides, analytic=False)
 
     def _run(
         self,
         regime_name: str,
         overrides: Dict[str, object],
         analytic: Optional[bool] = None,
-    ) -> RunResult:
-        return run_trace(
-            self.trace,
-            self.make_regime(regime_name, **overrides),
-            work_cycles_per_syscall=self.work_cycles,
-            syscall_base_cycles=self.syscall_base_cycles,
-            workload_name=self.spec.name,
-            analytic=analytic,
-        )
+    ) -> Dict[str, RunResult]:
+        """One walk under *regime_name*: its result and, without
+        overrides, the result of every variant priced from it."""
+        regime = self.make_regime(regime_name, **overrides)
+        results = {
+            regime_name: run_trace(
+                self.trace,
+                regime,
+                work_cycles_per_syscall=self.work_cycles,
+                syscall_base_cycles=self.syscall_base_cycles,
+                workload_name=self.spec.name,
+                analytic=analytic,
+            )
+        }
+        if not overrides:
+            for name, (walked, copies) in _PRICED_VARIANTS.items():
+                if walked == regime_name:
+                    results[name] = price_walk(regime, copies)
+        return results
 
     def seed_evaluation(self, regime_name: str, result: RunResult) -> None:
         """Inject a precomputed no-override evaluation into the memo.

@@ -7,8 +7,8 @@ simulations, and two experiments that consume the same evaluation
 would each recompute it.  This module decomposes the catalog-loop
 experiments into a DAG of **stages** of four kinds::
 
-    context ──► eval (one per workload × regime) ──► analysis
-    fleet-eval (every dispatch policy) ───────────► analysis
+    context ──► eval (one per workload × walk) ──► analysis
+    fleet-eval (every dispatch policy) ─────────► analysis
 
 An experiment the planner cannot decompose is a single ``analysis``
 stage without dependencies, which runs its whole ``run()``.
@@ -25,8 +25,12 @@ Stage payloads are plain JSON: a ``context`` stage builds the
 workload context through :func:`~repro.experiments.runner.get_context`
 and returns a tiny manifest (``events`` and ``work_cycles``; the trace
 and profile bundle land in the persistent context cache, which
-downstream stages read), an ``eval`` stage returns the exact
-:meth:`~repro.kernel.simulator.RunResult.to_json_dict` payload, the
+downstream stages read), an ``eval`` stage returns ``{regime:
+RunResult JSON}`` with one exact
+:meth:`~repro.kernel.simulator.RunResult.to_json_dict` payload per
+regime its walk serves (:func:`~repro.experiments.runner.walk_serves`:
+a Draco ``complete`` walk also carries its ``-2x`` variant, priced from
+the same walk, so a ``-2x`` regime has no eval stage of its own), the
 ``fleet-eval`` stage one
 :meth:`~repro.kernel.fleet.FleetResult.to_json_dict` per policy, and
 ``analysis`` stages return the experiment's
@@ -39,7 +43,7 @@ runs, ``summary`` and every cache tool read one entry per experiment.
 
 Byte-identity with the experiment's own ``run()`` is structural, not
 incidental: the analysis stage rebuilds each workload context and
-**seeds** the staged evaluations into its memo
+**seeds** every staged evaluation into its memo
 (:meth:`~repro.experiments.runner.WorkloadContext.seed_evaluation`),
 then calls the experiment's unmodified ``run()`` — the same row
 assembly, rounding and note text as a direct call.  A differential
@@ -67,7 +71,7 @@ from repro.common.rng import DEFAULT_SEED
 from repro.experiments import cache as result_cache
 from repro.experiments import pool as warm_pool
 from repro.experiments.results import ExperimentResult
-from repro.experiments.runner import DEFAULT_EVENTS, get_context
+from repro.experiments.runner import DEFAULT_EVENTS, get_context, walk_serves
 from repro.kernel.simulator import RunResult
 from repro.workloads.catalog import CATALOG
 
@@ -101,12 +105,15 @@ class EvalPlan:
     regimes, then assemble rows" declare one of these (module-level
     ``STAGE_PLAN``) and the planner derives the full DAG.  ``old_kernel``
     is the fixed default for wrappers like fig16/fig17 whose ``run()``
-    hard-codes the Appendix A cost model; a ``run_kwargs`` override
-    still wins when the experiment accepts one.
+    hard-codes the Appendix A cost model, and ``workloads`` the default
+    workload set of a ``run()`` that loops over less than the catalog
+    (``None``: the whole catalog); a ``run_kwargs`` override still wins
+    for either when the experiment accepts one.
     """
 
     regimes: Tuple[str, ...]
     old_kernel: bool = False
+    workloads: Optional[Tuple[str, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -179,7 +186,7 @@ def build_plan(
         return _build_fleet_plan(experiment_id, run_kwargs, result_digest)
     if not _PLANNABLE_KWARGS.issuperset(run_kwargs):
         return None
-    names = tuple(run_kwargs.get("workloads") or tuple(CATALOG))
+    names = tuple(run_kwargs.get("workloads") or plan.workloads or tuple(CATALOG))
     if any(name not in CATALOG for name in names):
         return None  # let run() raise its own error, monolithically
     events = run_kwargs.get("events")
@@ -196,7 +203,7 @@ def build_plan(
         )
         return key
 
-    eval_keys: List[str] = []
+    eval_keys: Dict[str, None] = {}  # insertion-ordered set
     for name in names:
         # The context (trace, bundle and W) is cost-model independent
         # (calibration always solves W against the modern-kernel costs
@@ -208,20 +215,22 @@ def build_plan(
             {"workload": name, "events": events, "seed": seed, "compiler": "binary_tree"},
         )
         for regime in plan.regimes:
-            eval_keys.append(
-                add(
-                    KIND_EVAL,
-                    f"eval:{name}:{regime}" + (":old-kernel" if old_kernel else ""),
-                    {
-                        "workload": name,
-                        "events": events,
-                        "seed": seed,
-                        "regime": regime,
-                        "old_kernel": old_kernel,
-                    },
-                    (context_key,),
-                )
+            # A priced variant shares the stage of the regime it is
+            # priced from: that walk's payload carries both results.
+            walked = walk_serves(regime)[0]
+            key = add(
+                KIND_EVAL,
+                f"eval:{name}:{walked}" + (":old-kernel" if old_kernel else ""),
+                {
+                    "workload": name,
+                    "events": events,
+                    "seed": seed,
+                    "regime": walked,
+                    "old_kernel": old_kernel,
+                },
+                (context_key,),
             )
+            eval_keys[key] = None
     terminal = add(
         KIND_ANALYSIS,
         f"analysis:{experiment_id}",
@@ -324,7 +333,9 @@ def _run_eval_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
         seed=params["seed"],
         old_kernel=params["old_kernel"],
     )
-    return ctx.evaluate(params["regime"]).to_json_dict()
+    return {
+        name: ctx.evaluate(name).to_json_dict() for name in walk_serves(params["regime"])
+    }
 
 
 def _run_fleet_eval_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
@@ -359,7 +370,8 @@ def _run_analysis_stage(
             seed=dep_params["seed"],
             old_kernel=dep_params["old_kernel"],
         )
-        ctx.seed_evaluation(dep_params["regime"], RunResult.from_json_dict(payload))
+        for regime, result in payload.items():
+            ctx.seed_evaluation(regime, RunResult.from_json_dict(result))
     result = by_id(params["experiment_id"]).run(**params["run_kwargs"])
     return result.to_json_dict()
 

@@ -11,17 +11,25 @@ cost.  The paper evaluates four families:
   front of the filter);
 * **draco-hw** — the Section VI microarchitecture (SPT + SLB + STB +
   Temporary Buffer), where the only visible cost is ROB-head stall.
+
+The two Draco families run the filter only on a miss, and what a run
+costs feeds back into no structure, so their outcomes carry the
+filter's price in parts (:class:`~repro.core.software.FilterCost`) and
+:meth:`CheckingRegime.priced_name` names the same regime with a deeper
+stack: :func:`repro.kernel.simulator.price_walk` prices a ``times=1``
+walk as the ``times=2`` regime.  A ``times=2`` regime still walks for
+itself; it is the reference the pricing is tested against.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common import analytic as analytic_backend
 from repro.common import ledger as common_ledger
 from repro.common.bulk import bulk_enabled
-from repro.common.errors import AnalyticPreconditionError
+from repro.common.errors import AnalyticPreconditionError, SimulationError
 from repro.core.hardware import HardwareDraco
 from repro.core.software import (
     CheckOutcome,
@@ -48,6 +56,10 @@ class CheckingRegime(abc.ABC):
     """One syscall-checking configuration under test."""
 
     name: str
+    #: The pricer of this regime's last walk, left by
+    #: :func:`repro.kernel.simulator.run_trace` for
+    #: :func:`~repro.kernel.simulator.price_walk`.
+    last_walk: Optional[Callable[[int, str], Any]] = None
 
     @abc.abstractmethod
     def check(self, event: SyscallEvent) -> CheckOutcome:
@@ -116,6 +128,14 @@ class CheckingRegime(abc.ABC):
         ``transient_repeats > 0`` need a real implementation; the base
         regime has no quantum timer, so this is a no-op."""
 
+    def priced_name(self, copies: int) -> str:
+        """The name of this regime with its filter stack attached
+        *copies* times, for a result priced from its walk
+        (:func:`repro.kernel.simulator.price_walk`).  Only regimes whose
+        filter runs carry a :class:`~repro.core.software.FilterCost` can
+        be priced; the rest raise."""
+        raise SimulationError(f"{self.name} does not price its filter runs")
+
 
 class InsecureRegime(CheckingRegime):
     """Seccomp disabled — the paper's normalisation baseline."""
@@ -158,6 +178,10 @@ class InsecureRegime(CheckingRegime):
         return self._ledger.snapshot()
 
 
+def _stack_name(family: str, profile: SeccompProfile, times: int) -> str:
+    return f"{family}:{profile.name}" + ("" if times == 1 else f"x{times}")
+
+
 def _attach(profile: SeccompProfile, times: int, compiler: str) -> SeccompKernelModule:
     module = SeccompKernelModule()
     programs = programs_for(profile, compiler)
@@ -179,7 +203,7 @@ class SeccompRegime(CheckingRegime):
         costs: SoftwareCostParams = DEFAULT_SW_COSTS,
         name: Optional[str] = None,
     ) -> None:
-        self.name = name or f"seccomp:{profile.name}" + ("" if times == 1 else f"x{times}")
+        self.name = name or _stack_name("seccomp", profile, times)
         self.profile = profile
         self.costs = costs
         self.use_jit = use_jit
@@ -276,8 +300,9 @@ class DracoSwRegime(CheckingRegime):
         costs: SoftwareCostParams = DEFAULT_SW_COSTS,
         name: Optional[str] = None,
     ) -> None:
-        self.name = name or f"draco-sw:{profile.name}" + ("" if times == 1 else f"x{times}")
+        self.name = name or _stack_name("draco-sw", profile, times)
         self.profile = profile
+        self.times = times
         tables = build_process_tables(profile, table=profile.table)
         self.draco = SoftwareDraco(
             tables,
@@ -320,6 +345,9 @@ class DracoSwRegime(CheckingRegime):
                 "violated; rerun on the exact kernels (analytic=False)"
             )
 
+    def priced_name(self, copies: int) -> str:
+        return _stack_name("draco-sw", self.profile, self.times * copies)
+
     def ledger_snapshot(self) -> common_ledger.FlowLedger:
         return self.draco.stats.ledger()
 
@@ -350,8 +378,9 @@ class DracoHwRegime(CheckingRegime):
         context_switch_interval_cycles: Optional[float] = 4_000_000.0,
         name: Optional[str] = None,
     ) -> None:
-        self.name = name or f"draco-hw:{profile.name}" + ("" if times == 1 else f"x{times}")
+        self.name = name or _stack_name("draco-hw", profile, times)
         self.profile = profile
+        self.times = times
         tables = build_process_tables(profile, table=profile.table)
         self.hierarchy = MemoryHierarchy(processor)
         self.draco = HardwareDraco(
@@ -387,6 +416,7 @@ class DracoHwRegime(CheckingRegime):
             cycles=result.stall_cycles,
             path="hw:" + result.flow.value,
             flow=result.flow.ledger_key,
+            filter_cost=result.filter_cost,
         )
         self._outcome_cache[id(result)] = (result, outcome)
         return outcome
@@ -475,6 +505,9 @@ class DracoHwRegime(CheckingRegime):
     def analytic_context_switch(self) -> None:
         self._cycles_since_switch = 0.0
         self.on_context_switch()
+
+    def priced_name(self, copies: int) -> str:
+        return _stack_name("draco-hw", self.profile, self.times * copies)
 
     def ledger_snapshot(self) -> common_ledger.FlowLedger:
         return self.draco.stats.ledger()

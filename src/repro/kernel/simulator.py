@@ -34,13 +34,24 @@ Regimes opt into the analytic tier via
 :meth:`repro.kernel.regimes.CheckingRegime.analytic_plan`; anything
 without a plan falls back to the exact kernels, so transients, warm-up
 windows and scheduler quantum boundaries are always simulated exactly.
+
+Every tier groups outcomes by value during the walk and prices them
+when it builds the result.  A Draco outcome that ran the Seccomp filter
+keeps its price in parts (:class:`~repro.core.software.FilterCost`), so
+the walk's groups are finer than its prices; each result prices every
+group and merges equal prices in first-seen order.  Because the
+filter's price feeds no structure, the same walk also prices the run
+with the filter stack attached twice: :func:`price_walk` builds that
+``-2x`` result, byte-identical to walking the trace again under the
+``times=2`` regime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
-from typing import Any, Dict, Iterable, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.common import analytic as analytic_backend
 from repro.common import ledger, telemetry
@@ -210,9 +221,53 @@ def _expand_groups(
     return paths, flow_counts, flow_cycles
 
 
+def _priced_groups(
+    groups: Dict[CheckOutcome, int], copies: int
+) -> Dict[CheckOutcome, int]:
+    """*groups* as a result under *copies* times the walked filter stack
+    reports them: every outcome priced (:meth:`CheckOutcome.priced`)
+    and equal priced values merged, counts summed.
+
+    A walk groups filter runs by their :class:`FilterCost`, a finer key
+    than their price, and several walked groups can price to one value.
+    Merging in first-seen order puts each priced value where its first
+    event put it in a walk of that stack itself, so
+    :func:`_expand_groups` repeats that walk's float additions exactly.
+    """
+    priced: Dict[CheckOutcome, int] = {}
+    for outcome, count in groups.items():
+        plain = outcome.priced(copies)
+        priced[plain] = priced.get(plain, 0) + count
+    return priced
+
+
+def _stack_instructions(
+    stats: Optional[Dict[str, Dict[str, float]]], copies: int
+) -> Optional[Dict[str, Dict[str, float]]]:
+    """Structure counters under *copies* times the walked filter stack:
+    each filter run executes every attached program *copies* times, so
+    only the executed-instruction count scales."""
+    if copies == 1 or not stats or "seccomp" not in stats:
+        return stats
+    stacked = {name: dict(block) for name, block in stats.items()}
+    stacked["seccomp"]["instructions_executed"] *= copies
+    return stacked
+
+
+def _audit_pair(
+    regime: CheckingRegime, before: Optional[ledger.FlowLedger]
+) -> Optional[Tuple[ledger.FlowLedger, ledger.FlowLedger]]:
+    """The regime's own ledger around the measured window, or ``None``
+    when it keeps none (the cross-audit is then skipped)."""
+    if before is None:
+        return None
+    after = regime.ledger_snapshot()
+    return None if after is None else (before, after)
+
+
 def _build_result(
     *,
-    regime: CheckingRegime,
+    name: str,
     workload_name: str,
     work_cycles_per_syscall: float,
     syscall_base_cycles: float,
@@ -220,7 +275,7 @@ def _build_result(
     measured: int,
     warmed: int,
     runs_coalesced: int,
-    regime_before: Optional[ledger.FlowLedger],
+    audit: Optional[Tuple[ledger.FlowLedger, ledger.FlowLedger]],
     structures: Optional[Dict[str, Dict[str, float]]],
     analytic_info: Optional[AnalyticInfo],
 ) -> RunResult:
@@ -237,21 +292,20 @@ def _build_result(
     baseline = work_cycles_per_syscall + syscall_base_cycles
     normalized = (baseline + mean_check) / baseline
 
-    scope = f"{workload_name or '?'}/{regime.name}"
+    scope = f"{workload_name or '?'}/{name}"
     run_ledger.audit_totals(measured, total_check, scope=scope)
     # Sampled runs scale their buckets to the full window, so the
     # regime's own ledger (which only saw the sample) is no longer
-    # the conservation reference: they pass no ``regime_before``, the
+    # the conservation reference: they pass no ``audit``, the
     # cross-audit is skipped, and the result is flagged ``derived``
-    # instead.  Sweep replays pass none either: no regime ran.
-    if regime_before is not None:
-        regime_after = regime.ledger_snapshot()
-        if regime_after is not None:
-            run_ledger.audit_against(regime_before, regime_after, scope=scope)
+    # instead.  Sweep replays and priced deeper stacks pass none
+    # either: no live regime ran them.
+    if audit is not None:
+        run_ledger.audit_against(*audit, scope=scope)
 
     derived = analytic_info is not None and analytic_info.derived
     telemetry.record_simulation(
-        regime=regime.name,
+        regime=name,
         events=measured,
         check_cycles=total_check,
         total_cycles=measured * baseline + total_check,
@@ -270,7 +324,7 @@ def _build_result(
     )
     return RunResult(
         workload=workload_name,
-        regime=regime.name,
+        regime=name,
         events_measured=measured,
         work_cycles_per_syscall=work_cycles_per_syscall,
         syscall_base_cycles=syscall_base_cycles,
@@ -286,6 +340,33 @@ def _build_result(
     )
 
 
+#: Builds a finished walk's :class:`RunResult` under ``copies`` times
+#: the walked filter stack, named ``name`` (see :func:`price_walk`).
+WalkPricer = Callable[[int, str], RunResult]
+
+
+def _price_exact(
+    copies: int,
+    name: str,
+    *,
+    groups: Dict[CheckOutcome, int],
+    audit: Optional[Tuple[ledger.FlowLedger, ledger.FlowLedger]],
+    structures: Optional[Dict[str, Dict[str, float]]],
+    **common: Any,
+) -> RunResult:
+    """An exact tier's result at *copies*: every measured event was
+    walked, so the groups and the instruction counter re-price and
+    nothing else moves.  The cross-audit holds for the walked stack
+    only; its regime never ran the deeper one."""
+    return _build_result(
+        name=name,
+        groups=_priced_groups(groups, copies),
+        audit=audit if copies == 1 else None,
+        structures=_stack_instructions(structures, copies),
+        **common,
+    )
+
+
 def _run_exact_window(
     windows: TraceWindows,
     regime: CheckingRegime,
@@ -293,7 +374,7 @@ def _run_exact_window(
     syscall_base_cycles: float,
     workload_name: str,
     strict: bool,
-) -> RunResult:
+) -> WalkPricer:
     """Analytic exact tier: replay the distinct-event histograms.
 
     Sound only for regimes whose plan is :data:`~repro.common.analytic.
@@ -325,17 +406,17 @@ def _run_exact_window(
         measured += count
 
     regime.analytic_verify()
-    return _build_result(
-        regime=regime,
+    return partial(
+        _price_exact,
+        groups=groups,
+        audit=_audit_pair(regime, regime_before),
+        structures=regime.structure_stats(),
         workload_name=workload_name,
         work_cycles_per_syscall=work_cycles_per_syscall,
         syscall_base_cycles=syscall_base_cycles,
-        groups=groups,
         measured=measured,
         warmed=windows.warmup,
         runs_coalesced=len(windows.measured),
-        regime_before=regime_before,
-        structures=regime.structure_stats(),
         analytic_info=AnalyticInfo(
             mode="exact",
             events_simulated=measured,
@@ -343,14 +424,6 @@ def _run_exact_window(
             scale=1.0,
         ),
     )
-
-
-class _ReplayRegime:
-    """Stand-in regime for out-of-band exact replays: carries only the
-    name (for telemetry and result labelling) and keeps no ledger."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
 
 
 def build_exact_replay_result(
@@ -378,7 +451,7 @@ def build_exact_replay_result(
     windows.
     """
     return _build_result(
-        regime=_ReplayRegime(regime_name),
+        name=regime_name,
         workload_name=workload_name,
         work_cycles_per_syscall=work_cycles_per_syscall,
         syscall_base_cycles=syscall_base_cycles,
@@ -386,7 +459,7 @@ def build_exact_replay_result(
         measured=measured,
         warmed=warmup_events,
         runs_coalesced=runs_coalesced,
-        regime_before=None,
+        audit=None,
         structures=structures,
         analytic_info=AnalyticInfo(
             mode="exact",
@@ -394,6 +467,94 @@ def build_exact_replay_result(
             events_accounted=measured,
             scale=1.0,
         ),
+    )
+
+
+def _price_sampled(
+    copies: int,
+    name: str,
+    *,
+    segments: Tuple[Tuple[Dict[CheckOutcome, int], int], ...],
+    steady_log: List[Tuple[int, CheckOutcome, int]],
+    events_half: List[int],
+    steady_target: int,
+    warm_stats: Dict[str, Dict[str, float]],
+    end_stats: Dict[str, Dict[str, float]],
+    sampled: int,
+    simulated: int,
+    measured: int,
+    work_cycles_per_syscall: float,
+    syscall_base_cycles: float,
+    **common: Any,
+) -> RunResult:
+    """A sampled tier's result at *copies*.
+
+    Each segment's groups are priced before they are scaled, because
+    largest-remainder rounding depends on how the counts split; the
+    split-half drift replays the steady segments at this price; and the
+    raw instruction counters are stacked before extrapolation, which
+    rounds.  The plan, the counts it scales and its scale do not depend
+    on the filter's price.
+    """
+    groups: Dict[CheckOutcome, int] = {}
+    for segment, target in segments:
+        priced = _priced_groups(segment, copies)
+        scaled_counts = analytic_backend.scale_counts(list(priced.values()), target)
+        for outcome, scaled in zip(priced, scaled_counts):
+            if scaled:
+                groups[outcome] = groups.get(outcome, 0) + scaled
+
+    # Split-half drift, expressed on the *run-time* scale: the absolute
+    # per-event check-cost difference between the two sample halves,
+    # multiplied by the events it is extrapolated over, relative to the
+    # run's total cycle cost.  This is directly comparable to an error
+    # on normalised execution time, which is what the figures report.
+    cycles_half = [0.0, 0.0]
+    for half, outcome, seg in steady_log:
+        cycles_half[half] += outcome.priced(copies).cycles * seg
+    total_cost = sum(o.cycles * c for o, c in groups.items()) + (
+        syscall_base_cycles + work_cycles_per_syscall
+    ) * measured
+    steady_events = events_half[0] + events_half[1]
+    if events_half[0] and events_half[1] and total_cost > 0:
+        drift = abs(
+            cycles_half[0] / events_half[0] - cycles_half[1] / events_half[1]
+        )
+        # Assume the per-half drift continues linearly across the
+        # extrapolated span (steady_target / steady_events half-sample
+        # lengths), then floor at the catalog-validated bound — the
+        # sample cannot observe transients slower than itself.
+        error = (
+            drift * steady_target * steady_target
+            / (steady_events * total_cost)
+        )
+    else:
+        error = 0.0
+    error = max(error, analytic_backend.HW_ERROR_FLOOR)
+
+    structures = analytic_backend.extrapolate_structures(
+        _stack_instructions(warm_stats, copies),
+        _stack_instructions(end_stats, copies),
+        sampled,
+        measured - sampled,
+    )
+    info = AnalyticInfo(
+        mode="sampled",
+        events_simulated=simulated,
+        events_accounted=measured,
+        scale=measured / simulated,
+        error_estimate=error,
+    )
+    return _build_result(
+        name=name,
+        work_cycles_per_syscall=work_cycles_per_syscall,
+        syscall_base_cycles=syscall_base_cycles,
+        groups=groups,
+        measured=measured,
+        audit=None,
+        structures=structures,
+        analytic_info=info,
+        **common,
     )
 
 
@@ -406,7 +567,7 @@ def _run_sampled_window(
     syscall_base_cycles: float,
     workload_name: str,
     strict: bool,
-) -> RunResult:
+) -> WalkPricer:
     """Analytic sampled tier for history-dependent regimes.
 
     Simulates the trace prefix exactly — ``plan.warm_events`` of warm-up
@@ -423,7 +584,8 @@ def _run_sampled_window(
     count, carving it out of the steady-mix target.
 
     Structure counters are projected onto the full window; the result is
-    flagged ``derived`` with a split-half error estimate.
+    flagged ``derived`` with a split-half error estimate.  The scaling
+    and the estimate run per price (:func:`_price_sampled`).
     """
     check_run = regime.check_run
     work = work_cycles_per_syscall
@@ -454,7 +616,9 @@ def _run_sampled_window(
     #: scaled to different targets, so they accumulate separately.
     cold_groups: Dict[CheckOutcome, int] = {}
     steady_groups: Dict[CheckOutcome, int] = {}
-    cycles_half = [0.0, 0.0]
+    #: Steady segments in order, as (half, outcome, events): each price
+    #: replays them into its own split-half drift.
+    steady_log: List[Tuple[int, CheckOutcome, int]] = []
     events_half = [0, 0]
     half = plan.sample_events // 2
     sampled = 0
@@ -490,7 +654,7 @@ def _run_sampled_window(
                 if strict and not outcome.allowed:
                     _deny(regime, event)
                 steady_groups[outcome] = steady_groups.get(outcome, 0) + seg
-                cycles_half[bucket] += outcome.cycles * seg
+                steady_log.append((bucket, outcome, seg))
             events_half[bucket] += part
             sampled += part
             take -= part
@@ -531,79 +695,26 @@ def _run_sampled_window(
         plan.transient_repeats * transient_sim if transient_groups else 0
     )
     steady_target = total_measured - accounted_cold - transient_target
-    cold_scaled = (
-        analytic_backend.scale_counts(list(cold_groups.values()), accounted_cold)
-        if cold_groups
-        else []
-    )
-    steady_scaled = analytic_backend.scale_counts(
-        list(steady_groups.values()), steady_target
-    )
-    transient_scaled = (
-        analytic_backend.scale_counts(
-            list(transient_groups.values()), transient_target
-        )
-        if transient_groups
-        else []
-    )
-    groups: Dict[CheckOutcome, int] = {}
-    for bucket, scaled_counts in (
-        (steady_groups, steady_scaled),
-        (cold_groups, cold_scaled),
-        (transient_groups, transient_scaled),
-    ):
-        for outcome, scaled in zip(bucket, scaled_counts):
-            if scaled:
-                groups[outcome] = groups.get(outcome, 0) + scaled
-
-    # Split-half drift, expressed on the *run-time* scale: the absolute
-    # per-event check-cost difference between the two sample halves,
-    # multiplied by the events it is extrapolated over, relative to the
-    # run's total cycle cost.  This is directly comparable to an error
-    # on normalised execution time, which is what the figures report.
-    total_cost = sum(o.cycles * c for o, c in groups.items()) + (
-        syscall_base_cycles + work
-    ) * total_measured
-    steady_events = events_half[0] + events_half[1]
-    if events_half[0] and events_half[1] and total_cost > 0:
-        drift = abs(
-            cycles_half[0] / events_half[0] - cycles_half[1] / events_half[1]
-        )
-        # Assume the per-half drift continues linearly across the
-        # extrapolated span (steady_target / steady_events half-sample
-        # lengths), then floor at the catalog-validated bound — the
-        # sample cannot observe transients slower than itself.
-        error = (
-            drift * steady_target * steady_target
-            / (steady_events * total_cost)
-        )
-    else:
-        error = 0.0
-    error = max(error, analytic_backend.HW_ERROR_FLOOR)
-
-    structures = analytic_backend.extrapolate_structures(
-        warm_stats, end_stats, sampled, total_measured - sampled
-    )
-    simulated = sampled + transient_sim
-    info = AnalyticInfo(
-        mode="sampled",
-        events_simulated=simulated,
-        events_accounted=total_measured,
-        scale=total_measured / simulated,
-        error_estimate=error,
-    )
-    return _build_result(
-        regime=regime,
-        workload_name=workload_name,
+    return partial(
+        _price_sampled,
+        segments=(
+            (steady_groups, steady_target),
+            (cold_groups, accounted_cold),
+            (transient_groups, transient_target),
+        ),
+        steady_log=steady_log,
+        events_half=events_half,
+        steady_target=steady_target,
+        warm_stats=warm_stats,
+        end_stats=end_stats,
+        sampled=sampled,
+        simulated=sampled + transient_sim,
+        measured=total_measured,
         work_cycles_per_syscall=work_cycles_per_syscall,
         syscall_base_cycles=syscall_base_cycles,
-        groups=groups,
-        measured=total_measured,
+        workload_name=workload_name,
         warmed=windows.warmup,
         runs_coalesced=runs_coalesced,
-        regime_before=None,
-        structures=structures,
-        analytic_info=info,
     )
 
 
@@ -656,15 +767,15 @@ def run_trace(
             plan = regime.analytic_plan(windows, work_cycles_per_syscall)
             if plan is not None:
                 if plan.mode == "exact":
-                    return _run_exact_window(
+                    return _keep_walk(regime, _run_exact_window(
                         windows,
                         regime,
                         work_cycles_per_syscall,
                         syscall_base_cycles,
                         workload_name,
                         strict,
-                    )
-                return _run_sampled_window(
+                    ))
+                return _keep_walk(regime, _run_sampled_window(
                     trace,
                     windows,
                     plan,
@@ -673,7 +784,7 @@ def run_trace(
                     syscall_base_cycles,
                     workload_name,
                     strict,
-                )
+                ))
 
     # The run loop is the simulator's hottest code: bound methods are
     # hoisted and the warm-up window is split out so the measured loop
@@ -770,19 +881,50 @@ def run_trace(
             f"{warmed + measured} events"
         )
 
-    return _build_result(
-        regime=regime,
+    return _keep_walk(regime, partial(
+        _price_exact,
+        groups=groups,
+        audit=_audit_pair(regime, regime_before),
+        structures=regime.structure_stats(),
         workload_name=workload_name,
         work_cycles_per_syscall=work_cycles_per_syscall,
         syscall_base_cycles=syscall_base_cycles,
-        groups=groups,
         measured=measured,
         warmed=warmed,
         runs_coalesced=runs_coalesced,
-        regime_before=regime_before,
-        structures=regime.structure_stats(),
         analytic_info=None,
-    )
+    ))
+
+
+def _keep_walk(regime: CheckingRegime, pricer: WalkPricer) -> RunResult:
+    """Leave the walk's *pricer* on the regime for :func:`price_walk`
+    and build the walked stack's own result.  A pricer holds the walk's
+    groups and counters, never the regime, so the two form no reference
+    cycle."""
+    regime.last_walk = pricer
+    return pricer(1, regime.name)
+
+
+def price_walk(regime: CheckingRegime, copies: int) -> RunResult:
+    """The :class:`RunResult` of *regime*'s last :func:`run_trace` walk
+    with its filter stack attached *copies* times, walking no structure
+    again.
+
+    Byte-identical to :func:`run_trace` on a fresh regime built with
+    ``times`` multiplied by *copies*: the filter's price feeds no
+    structure, so a deeper stack changes only the filter runs' prices
+    (:class:`~repro.core.software.FilterCost`) and the
+    executed-instruction counter.  The result goes through the common
+    result tail, telemetry included, but like a sweep replay it skips
+    the cross-audit against a live regime ledger.  Raises
+    :class:`SimulationError` for a regime that cannot be priced
+    (:meth:`~repro.kernel.regimes.CheckingRegime.priced_name`) or that
+    has not walked a trace.
+    """
+    name = regime.priced_name(copies)
+    if regime.last_walk is None:
+        raise SimulationError(f"{regime.name} has not walked a trace")
+    return regime.last_walk(copies, name)
 
 
 def mean_check_cycles(

@@ -42,11 +42,37 @@ class TestParallelSerialEquality:
         assert _suite_json(serial) == _suite_json(parallel)
         assert [o.experiment_id for o in parallel.outcomes] == list(FAST_IDS)
 
-    def test_derived_seeds_are_stable_and_distinct(self):
-        a = engine._task_kwargs("table1", None, 42, None)
-        b = engine._task_kwargs("table2", None, 42, None)
-        assert a["seed"] == engine._task_kwargs("table1", None, 42, None)["seed"]
-        assert a["seed"] != b["seed"]
+    def test_one_seed_keeps_shared_stages_shared(self):
+        """``seed`` is every experiment's input seed, so fig12, fig13 and
+        flowmix simulate the same traces under any seed and share
+        stages exactly as they do by default."""
+        ids = ("fig12", "fig13", "flowmix")
+        overrides = {eid: {"workloads": ("nginx", "pipe-ipc")} for eid in ids}
+
+        def suite(seed):
+            run = engine.run_suite(
+                ids, events=1200, seed=seed, cache_mode=engine.CACHE_OFF,
+                run_overrides=overrides,
+            )
+            assert not run.failures
+            return run
+
+        default, seeded = suite(None), suite(3)
+        counters = seeded.report.stage_counters()
+        assert counters == default.report.stage_counters()
+        assert counters["dedup"] > 0
+        detail = {
+            o.experiment_id: o.record.simulation["stages"]["detail"]
+            for o in seeded.outcomes
+        }
+        fig12_hw = [
+            row["label"]
+            for row in detail["fig12"]
+            if row["kind"] == "eval" and row["label"].endswith(":draco-hw-complete")
+        ]
+        fig13_evals = [row for row in detail["fig13"] if row["kind"] == "eval"]
+        assert [row["label"] for row in fig13_evals] == fig12_hw
+        assert {row["status"] for row in fig13_evals} == {"dedup"}
 
     def test_no_seed_means_module_defaults(self):
         assert engine._task_kwargs("table1", None, None, None) == {}

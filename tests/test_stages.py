@@ -138,8 +138,8 @@ class TestPlanner:
                 plan = monolithic_plan(entry.experiment_id, {}, "d")
             union.update(plan.stages)
         kinds = Counter(stage.kind for stage in union.values())
-        assert kinds == {"context": 15, "eval": 285, "fleet-eval": 1, "analysis": 16}
-        assert len(union) == 317
+        assert kinds == {"context": 15, "eval": 240, "fleet-eval": 1, "analysis": 16}
+        assert len(union) == 272
 
 
 class TestDifferential:
@@ -171,10 +171,11 @@ class TestDedup:
         )
         assert not run.failures
         by_id = {o.experiment_id: o.record for o in run.outcomes}
-        # fig12 owns everything: per workload a context and three hw
-        # evals, plus its own analysis stage.
+        # fig12 owns everything: per workload a context and two hw
+        # evals (the complete walk also prices complete-2x), plus its
+        # own analysis stage.
         assert _stage_counters(by_id["fig12"]) == {
-            "executed": len(WORKLOADS) * 4 + 1,
+            "executed": len(WORKLOADS) * 3 + 1,
             "hit": 0,
             "dedup": 0,
             "stored": 0,  # cache off: nothing lands on disk
@@ -198,6 +199,22 @@ class TestDedup:
             if row["status"] == "exec"
         ]
         assert len(executed) == len(set(executed))
+
+    def test_bitmap_waits_for_shared_evals_on_two_workers(self, cache_dir):
+        """bitmap's Seccomp and Draco evaluations are stages of fig11 and
+        fig12, so on two workers its analysis waits for them instead of
+        walking them itself: it simulates only the bitmap regime."""
+        ids = ("fig11", "fig12", "bitmap")
+        run = engine.run_suite(
+            ids,
+            jobs=2,
+            cache_mode=engine.CACHE_OFF,
+            run_overrides={eid: {"workloads": WORKLOADS, "events": EVENTS} for eid in ids},
+        )
+        assert not run.failures
+        record = next(o.record for o in run.outcomes if o.experiment_id == "bitmap")
+        regimes = record.simulation["regime_events"]
+        assert regimes and all(name.startswith("seccomp-bitmap:") for name in regimes), regimes
 
     def test_summary_renders_stage_counters(self, cache_dir):
         run = engine.run_suite(
@@ -257,10 +274,10 @@ class TestRefreshScoping:
         assert _markdowns(refreshed) == _markdowns(cold)
         by_id = {o.experiment_id: o.record for o in refreshed.outcomes}
         assert by_id["fig12"].cache == telemetry.CACHE_REFRESH
-        # fig12: all eight intermediates served from disk, analysis re-run.
+        # fig12: all six intermediates served from disk, analysis re-run.
         assert _stage_counters(by_id["fig12"]) == {
             "executed": 1,
-            "hit": len(WORKLOADS) * 4,
+            "hit": len(WORKLOADS) * 3,
             "dedup": 0,
             "stored": 1,  # the refreshed terminal result
             "failed": 0,
@@ -302,7 +319,7 @@ class TestIncrementalInvalidation:
         assert not rerun.failures
         by_id = {o.experiment_id: o.record for o in rerun.outcomes}
         # fig12's new events invalidate its whole subgraph.
-        assert _stage_counters(by_id["fig12"])["executed"] == len(WORKLOADS) * 4 + 1
+        assert _stage_counters(by_id["fig12"])["executed"] == len(WORKLOADS) * 3 + 1
         assert _stage_counters(by_id["fig12"])["hit"] == 0
         # fig13 / flowmix are untouched: intermediates all hit, only the
         # (always-recomputed-under-refresh) analysis executes.
