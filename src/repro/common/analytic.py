@@ -1,12 +1,12 @@
-"""Analytic steady-state simulation backend (the third kernel tier).
+"""Analytic steady-state simulation backend (the second kernel tier).
 
-The simulator has three ways to drive a trace through a checking regime
+The simulator has two ways to drive a trace through a checking regime
 (see ``docs/PERFORMANCE.md``):
 
-1. **per-event** — the literal ``[check; advance]`` loop;
-2. **RLE bulk** — run-length-encoded consumption with steady-state
-   bulk checks (``repro.common.bulk``), bit-identical to per-event;
-3. **analytic** — this module: whole-window costs computed in closed
+1. **exact** — run-length-encoded consumption through each regime's
+   ``check``/``check_run``, with the regimes' steady memos and run
+   shortcuts always on;
+2. **analytic** — this module: whole-window costs computed in closed
    form from the trace's *distinct-event histogram* wherever the
    regime's structure state reaches a steady fixed point.
 
@@ -16,7 +16,7 @@ set of previously seen events — not of their interleaving — so the
 whole measured window collapses to one ``check_run(event, count)`` per
 distinct event, in first-seen order.  That reordering is *exact*: the
 produced :class:`repro.kernel.simulator.RunResult` is value-identical
-to the per-event and bulk kernels (see the differential suite in
+to the exact kernel (see the differential suite in
 ``tests/test_analytic.py``).
 
 Preconditions for exactness (stated here, verified by the regimes):
@@ -54,7 +54,7 @@ with probabilities ``p_i``, the Che characteristic time ``T`` solves::
 
 Everything here lives in ``repro.common`` so the kernel layer, the
 experiment runner and the benchmarks can consult it without import
-cycles (the same pattern as ``repro.common.bulk``).
+cycles.
 """
 
 from __future__ import annotations
@@ -68,8 +68,7 @@ from repro.common import storage
 from repro.common.memo import memo_insert
 
 #: Environment variable: set to ``0``/``off`` to disable the analytic
-#: backend (every run falls back to the RLE bulk kernel, or per-event
-#: under ``REPRO_BULK=0``).
+#: backend (every run falls back to the exact kernel).
 ANALYTIC_ENV = "REPRO_ANALYTIC"
 
 #: Version of the analytic backend's numerical contract.  Bumped when
@@ -134,27 +133,6 @@ def analytic_enabled() -> bool:
     '0'
     """
     return storage._truthy(ANALYTIC_ENV)
-
-
-def resolve_backend(override: Optional[str] = None) -> str:
-    """The backend-selection seam for the kernel layer.
-
-    Returns ``"analytic"``, ``"bulk"`` or ``"event"``: the explicit
-    *override* when given, otherwise the environment's tier order
-    (``REPRO_ANALYTIC`` > ``REPRO_BULK`` > per-event).  Callers that
-    cannot honour a tier degrade one step: the scheduler and multicore
-    system treat ``"analytic"`` as ``"bulk"``, because quantum
-    boundaries are exactly the transients the analytic backend excludes.
-    """
-    if override is not None:
-        if override not in ("analytic", "bulk", "event"):
-            raise ValueError(f"unknown simulation backend {override!r}")
-        return override
-    if analytic_enabled():
-        return "analytic"
-    from repro.common.bulk import bulk_enabled
-
-    return "bulk" if bulk_enabled() else "event"
 
 
 # ---------------------------------------------------------------------------

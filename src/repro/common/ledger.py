@@ -102,7 +102,7 @@ class FlowLedger:
         self.cycles[flow] = self.cycles.get(flow, 0.0) + cycles
 
     def record_bulk(self, flow: str, cycles: float, count: int) -> None:
-        """Account *count* syscalls that each cost *cycles* (bulk path).
+        """Account *count* syscalls that each cost *cycles* (a run shortcut).
 
         Charges ``cycles * count`` in one addition; callers comparing
         against a per-event ledger should use :meth:`audit_against`'s

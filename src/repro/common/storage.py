@@ -1,12 +1,12 @@
 """Low-level persistent-cache plumbing shared across layers.
 
 The experiment-level cache (:mod:`repro.experiments.cache`) and the
-lower layers that read switches (:mod:`repro.common.analytic`,
-:mod:`repro.common.bulk`) sit at opposite ends of the import graph, but
-they must agree on where the cache lives and how a switch is read — one
-``REPRO_CACHE_DIR``, one ``REPRO_CACHE_DISABLE``.  This module owns
-those decisions plus the atomic write discipline, and depends on nothing
-above ``repro.common``.
+lower layer that reads a switch (:mod:`repro.common.analytic`) sit at
+opposite ends of the import graph, but they must agree on where the
+cache lives and how a switch is read — one ``REPRO_CACHE_DIR``, one
+``REPRO_CACHE_DISABLE``.  This module owns those decisions plus the
+atomic write discipline, and depends on nothing above
+``repro.common``.
 
 All writes are temp-file-then-``os.replace`` so concurrent workers
 never observe a torn entry; all reads treat a missing, truncated, or

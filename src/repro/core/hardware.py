@@ -17,6 +17,12 @@ phases that mirror the pipeline:
    runs the Seccomp filter (Section VII-B), then updates the VAT.
 
 The outcome of each syscall is classified into the Table I flows.
+
+:meth:`HardwareDraco._walk` is that pipeline, the reference semantics.
+:meth:`HardwareDraco.on_syscall` puts a steady memo in front of it: a
+walk that mutated no structure is replayed, side effect for side
+effect, while the entries it hit stay resident (see
+:meth:`HardwareDraco.steady_probe`).
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.common import ledger as common_ledger
-from repro.common.bulk import bulk_enabled
 from repro.core.flows import Flow, classify
 from repro.core.slb import HashId, Slb, SlbEntry, SlbSubtable
 from repro.core.software import FilterCost, ProcessTables
@@ -90,20 +95,6 @@ class HardwareDracoStats:
             self.os_invocations += 1
         self.total_stall_cycles += stall
         self.syscalls += 1
-
-    def record_bulk(self, result: HwCheckResult, count: int) -> None:
-        """Account *count* identical outcomes in O(1).  Cycle buckets are
-        charged ``stall * count`` in one addition, so comparisons against
-        a per-event ledger must use the audit tolerance, not bit equality
-        (counts stay exact)."""
-        self.flows[result.flow] = self.flows.get(result.flow, 0) + count
-        self.flow_cycles[result.flow] = (
-            self.flow_cycles.get(result.flow, 0.0) + result.stall_cycles * count
-        )
-        if result.os_invoked:
-            self.os_invocations += count
-        self.total_stall_cycles += result.stall_cycles * count
-        self.syscalls += count
 
     @property
     def mean_stall_cycles(self) -> float:
@@ -193,10 +184,9 @@ class HardwareDraco:
         #: Interned walk outcomes: equal-valued results are one object,
         #: so a walk builds no result and consumers can key on identity.
         self._results: Dict[tuple, HwCheckResult] = {}
-        #: Steady-state memo (bulk fast path).  An entry stays valid
-        #: while the exact structure entries its walk touched remain
-        #: resident — see :meth:`steady_probe`.
-        self._bulk = bulk_enabled()
+        #: Steady-state memo.  An entry stays valid while the exact
+        #: structure entries its walk touched remain resident — see
+        #: :meth:`steady_probe`.
         self._steady: Dict[SyscallEvent, SteadyMemo] = {}
         self._populate_spt()
 
@@ -297,29 +287,19 @@ class HardwareDraco:
     def on_syscall(self, event: SyscallEvent) -> HwCheckResult:
         """One syscall through the pipeline.
 
-        With the bulk fast path enabled, :meth:`steady_probe` first looks
-        for a replayable memo entry; a hit replays the exact
-        per-structure side effects of the original walk (clock ticks,
-        LRU refreshes, hit counters, Accessed bits) — see
-        :meth:`steady_replay` — so the memo is an accelerator, not an
-        approximation.  Otherwise the full walk runs through
-        :meth:`walk_and_install`, which callers that probed for
-        themselves (``check_run``, the scheduler) call directly.
+        :meth:`steady_probe` first looks for a replayable memo entry; a
+        hit replays the exact per-structure side effects of the original
+        walk (clock ticks, LRU refreshes, hit counters, Accessed bits) —
+        see :meth:`steady_replay` — so the memo is an accelerator, not
+        an approximation.  Otherwise the full walk (:meth:`_walk`, the
+        reference semantics) runs, and a walk that mutated no structure
+        is memoized for later replays (see
+        :meth:`_maybe_install_steady`).
         """
-        if self._bulk:
-            memo = self.steady_probe(event)
-            if memo is not None:
-                self.steady_replay(memo, 1)
-                return memo.result
-        return self.walk_and_install(event)
-
-    def walk_and_install(self, event: SyscallEvent) -> HwCheckResult:
-        """The full walk for an event the steady memo cannot replay.
-        With the bulk fast path enabled, a walk that mutated no
-        structure is memoized for later replays (see
-        :meth:`_maybe_install_steady`)."""
-        if not self._bulk:
-            return self._walk(event)
+        memo = self.steady_probe(event)
+        if memo is not None:
+            self.steady_replay(memo)
+            return memo.result
         epoch = self._epoch()
         result = self._walk(event)
         if self._epoch() == epoch:
@@ -429,41 +409,32 @@ class HardwareDraco:
             self._steady.clear()
         self._steady[event] = memo
 
-    def steady_replay(self, memo: SteadyMemo, count: int) -> None:
-        """Apply the side effects of *count* steady-state walks of the
-        memoized event, bit-identical to running them one by one.
+    def steady_replay(self, memo: SteadyMemo) -> None:
+        """Apply the side effects of one steady-state walk of the
+        memoized event, bit-identical to running the walk:
 
-        Every walk hits the same entries, so the per-walk LRU clock
-        ticks collapse into one advance (only the final ``last_used``
-        stamp is observable) and each hit counter advances by the walk
-        count:
-
-        * the STB entry: one lookup per walk, two for SPT-only (the
-          second is ``_maybe_update_stb``'s);
-        * the SPT slot: two lookups per walk; its Accessed bit is
-          idempotent;
+        * the STB entry: one lookup, two for SPT-only (the second is
+          ``_maybe_update_stb``'s), each a clock tick and a hit;
+        * the SPT slot: two lookups; its Accessed bit is idempotent;
         * flow 1 only, the SLB entry: one preload-probe hit, which
           touches counters only (a preload leaves no LRU state), and
           one non-speculative access hit.
         """
         stb = self.stb
-        stb_hits = count if memo.flow1 else 2 * count
+        stb_hits = 1 if memo.flow1 else 2
         stb.clock += stb_hits
         memo.stb_entry.last_used = stb.clock
         stb.hits += stb_hits
         memo.spt_slot.accessed = True
-        self.spt.hits += 2 * count
+        self.spt.hits += 2
         if memo.flow1:
             subtable = memo.subtable
-            subtable.clock += count
+            subtable.clock += 1
             memo.slb_entry.last_used = subtable.clock
             slb = self.slb
-            slb.preload_hits += count
-            slb.access_hits += count
-        if count == 1:
-            self.stats.record(memo.result)
-        else:
-            self.stats.record_bulk(memo.result, count)
+            slb.preload_hits += 1
+            slb.access_hits += 1
+        self.stats.record(memo.result)
 
     def _walk(self, event: SyscallEvent) -> HwCheckResult:
         stb_hit, preload_hit, preload_latency, predicted_sid = (

@@ -72,8 +72,8 @@ class SlbSubtable:
         """Speculative probe by (SID, hash).  No LRU update and no
         counters (Section IX: "if an SLB preload request hits in the
         SLB, the LRU state of the SLB is not updated until the
-        corresponding non-speculative SLB access"), so the bulk fast
-        path also uses it to re-verify a memoized walk's preload hit."""
+        corresponding non-speculative SLB access"), so the steady memo
+        also uses it to re-verify a memoized walk's preload hit."""
         for entry in self._sets[(sid ^ hash_id[1]) % self.num_sets]:
             if entry.sid == sid and entry.hash_id == hash_id:
                 return True
@@ -83,7 +83,7 @@ class SlbSubtable:
         self, sid: int, args: Tuple[int, ...], hash_pair: Tuple[int, int]
     ) -> Optional[SlbEntry]:
         """Side-effect-free :meth:`access` probe (no clock, no LRU);
-        used by the bulk fast path to capture replay references."""
+        used by the steady memo to capture replay references."""
         sets = self._sets
         num_sets = self.num_sets
         for value in hash_pair:
@@ -149,8 +149,8 @@ class Slb:
         self.preload_hits = 0
         self.preload_misses = 0
         #: Bumped on every state-changing operation (fill, invalidate);
-        #: the bulk-check fast path folds this into its steady-state
-        #: epoch, so memoized walk results never survive a mutation.
+        #: the steady memo folds this into its epoch, so memoized walk
+        #: results never survive a mutation.
         self.mutations = 0
 
     def subtable(self, arg_count: int) -> SlbSubtable:

@@ -8,6 +8,12 @@ the VAT is updated so the validation is never repeated.
 Correctness rests on Seccomp profiles being *stateless* (Section V):
 the filter's output depends only on the (SID, argument set) input, so a
 cached positive validation remains valid.
+
+:meth:`SoftwareDraco._check_slow` is that workflow, the reference
+semantics.  A steady-state memo sits in front of it: while the VAT is
+unchanged, a VAT hit or an SPT-only check repeats without walking the
+tables, and :meth:`SoftwareDraco.check_bulk` replays the rest of a run
+of them at once.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common import ledger
-from repro.common.bulk import bulk_enabled
 from repro.core.spt import SoftwareSPT, SptEntry
 from repro.core.vat import VAT
 from repro.cpu.params import DEFAULT_SW_COSTS, SoftwareCostParams
@@ -227,11 +232,10 @@ class SoftwareDraco:
         self.costs = costs
         self.use_jit = use_jit
         self.stats = SoftwareDracoStats()
-        #: Steady-state memo (bulk fast path): event -> (epoch, outcome)
-        #: for the two pure fast paths (VAT hit, SPT-only).  The epoch is
-        #: the VAT's mutation counter — any insert (cuckoo relocations
-        #: may evict) or flush lazily invalidates every entry.
-        self._bulk = bulk_enabled()
+        #: Steady-state memo: event -> (epoch, outcome) for the two pure
+        #: fast paths (VAT hit, SPT-only).  The epoch is the VAT's
+        #: mutation counter — any insert (cuckoo relocations may evict)
+        #: or flush lazily invalidates every entry.
         self._steady: Dict[SyscallEvent, Tuple[int, CheckOutcome]] = {}
 
     #: Steady-memo size cap (safety valve, as in the hardware model).
@@ -268,15 +272,15 @@ class SoftwareDraco:
         )
 
     def check(self, event: SyscallEvent) -> CheckOutcome:
-        """Figure 4's workflow: table check, then filter on a miss,
-        with a steady-state memo in front when the bulk path is on."""
-        if self._bulk:
-            memo = self._steady.get(event)
-            if memo is not None and memo[0] == self.tables.vat.mutations:
-                self._replay_steady(memo[1], 1)
-                return memo[1]
+        """Figure 4's workflow: table check, then filter on a miss
+        (:meth:`_check_slow`, the reference semantics), with a
+        steady-state memo in front."""
+        memo = self._steady.get(event)
+        if memo is not None and memo[0] == self.tables.vat.mutations:
+            self._replay_steady(memo[1], 1)
+            return memo[1]
         outcome = self._check_slow(event)
-        if self._bulk and (outcome.path == "vat_hit" or outcome.path == "spt_only"):
+        if outcome.path == "vat_hit" or outcome.path == "spt_only":
             # Neither fast path mutated the VAT, so the epoch read here
             # is the one the walk ran under.
             if len(self._steady) >= self._STEADY_LIMIT:
@@ -305,7 +309,7 @@ class SoftwareDraco:
         segments: List[Tuple[CheckOutcome, int]] = []
         remaining = count
         while remaining:
-            memo = self._steady.get(event) if self._bulk else None
+            memo = self._steady.get(event)
             if memo is not None and memo[0] == self.tables.vat.mutations:
                 outcome = memo[1]
                 self._replay_steady(outcome, remaining)

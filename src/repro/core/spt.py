@@ -80,9 +80,9 @@ class HardwareSPT:
         self.hits = 0
         self.misses = 0
         #: Bumped on every state-changing operation (install, invalidate);
-        #: folded into the bulk fast path's steady-state epoch.  The
-        #: Accessed bit set by ``lookup`` is deliberately excluded — it
-        #: is idempotent and the bulk replay re-applies it.
+        #: folded into the steady memo's epoch.  The Accessed bit set by
+        #: ``lookup`` is deliberately excluded — it is idempotent and the
+        #: steady replay re-applies it.
         self.mutations = 0
 
     @property
@@ -114,7 +114,7 @@ class HardwareSPT:
 
     def peek(self, sid: int) -> Optional[SptEntry]:
         """Side-effect-free :meth:`lookup` probe (no counters, no
-        Accessed bit); used by the bulk fast path."""
+        Accessed bit); used by the steady memo."""
         slot = self._slots[self._index(sid)]
         if slot is not None and slot.sid == sid and slot.valid:
             return slot

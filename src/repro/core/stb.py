@@ -44,7 +44,7 @@ class Stb:
         self.misses = 0
         self.evictions = 0
         #: Bumped on every state-changing operation (update, invalidate);
-        #: folded into the bulk fast path's steady-state epoch.
+        #: folded into the steady memo's epoch.
         self.mutations = 0
 
     def _set_for(self, pc: int) -> List[StbEntry]:
@@ -65,7 +65,7 @@ class Stb:
 
     def peek(self, pc: int) -> Optional[StbEntry]:
         """Side-effect-free probe: no counters, no LRU, no clock.  Used
-        by the bulk fast path to capture replay references."""
+        by the steady memo to capture replay references."""
         for entry in self._set_for(pc):
             if entry.pc == pc:
                 return entry

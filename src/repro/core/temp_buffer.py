@@ -34,9 +34,9 @@ class TemporaryBuffer:
         self.capacity = params.temp_buffer_entries
         self._entries: List[TempEntry] = []
         #: Bumped whenever the buffer's contents change (stash, a
-        #: successful take, clear); folded into the bulk fast path's
-        #: steady-state epoch — a stashed entry could match a memoized
-        #: event's (sid, args) and change its walk.
+        #: successful take, clear); folded into the steady memo's epoch
+        #: — a stashed entry could match a memoized event's (sid, args)
+        #: and change its walk.
         self.mutations = 0
 
     def __len__(self) -> int:
@@ -58,7 +58,7 @@ class TemporaryBuffer:
         return None
 
     def peek_match(self, sid: int, args: Tuple[int, ...]) -> Optional[TempEntry]:
-        """Side-effect-free :meth:`take_match` probe (bulk fast path):
+        """Side-effect-free :meth:`take_match` probe (steady memo):
         a steady-state memo is only valid while no stashed entry would
         be claimed by the memoized event's walk."""
         for entry in self._entries:

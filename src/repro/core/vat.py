@@ -122,8 +122,8 @@ class VAT:
         self.inserts = 0
         #: Bumped on every operation that can remove or replace an entry
         #: (insert — cuckoo relocation may evict — and clear_all); folded
-        #: into the bulk fast path's steady-state epoch so memoized hit
-        #: outcomes never survive a mutation.
+        #: into the steady memos' epochs so memoized hit outcomes never
+        #: survive a mutation.
         self.mutations = 0
 
     # -- construction -----------------------------------------------------
@@ -185,7 +185,7 @@ class VAT:
         return probe
 
     def record_hit_bulk(self, count: int) -> None:
-        """Account *count* replayed steady-state hits (bulk fast path)."""
+        """Account *count* replayed steady-state hits (the steady memo)."""
         self.hits += count
 
     def insert(self, sid: int, key: bytes, args: Tuple[int, ...]) -> int:

@@ -144,33 +144,6 @@ class MemoryHierarchy:
         banked["L2"] = l2
         banked["L3"] = l3
 
-    def pollute_repeat(self, work_cycles: int, count: int) -> None:
-        """Exactly ``count`` back-to-back calls of ``pollute(work_cycles)``.
-
-        The per-call credit additions are replayed one by one — repeated
-        ``credit += c`` is not ``credit + k*c`` in IEEE-754 — so the
-        banked residue is bit-identical to the per-event path.  The LRU
-        sweeps themselves are deferred to the end of each level's replay:
-        no access intervenes between them, so ordering is immaterial.
-        """
-        if work_cycles <= 0 or count <= 0:
-            return
-        for level_name, cache, increment in zip(
-            ("L1", "L2", "L3"),
-            (self.l1, self.l2, self.l3),
-            self._increments_for(work_cycles),
-        ):
-            credit = self._pollution_credit[level_name]
-            sweeps = 0
-            for _ in range(count):
-                credit += increment
-                while credit >= 1.0:
-                    sweeps += 1
-                    credit -= 1.0
-            for _ in range(sweeps):
-                cache.evict_lru_fraction(1.0)
-            self._pollution_credit[level_name] = credit
-
     def invalidate_all(self) -> None:
         self.l1.invalidate_all()
         self.l2.invalidate_all()

@@ -8,7 +8,7 @@ whole evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.experiments import (
     bitmap_comparison,
@@ -82,22 +82,3 @@ def by_id(experiment_id: str) -> Experiment:
 
 def ids() -> Tuple[str, ...]:
     return tuple(experiment.experiment_id for experiment in REGISTRY)
-
-
-def run_all(
-    events: Optional[int] = None, jobs: int = 1, use_cache: bool = False
-) -> Dict[str, ExperimentResult]:
-    """Regenerate every artifact via the engine (serial, uncached by
-    default to preserve the historical behaviour of this helper)."""
-    from repro.experiments import engine
-
-    run = engine.run_suite(
-        events=events,
-        jobs=jobs,
-        cache_mode=engine.CACHE_ON if use_cache else engine.CACHE_OFF,
-    )
-    for outcome in run.failures:
-        raise RuntimeError(
-            f"experiment {outcome.experiment_id} failed:\n{outcome.record.error}"
-        )
-    return run.results

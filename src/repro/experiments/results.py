@@ -141,8 +141,3 @@ class ExperimentResult:
         for note in self.notes:
             lines.append(f"\n> {note}")
         return "\n".join(lines) + "\n"
-
-
-def mean_of(rows: Sequence[Mapping[str, float]], key: str) -> float:
-    values = [float(row[key]) for row in rows]
-    return sum(values) / len(values) if values else 0.0

@@ -221,17 +221,16 @@ class WorkloadContext:
         """Serve a Seccomp evaluation from the shared filter sweep, or
         ``None`` to run the trace for real.
 
-        The cache no longer holds sweeps (they stay in
-        :mod:`~repro.experiments.seccomp_replay`'s in-process memo), but
-        replays stay gated on it as well as on the analytic backend:
-        ``--no-cache`` and ``REPRO_ANALYTIC=0`` both mean "exact
-        kernels", which is the reference the differential tests hold
-        replayed results to, byte for byte.
+        Sweeps live in :mod:`~repro.experiments.seccomp_replay`'s
+        in-process memo, never on disk, so the cache switches do not
+        gate them.  ``REPRO_ANALYTIC=0`` does: it means "exact kernels",
+        the reference the differential tests hold replayed results to,
+        byte for byte.
         """
         variant = _SECCOMP_REPLAY_VARIANTS.get(regime_name)
         if variant is None:
             return None
-        if not (result_cache.cache_enabled() and analytic_enabled()):
+        if not analytic_enabled():
             return None
         from repro.experiments import seccomp_replay
 
@@ -258,8 +257,8 @@ class WorkloadContext:
         memoised per context on ``(regime, analytic_enabled())``;
         overrides (unhashable cost objects) always run their own regime
         fresh.  Seccomp regimes are additionally served by replaying
-        the shared per-(trace, profile) filter sweep when the cache and
-        the analytic backend allow it (see :meth:`_replay`).
+        the shared per-(trace, profile) filter sweep when the analytic
+        backend is on (see :meth:`_replay`).
 
         Either regime of a Draco ``complete``/``complete-2x`` pair walks
         the ``1x`` regime once and memoises both results, the ``-2x``
@@ -326,19 +325,6 @@ class WorkloadContext:
         Keyed like :meth:`evaluate`.
         """
         self._eval_memo[(regime_name, analytic_enabled())] = result
-
-    def evaluate_with_regime(
-        self, regime: CheckingRegime
-    ) -> Tuple[RunResult, CheckingRegime]:
-        """Run with a caller-built regime (for hit-rate inspection)."""
-        result = run_trace(
-            self.trace,
-            regime,
-            work_cycles_per_syscall=self.work_cycles,
-            syscall_base_cycles=self.syscall_base_cycles,
-            workload_name=self.spec.name,
-        )
-        return result, regime
 
 
 def _trace_for(spec: WorkloadSpec, events: int, seed: int) -> SyscallTrace:
@@ -414,7 +400,7 @@ def calibrate_work_cycles(
             return cached
 
     probe = None
-    if result_cache.cache_enabled() and analytic_enabled():
+    if analytic_enabled():
         # The probe is a plain syscall-complete evaluation at W = S = 1,
         # so it replays the same shared filter sweep the syscall-complete
         # bars use (byte-identical mean_check_cycles by contract).

@@ -25,10 +25,10 @@ calibration probe and fig16's old-kernel bars all share the single
 memo serves every reuse within a process, and the 45 sweeps of a
 default suite take about 0.13 s to build.
 
-Replays are only served when both the cache (``REPRO_CACHE_DISABLE``
-unset, no ``--no-cache``) and the analytic backend (``REPRO_ANALYTIC``)
-are enabled — with either off, every run goes through the exact
-kernels, as ``docs/PERFORMANCE.md`` promises, which is what the
+Replays are only served when the analytic backend (``REPRO_ANALYTIC``)
+is enabled; the cache switches do not gate them, because sweeps never
+touch the cache.  With the backend off, every run goes through the
+exact kernels, as ``docs/PERFORMANCE.md`` promises, which is what the
 differential tests compare replays against.  Callers gate; this module
 assumes it.
 """

@@ -4,7 +4,8 @@ Each core owns private L1/L2 caches and its own Draco structures
 (Figure 10); all cores share the L3.  Processes are assigned to cores
 and time-share them under round-robin quanta; the system interleaves
 quanta across cores so shared-L3 interference between tenants on
-different cores is modelled.
+different cores is modelled.  Quanta run on the single-core
+scheduler's exact kernel (:func:`repro.kernel.scheduler._drive_quantum`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.common import analytic as analytic_backend
 from repro.common.errors import ConfigError
 from repro.cpu.cache import SetAssociativeCache
 from repro.cpu.hierarchy import MemoryHierarchy
@@ -95,13 +95,13 @@ class MultiCoreSystem:
     # -- execution ---------------------------------------------------------
 
     def _run_quantum(
-        self, core: DracoCore, process: ScheduledProcess, strict: bool, bulk: bool
+        self, core: DracoCore, process: ScheduledProcess, strict: bool
     ) -> int:
         pipeline = core.schedule(process)
         cold = core.last_schedule_cold
         cycles_start = process.check_cycles
         end = min(process.cursor + self.quantum, len(process.trace))
-        executed = _drive_quantum(pipeline, core.hierarchy, process, end, strict, bulk)
+        executed = _drive_quantum(pipeline, core.hierarchy, process, end, strict)
         process.quanta.append(
             QuantumRecord(
                 syscalls=executed,
@@ -117,16 +117,15 @@ class MultiCoreSystem:
         """Interleave quanta round-robin across cores until all traces
         complete.
 
-        *backend* overrides the kernel tier (``"analytic"``, ``"bulk"``
-        or ``"event"``); ``None`` follows the environment.  As in the
-        single-core scheduler, ``"analytic"`` degrades to the exact RLE
-        bulk kernel — every quantum ends in exactly the transient the
-        analytic tier excludes.
+        *backend* is kept for callers that pass ``"bulk"``: it accepts
+        ``None`` and ``"bulk"``, selects nothing (there is one kernel),
+        and raises :class:`ValueError` on anything else.
         """
+        if backend not in (None, "bulk"):
+            raise ValueError(f"unknown simulation backend {backend!r}")
         if not any(self._run_queues):
             raise ConfigError("no processes assigned")
         total = 0
-        bulk = analytic_backend.resolve_backend(backend) != "event"
         # Fleet-capable bookkeeping: each core rotates a deque holding
         # only its unfinished processes (popleft, run one quantum,
         # append while unfinished), and a running count of unfinished
@@ -147,7 +146,7 @@ class MultiCoreSystem:
                 if not rotation:
                     continue
                 candidate = rotation.popleft()
-                total += self._run_quantum(core, candidate, strict, bulk)
+                total += self._run_quantum(core, candidate, strict)
                 if candidate.done:
                     remaining -= 1
                 else:

@@ -19,6 +19,15 @@ filter's price in parts (:class:`~repro.core.software.FilterCost`) and
 stack: :func:`repro.kernel.simulator.price_walk` prices a ``times=1``
 walk as the ``times=2`` regime.  A ``times=2`` regime still walks for
 itself; it is the reference the pricing is tested against.
+
+There is one exact kernel.  :meth:`CheckingRegime.check_run` is the
+literal ``[check; advance] × count`` loop; the order-independent
+regimes override it with run shortcuts (a filter decision or a cache
+hit repeats without re-running), and hardware Draco keeps the base
+loop, with its steady memo behind each ``check``
+(:meth:`repro.core.hardware.HardwareDraco.on_syscall`).  The code each
+shortcut stands in for stays as its miss path, and tests reach it
+through the ``reference_kernels`` fixture.
 """
 
 from __future__ import annotations
@@ -28,7 +37,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common import analytic as analytic_backend
 from repro.common import ledger as common_ledger
-from repro.common.bulk import bulk_enabled
 from repro.common.errors import AnalyticPreconditionError, SimulationError
 from repro.core.hardware import HardwareDraco
 from repro.core.software import (
@@ -73,10 +81,12 @@ class CheckingRegime(abc.ABC):
         per-event sequence ``[check; advance] × count`` — and return its
         outcomes as chronological ``(outcome, n)`` segments.
 
-        This default performs the sequence literally; regimes override
-        it with provably-equivalent steady-state shortcuts (the bulk
-        fast path).  Callers that consume runs must *not* also call
-        :meth:`advance` for the covered events.
+        This default performs the sequence literally and is the
+        reference semantics.  Order-independent regimes (Seccomp, the
+        bitmap cache, software Draco, insecure) override it with
+        provably-equivalent shortcuts that keep the analytic exact
+        window linear in distinct events.  Callers that consume runs
+        must *not* also call :meth:`advance` for the covered events.
         """
         segments: List[Tuple[CheckOutcome, int]] = []
         for _ in range(count):
@@ -106,8 +116,8 @@ class CheckingRegime(abc.ABC):
         self, windows: "analytic_backend.TraceWindows", work_cycles: float = 0.0
     ) -> Optional["analytic_backend.AnalyticPlan"]:
         """How the analytic backend may drive this regime, or ``None``
-        to decline (the simulator then falls back to the exact RLE bulk
-        or per-event kernels).
+        to decline (the simulator then falls back to the exact
+        kernel).
 
         Order-independent regimes with a no-op :meth:`advance` return
         :data:`repro.common.analytic.EXACT_PLAN` — histogram replay is
@@ -152,7 +162,7 @@ class InsecureRegime(CheckingRegime):
         return self._outcome
 
     def _pristine(self) -> bool:
-        # The bulk shortcut and the exact plan both bake in what
+        # The run shortcut and the exact plan both bake in what
         # check() returns; a subclass that overrides check() must get
         # the literal per-event semantics instead.
         return type(self).check is InsecureRegime.check
@@ -161,8 +171,8 @@ class InsecureRegime(CheckingRegime):
         self, event: SyscallEvent, count: int, work_cycles: float = 0.0
     ) -> List[Tuple[CheckOutcome, int]]:
         # No checking and no advance() side effects: a run collapses to
-        # one ledger bump (count is an int and cycles are 0.0, so the
-        # bulk update is exact).
+        # one ledger bump (count is an int and cycles are 0.0, so a
+        # single update is exact).
         if not self._pristine():
             return super().check_run(event, count, work_cycles)
         self._ledger.record_bulk(common_ledger.FLOW_NONE, 0.0, count)
@@ -217,7 +227,6 @@ class SeccompRegime(CheckingRegime):
         # earlier in the process and break RunResult byte-identity.
         self._outcome_memo: Dict[object, CheckOutcome] = {}
         self._ledger = common_ledger.FlowLedger()
-        self._bulk = bulk_enabled()
 
     def check(self, event: SyscallEvent) -> CheckOutcome:
         key = self.module.memo_key(event)
@@ -260,7 +269,7 @@ class SeccompRegime(CheckingRegime):
         bytes, so once the outcome memo holds the decision the rest of
         the run is a single ledger bump — the memo-hit path in
         :meth:`check` touches nothing else."""
-        if not self._bulk or count <= 1:
+        if count <= 1:
             return super().check_run(event, count, work_cycles)
         key = self.module.memo_key(event)
         if key is None:
@@ -318,7 +327,7 @@ class DracoSwRegime(CheckingRegime):
         self, event: SyscallEvent, count: int, work_cycles: float = 0.0
     ) -> List[Tuple[CheckOutcome, int]]:
         # advance() is a no-op for the software regime, so the run
-        # delegates wholly to the checker's steady-state bulk path.
+        # delegates wholly to the checker's steady-state run path.
         return self.draco.check_bulk(event, count)
 
     def analytic_plan(self, windows, work_cycles: float = 0.0):
@@ -395,7 +404,6 @@ class DracoHwRegime(CheckingRegime):
         )
         self._cs_interval = context_switch_interval_cycles
         self._cycles_since_switch = 0.0
-        self._bulk = bulk_enabled()
         #: The CheckOutcome wrapper of each hardware result, keyed by
         #: the result's identity (``HardwareDraco`` interns results).
         #: Each entry holds its result, so the key cannot be recycled
@@ -423,65 +431,6 @@ class DracoHwRegime(CheckingRegime):
 
     def check(self, event: SyscallEvent) -> CheckOutcome:
         return self._outcome_for(self.draco.on_syscall(event))
-
-    def _advance_span(self, work_cycles: float, limit: int):
-        """How many ``[check; advance]`` iterations fit before the
-        context-switch timer fires, replaying the per-event float
-        accumulation exactly (repeated ``+=`` is not ``n * w`` in
-        IEEE-754).  Returns ``(span, residual_accumulator, fired)``.
-        """
-        if self._cs_interval is None or work_cycles == 0.0:
-            # advance() never accumulates (or adds zero): the whole run
-            # fits and the accumulator is untouched.
-            return limit, self._cycles_since_switch, False
-        acc = self._cycles_since_switch
-        interval = self._cs_interval
-        span = 0
-        while span < limit:
-            acc += work_cycles
-            span += 1
-            if acc >= interval:
-                return span, acc, True
-        return span, acc, False
-
-    def check_run(
-        self, event: SyscallEvent, count: int, work_cycles: float = 0.0
-    ) -> List[Tuple[CheckOutcome, int]]:
-        """Steady-state bulk path: while ``steady_probe`` finds the
-        hardware walk for *event* replayable (a pure hit flow whose
-        structure entries are still resident), a span of the run is
-        replayed arithmetically; otherwise one event walks.  The span is
-        cut where the context-switch timer fires, because the switch
-        invalidates Draco state and ends the steady regime.
-
-        Reordering within a span — ``span`` replayed checks, then
-        ``span`` pollution advances — is sound because steady replays
-        never touch the memory hierarchy and pollution never touches
-        the Draco structures.
-        """
-        if not self._bulk:
-            return super().check_run(event, count, work_cycles)
-        segments: List[Tuple[CheckOutcome, int]] = []
-        remaining = count
-        while remaining:
-            memo = self.draco.steady_probe(event)
-            if memo is None:
-                outcome = self._outcome_for(self.draco.walk_and_install(event))
-                _merge_segment(segments, outcome, 1)
-                remaining -= 1
-                self.advance(work_cycles)
-                continue
-            span, residual, fired = self._advance_span(work_cycles, remaining)
-            self.draco.steady_replay(memo, span)
-            _merge_segment(segments, self._outcome_for(memo.result), span)
-            remaining -= span
-            self.hierarchy.pollute_repeat(int(work_cycles), span)
-            if fired:
-                self._cycles_since_switch = 0.0
-                self.on_context_switch()
-            else:
-                self._cycles_since_switch = residual
-        return segments
 
     def analytic_plan(self, windows, work_cycles: float = 0.0):
         """Hardware Draco is history-dependent (STB retraining, SLB

@@ -9,6 +9,11 @@ The scheduler interleaves the processes' syscall streams round-robin in
 quantum-sized slices and reports per-process checking cost, so the
 cost of multi-tenancy (cold SLB/STB after each resume) is measurable
 against the single-tenant numbers of Figure 12.
+
+Each quantum runs event by event through
+:meth:`~repro.core.hardware.HardwareDraco.on_syscall`, whose steady
+memo is the one accelerator; the analytic tier never applies, because
+quantum boundaries are exactly the transients it excludes.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.common import analytic as analytic_backend
 from repro.common import ledger
 from repro.common.errors import ConfigError, SimulationError
 from repro.core.hardware import HardwareDraco
@@ -127,19 +131,14 @@ def _drive_quantum(
     process: ScheduledProcess,
     end: int,
     strict: bool,
-    bulk: bool,
 ) -> int:
-    """Run *process* from its cursor up to trace index *end*.
+    """Run *process* from its cursor up to trace index *end*, one
+    :meth:`HardwareDraco.on_syscall` per event.
 
     Consecutive equal-valued results are accumulated and flushed to the
-    process ledger as one :meth:`ScheduledProcess.account_bulk` update.
-    The flush sequence is a pure function of the per-event result
-    *values*, so the bulk fast path (steady-state replays over runs of
-    identical events) and the literal per-event path produce
-    bit-identical accounting.  Deferring a span's cache pollution until
-    after its replayed checks is sound because steady replays never
-    touch the memory hierarchy and pollution never touches the Draco
-    structures.
+    process ledger as one :meth:`ScheduledProcess.account_bulk` update,
+    so the flush sequence is a pure function of the per-event result
+    *values*.
     """
     trace = process.trace
     work = int(process.work_cycles_per_syscall)
@@ -149,34 +148,7 @@ def _drive_quantum(
     pending_count = 0
     while process.cursor < end:
         event = trace[process.cursor]
-        if bulk:
-            memo = pipeline.steady_probe(event)
-            if memo is not None:
-                base = process.cursor
-                span = 1
-                while base + span < end:
-                    candidate = trace[base + span]
-                    if candidate is event or candidate == event:
-                        span += 1
-                    else:
-                        break
-                result = memo.result
-                pipeline.steady_replay(memo, span)
-                hierarchy.pollute_repeat(work, span)
-                flow = result.flow.ledger_key
-                cycles = result.stall_cycles
-                if pending_count and pending_flow == flow and pending_cycles == cycles:
-                    pending_count += span
-                else:
-                    if pending_count:
-                        process.account_bulk(pending_flow, pending_cycles, pending_count)
-                    pending_flow, pending_cycles, pending_count = flow, cycles, span
-                process.cursor = base + span
-                executed += span
-                continue
-            result = pipeline.walk_and_install(event)
-        else:
-            result = pipeline.on_syscall(event)
+        result = pipeline.on_syscall(event)
         if strict and not result.allowed:
             raise SimulationError(
                 f"{process.name}: denied syscall {event.sid} {event.args}"
@@ -273,20 +245,9 @@ class RoundRobinScheduler:
         self.quantum = quantum_syscalls
         self.core = core if core is not None else DracoCore()
 
-    def run(
-        self, strict: bool = True, backend: Optional[str] = None
-    ) -> ScheduleResult:
-        """Interleave every process's trace to completion.
-
-        *backend* is the kernel-tier override (``"analytic"``,
-        ``"bulk"`` or ``"event"``); ``None`` follows the environment
-        (see :func:`repro.common.analytic.resolve_backend`).  Quantum
-        boundaries are exactly the transients the analytic tier
-        excludes, so ``"analytic"`` degrades to the exact RLE bulk
-        kernel here.
-        """
+    def run(self, strict: bool = True) -> ScheduleResult:
+        """Interleave every process's trace to completion."""
         total = 0
-        bulk = analytic_backend.resolve_backend(backend) != "event"
         # Fleet-capable bookkeeping: keep only unfinished processes on
         # the active list (order preserved) instead of rescanning the
         # whole population each round — O(total quanta), not O(N²).
@@ -303,7 +264,7 @@ class RoundRobinScheduler:
                 cycles_start = process.check_cycles
                 end = min(process.cursor + self.quantum, len(process.trace))
                 total += _drive_quantum(
-                    pipeline, self.core.hierarchy, process, end, strict, bulk
+                    pipeline, self.core.hierarchy, process, end, strict
                 )
                 process.quanta.append(
                     QuantumRecord(

@@ -16,17 +16,18 @@ A warm-up fraction is excluded from the measured statistics, mirroring
 the paper's methodology of warming architectural state before measuring
 (Section X-C).
 
-Three execution tiers drive the trace (see ``docs/PERFORMANCE.md``):
+Two execution tiers drive the trace (see ``docs/PERFORMANCE.md``):
 
-* **per-event** (``REPRO_BULK=0``) — the literal ``[check; advance]``
-  loop;
-* **RLE bulk** (``REPRO_BULK=1``, default) — run-length-encoded
-  consumption with regime steady-state shortcuts, byte-identical to
-  per-event;
+* **exact** (``analytic=False`` or ``REPRO_ANALYTIC=0``) —
+  run-length-encoded consumption through each regime's ``check`` and
+  ``check_run``.  The regimes' accelerators (hardware and software
+  Draco's steady memos, the order-independent regimes' run shortcuts)
+  are always on; the code each stands in for stays as its miss path,
+  and tests reach it through the ``reference_kernels`` fixture;
 * **analytic** (``REPRO_ANALYTIC=1``, default) — whole-window replay
   over the trace's distinct-event histogram (``repro.common.analytic``).
   For order-independent regimes the replay is value-identical to the
-  other tiers; for hardware Draco on long traces a shortened warm-up
+  exact tier; for hardware Draco on long traces a shortened warm-up
   plus a measured sample is extrapolated, flagged ``derived`` and
   carrying an explicit error estimate.
 
@@ -66,7 +67,7 @@ from repro.syscalls.events import SyscallEvent, SyscallTrace, iter_runs
 #: summation vs. outcome-grouped summation, etc.), so on-disk result
 #: caches keyed on it are invalidated rather than silently mixing
 #: incompatible floats.  Version 2: run-length-encoded consumption with
-#: outcome-value grouping (identical under ``REPRO_BULK=0`` and ``=1``).
+#: outcome-value grouping (independent of how regimes segment a run).
 SIM_KERNEL_VERSION = 2
 
 #: Fraction of a trace excluded as warm-up by default.  Exposed so
@@ -381,7 +382,7 @@ def _run_exact_window(
     EXACT_PLAN` — order-independent checks and a no-op ``advance()`` —
     where per-value first-occurrence order (which the histograms
     preserve) fully determines every outcome.  The produced result is
-    value-identical to the per-event and bulk tiers.
+    value-identical to the exact kernel.
     """
     check_run = regime.check_run
     for event, count in windows.warm:
@@ -742,9 +743,9 @@ def run_trace(
     pairs and outcomes are accumulated *grouped by value* — one integer
     per distinct :class:`CheckOutcome` — then expanded into the path
     and flow tallies once at the end.  Grouping makes the result
-    independent of how regimes segment a run, so the bulk fast path
-    (``REPRO_BULK=1``, the default) and the literal per-event path
-    (``REPRO_BULK=0``) produce byte-identical :class:`RunResult`\\ s.
+    independent of how regimes segment a run, so a regime's run
+    shortcuts and the literal per-event loop they stand in for produce
+    byte-identical :class:`RunResult`\\ s.
 
     ``analytic`` is the per-run opt-in/out seam for the analytic tier:
     ``None`` follows ``REPRO_ANALYTIC`` (default on), ``False`` forces

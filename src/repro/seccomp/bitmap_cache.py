@@ -17,6 +17,12 @@ can be measured:
 * on ``syscall-noargs``-style profiles, the bitmap is as good as Draco;
 * on ``syscall-complete`` profiles, the bitmap degenerates to plain
   Seccomp while Draco's VAT keeps caching.
+
+The bitmap never changes after attach and filter decisions are pure
+functions of the masked argument bytes, so the regime's run shortcut
+(:meth:`SeccompBitmapRegime.check_run`) collapses a run of one event to
+one counter bump; the base-class loop it stands in for is the
+reference.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bpf.abstract import constant_actions
 from repro.common import analytic as analytic_backend
-from repro.common.bulk import bulk_enabled
 from repro.core.software import CheckOutcome
 from repro.kernel.regimes import (
     CheckingRegime,
@@ -119,7 +124,6 @@ class SeccompBitmapRegime(CheckingRegime):
         #: Filter outcomes are pure functions of the masked argument
         #: bytes (same argument as SeccompRegime's memo).
         self._outcome_memo: Dict[object, CheckOutcome] = {}
-        self._bulk = bulk_enabled()
 
     def check(self, event: SyscallEvent) -> CheckOutcome:
         if self.cache.hit(event.sid):
@@ -149,7 +153,7 @@ class SeccompBitmapRegime(CheckingRegime):
         """The bitmap is static after attach and the filter decision is
         a pure function of the masked argument bytes, so a run collapses
         to one counter bump on the cached outcome."""
-        if not self._bulk or count <= 1:
+        if count <= 1:
             return super().check_run(event, count, work_cycles)
         if self.cache.hit(event.sid):
             self.bitmap_hits += count

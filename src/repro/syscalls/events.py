@@ -147,14 +147,15 @@ class SyscallTrace:
 
 class RunTrace:
     """A trace stored directly as run-length-encoded ``(event, count)``
-    runs — the native input of the bulk and analytic kernels.
+    runs — the native input of the exact and analytic kernels.
 
     Fleet-scale syscall streams are dominated by long repeats; storing
     them expanded just to re-coalesce inside the simulator is wasted
     memory and wasted time.  A :class:`RunTrace` keeps the runs and
     satisfies the trace protocol the kernels use (``__len__`` is the
     total event count, ``iter_runs`` yields the runs, ``__iter__``
-    expands to individual events for the per-event tier):
+    expands to individual events for per-event consumers such as the
+    scheduler):
 
     >>> e = make_event("read", (3, 100))
     >>> t = RunTrace([(e, 5)])

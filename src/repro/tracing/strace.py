@@ -93,6 +93,10 @@ _LINE_RE = re.compile(
     re.VERBOSE,
 )
 
+#: strace's tail for a call another thread's line interrupted, as in
+#: ``read(3,  <unfinished ...>``.
+_UNFINISHED = "<unfinished ...>"
+
 _NUMBER_RE = re.compile(r"^-?(?:0x[0-9a-fA-F]+|0[0-7]+|\d+)$")
 _IDENT_RE = re.compile(r"^[A-Z_][A-Z0-9_]*$")
 
@@ -107,6 +111,22 @@ class StraceRecord:
     raw_args: Tuple[str, ...]
     return_value: Optional[int]
     pid: Optional[int] = None
+
+
+def _ends_unfinished(line: str) -> bool:
+    """True when *line* ends in the ``<unfinished ...>`` marker outside
+    any quoted argument; a quoted payload may spell the marker too."""
+    if not line.endswith(_UNFINISHED):
+        return False
+    in_string = escaped = False
+    for char in line[: -len(_UNFINISHED)]:
+        if escaped:
+            escaped = False
+        elif in_string and char == "\\":
+            escaped = True
+        elif char == '"':
+            in_string = not in_string
+    return not in_string
 
 
 def split_arguments(text: str) -> Tuple[str, ...]:
@@ -211,7 +231,7 @@ class StraceParser:
         line = line.strip()
         if not line or line.startswith(("---", "+++", "<...")):
             return None
-        if "<unfinished" in line:
+        if _ends_unfinished(line):
             return None  # completed later by a "resumed" line we skip
         match = _LINE_RE.match(line)
         if match is None:

@@ -6,17 +6,16 @@ executed instructions, but does not touch argument-checking cost — the
 gap Draco exists to close.
 """
 
-import pytest
-
-from benchmarks.conftest import BENCH_EVENTS, run_once
 from repro.experiments.runner import get_context
 from repro.kernel.regimes import SeccompRegime
 from repro.kernel.simulator import run_trace
 from repro.seccomp.profiles import build_docker_default
 
+EVENTS = 8000
+
 
 def _overheads(workload: str):
-    ctx = get_context(workload, events=BENCH_EVENTS)
+    ctx = get_context(workload, events=EVENTS)
     docker = build_docker_default()
     out = {}
     for strategy in ("linear", "binary_tree"):
@@ -37,8 +36,8 @@ def _overheads(workload: str):
     return out
 
 
-def test_tree_dispatch_ablation(benchmark):
-    costs = run_once(benchmark, _overheads, "nginx")
+def test_tree_dispatch_ablation():
+    costs = _overheads("nginx")
 
     # Tree dispatch is far cheaper over the 290-rule docker whitelist.
     assert costs["binary_tree"] < 0.8 * costs["linear"]

@@ -7,13 +7,14 @@ save/restore keeps the SPT warm, so recovery goes through the VAT
 rather than the OS.
 """
 
-from benchmarks.conftest import BENCH_EVENTS, run_once
 from repro.experiments.runner import get_context
 from repro.kernel.simulator import run_trace
 
+EVENTS = 8000
+
 
 def _stalls_by_interval(workload: str):
-    ctx = get_context(workload, events=BENCH_EVENTS)
+    ctx = get_context(workload, events=EVENTS)
     out = {}
     for label, interval in (("none", None), ("rare", 8_000_000.0), ("frequent", 400_000.0)):
         regime = ctx.make_regime(
@@ -30,8 +31,8 @@ def _stalls_by_interval(workload: str):
     return out
 
 
-def test_context_switch_cost(benchmark):
-    stalls = run_once(benchmark, _stalls_by_interval, "mysql")
+def test_context_switch_cost():
+    stalls = _stalls_by_interval("mysql")
 
     assert stalls["none"]["stall"] <= stalls["frequent"]["stall"]
     # Even under frequent switching, recovery goes through the VAT, not

@@ -5,7 +5,6 @@ pools recover the paper's steady-state numbers.  The sweep over
 invocation lengths locates where amortisation makes cold acceptable.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.runner import get_context
 from repro.kernel.faas import FaaSRunner
 from repro.syscalls.events import SyscallTrace
@@ -23,8 +22,8 @@ def _measure():
     return out
 
 
-def test_faas_coldstart_ablation(benchmark):
-    costs = run_once(benchmark, _measure)
+def test_faas_coldstart_ablation():
+    costs = _measure()
 
     # Warm pools always beat per-invocation processes.
     for length in (100, 1000):

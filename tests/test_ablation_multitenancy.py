@@ -6,7 +6,6 @@ each process's VAT survives in memory, recovery is VAT walks — not
 Seccomp filter runs — so multi-tenancy degrades Draco gracefully.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.runner import get_context
 from repro.kernel.scheduler import RoundRobinScheduler, ScheduledProcess
 
@@ -35,8 +34,8 @@ def _run(events: int = 4000):
     return solo, shared
 
 
-def test_multitenancy_degrades_gracefully(benchmark):
-    solo, shared = run_once(benchmark, _run)
+def test_multitenancy_degrades_gracefully():
+    solo, shared = _run()
 
     assert shared.context_switches > 0
     for name, shared_cost in shared.per_process.items():

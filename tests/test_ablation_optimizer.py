@@ -6,7 +6,6 @@ another software-only mitigation that, like the binary tree, helps but
 does not remove the argument-checking cost Draco targets.
 """
 
-from benchmarks.conftest import BENCH_EVENTS, run_once
 from repro.bpf.interpreter import run
 from repro.bpf.optimizer import optimize
 from repro.bpf.seccomp_data import SeccompData
@@ -14,9 +13,11 @@ from repro.experiments.runner import get_context
 from repro.seccomp.compiler import compile_binary_tree
 from repro.seccomp.profiles import build_docker_default
 
+EVENTS = 8000
+
 
 def _costs(workload: str):
-    ctx = get_context(workload, events=BENCH_EVENTS)
+    ctx = get_context(workload, events=EVENTS)
     docker = build_docker_default()
     raw = compile_binary_tree(docker)
     optimized = optimize(raw)
@@ -36,8 +37,8 @@ def _costs(workload: str):
     }
 
 
-def test_optimizer_ablation(benchmark):
-    costs = run_once(benchmark, _costs, "nginx")
+def test_optimizer_ablation():
+    costs = _costs("nginx")
 
     # Static shrink and dynamic improvement (or at worst parity).
     assert costs["static_optimized"] <= costs["static_raw"]

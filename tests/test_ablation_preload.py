@@ -6,13 +6,14 @@ needed entries into the SLB on time ... we recommend the use of SLB
 preloading").
 """
 
-from benchmarks.conftest import BENCH_EVENTS, run_once
 from repro.experiments.runner import get_context
 from repro.kernel.simulator import run_trace
 
+EVENTS = 8000
+
 
 def _stall_cycles(workload: str):
-    ctx = get_context(workload, events=BENCH_EVENTS)
+    ctx = get_context(workload, events=EVENTS)
     out = {}
     for preload in (True, False):
         regime = ctx.make_regime("draco-hw-complete", preload_enabled=preload)
@@ -24,8 +25,8 @@ def _stall_cycles(workload: str):
     return out
 
 
-def test_preload_reduces_stall(benchmark):
+def test_preload_reduces_stall():
     # HTTPD is one of the SLB-pressured workloads where preloading
     # matters most (Figure 13).
-    stalls = run_once(benchmark, _stall_cycles, "httpd")
+    stalls = _stall_cycles("httpd")
     assert stalls[True] < stalls[False]

@@ -5,11 +5,12 @@ This sweep quarters and quadruples the subtables and shows hit rates
 respond monotonically, while the area model prices each point.
 """
 
-from benchmarks.conftest import BENCH_EVENTS, run_once
 from repro.analysis.hwcost import draco_hardware_costs
 from repro.cpu.params import DracoHwParams, SlbSubtableParams
 from repro.experiments.runner import get_context
 from repro.kernel.simulator import run_trace
+
+EVENTS = 8000
 
 
 def _scaled_hw(scale: float) -> DracoHwParams:
@@ -26,7 +27,7 @@ def _scaled_hw(scale: float) -> DracoHwParams:
 
 
 def _sweep(workload: str):
-    ctx = get_context(workload, events=BENCH_EVENTS)
+    ctx = get_context(workload, events=EVENTS)
     out = {}
     for scale in (0.25, 1.0, 4.0):
         hw = _scaled_hw(scale)
@@ -42,8 +43,8 @@ def _sweep(workload: str):
     return out
 
 
-def test_slb_sizing_sweep(benchmark):
-    sweep = run_once(benchmark, _sweep, "redis")
+def test_slb_sizing_sweep():
+    sweep = _sweep("redis")
 
     # Hit rate grows with capacity...
     assert sweep[0.25]["access_hit_rate"] <= sweep[1.0]["access_hit_rate"]

@@ -64,7 +64,7 @@ def _as_json(result):
     return json.dumps(dataclasses.asdict(result), sort_keys=True)
 
 
-# -- exact tier: value-identical to the RLE bulk kernel -----------------
+# -- exact tier: value-identical to the exact kernel --------------------
 
 
 def test_evaluate_falls_back_to_exact_kernels_on_vat_eviction():
@@ -111,10 +111,9 @@ def test_exact_tier_value_identical(workload, regime, monkeypatch):
     assert json.dumps(fast_d, sort_keys=True) == json.dumps(slow_d, sort_keys=True)
 
 
-def test_exact_tier_identical_under_per_event_kernel(monkeypatch):
-    # The analytic exact replay must agree with the *per-event* kernel
-    # too, not just the RLE bulk kernel it usually displaces.
-    monkeypatch.setenv("REPRO_BULK", "0")
+def test_exact_tier_identical_under_per_event_kernel(reference_kernels):
+    # The analytic exact replay must agree with the reference kernels
+    # too, not just the accelerated exact kernel it usually displaces.
     fast = _fresh_run("grep", "syscall-complete", analytic_on=True)
     assert fast.analytic is not None and fast.analytic.mode == "exact"
     slow = _fresh_run("grep", "syscall-complete", analytic_on=False)
@@ -191,63 +190,14 @@ def test_short_traces_stay_exact(monkeypatch):
     assert result.analytic is None
 
 
-# -- kill switch and backend seam ---------------------------------------
+# -- kill switch --------------------------------------------------------
 
 
 def test_kill_switch_disables_backend(monkeypatch):
     monkeypatch.setenv("REPRO_ANALYTIC", "0")
     assert not analytic.analytic_enabled()
-    assert analytic.resolve_backend() == "bulk"
-    monkeypatch.setenv("REPRO_BULK", "0")
-    assert analytic.resolve_backend() == "event"
     monkeypatch.delenv("REPRO_ANALYTIC")
-    assert analytic.resolve_backend() == "analytic"
-
-
-def test_resolve_backend_override_and_validation():
-    assert analytic.resolve_backend("bulk") == "bulk"
-    assert analytic.resolve_backend("event") == "event"
-    assert analytic.resolve_backend("analytic") == "analytic"
-    with pytest.raises(ValueError):
-        analytic.resolve_backend("quantum")
-
-
-def test_scheduler_backend_seam_degrades_identically():
-    # "analytic" degrades to the exact bulk kernel in the scheduler:
-    # both spellings must produce byte-identical accounting.
-    from repro.kernel.scheduler import RoundRobinScheduler, ScheduledProcess
-    from repro.seccomp.toolkit import generate_complete
-    from repro.workloads.catalog import CATALOG
-    from repro.workloads.generator import generate_trace
-
-    def snapshot(backend):
-        processes = []
-        for name in ("grep", "pipe-ipc"):
-            trace = list(generate_trace(CATALOG[name], 800, seed=3))
-            from repro.syscalls.events import SyscallTrace
-
-            strace = SyscallTrace(trace)
-            processes.append(
-                ScheduledProcess(
-                    name=name,
-                    profile=generate_complete(strace, name),
-                    trace=strace,
-                    work_cycles_per_syscall=200.0,
-                )
-            )
-        sched = RoundRobinScheduler(processes, quantum_syscalls=100)
-        result = sched.run(backend=backend)
-        return json.dumps(
-            {
-                "per_process": result.per_process,
-                "flows": result.per_process_flows,
-                "cycles": result.per_process_flow_cycles,
-                "switches": result.context_switches,
-            },
-            sort_keys=True,
-        )
-
-    assert snapshot("analytic") == snapshot("bulk")
+    assert analytic.analytic_enabled()
 
 
 def test_result_cache_keyed_on_analytic(monkeypatch, tmp_path):

@@ -1,13 +1,15 @@
-"""Differential tests for the batched (run-length-encoded) simulation kernel.
+"""Differential tests for the exact simulation kernel's accelerators.
 
-The contract under test: with ``REPRO_BULK=1`` (the default) the
-simulator consumes run-length-encoded ``(event, count)`` pairs and the
-regimes take steady-state shortcuts, yet every ``RunResult`` — cycles,
-flows, paths, ledger — is **byte-identical** to the literal per-event
-path (``REPRO_BULK=0``).  These tests pin that equivalence across
-regimes, workloads, the BPF fast-path toggle, the scheduler and the
-multi-core system, plus the supporting pieces: run-length encoding,
-pollution credit banking, parallel engine runs and telemetry aggregation.
+The contract under test: the simulator consumes run-length-encoded
+``(event, count)`` pairs and the regimes take their accelerators (the
+Draco steady memos, the order-independent regimes' run shortcuts), yet
+every ``RunResult`` — cycles, flows, paths, ledger — is
+**byte-identical** to the code those accelerators stand in for, which
+the ``reference_kernels`` fixture (``tests/conftest.py``) selects.
+These tests pin that equivalence across regimes, workloads, the
+scheduler and the multi-core system, plus the supporting pieces:
+run-length encoding, pollution credit banking, parallel engine runs and
+telemetry aggregation.
 """
 
 import dataclasses
@@ -17,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.bulk import bulk_enabled
 from repro.cpu.hierarchy import MemoryHierarchy
 from repro.syscalls.events import iter_runs, make_event
 from repro.workloads.catalog import CATALOG
@@ -128,56 +129,32 @@ class TestPollutionCredit:
         assert after < before
         assert h._pollution_credit["L1"] > 0.0
 
-    def test_pollute_repeat_is_bitwise_per_event(self):
-        for work, count in ((37_123, 9), (1_000, 250), (60_000, 3)):
-            a, b = _warm_hierarchy(), _warm_hierarchy()
-            a.pollute_repeat(work, count)
-            for _ in range(count):
-                b.pollute(work)
-            assert _hierarchy_state(a) == _hierarchy_state(b)
 
-    def test_pollute_repeat_noop_edges(self):
-        h = _warm_hierarchy()
-        state = _hierarchy_state(h)
-        h.pollute_repeat(0, 100)
-        h.pollute_repeat(50_000, 0)
-        assert _hierarchy_state(h) == state
+# -- differential: accelerated vs reference kernels ---------------------
 
 
-# -- bulk_enabled parsing -----------------------------------------------
+def _accelerated_and_reference(request, run):
+    """``run()`` on the accelerated kernel, then again under the
+    ``reference_kernels`` fixture."""
+    fast = run()
+    request.getfixturevalue("reference_kernels")
+    return fast, run()
 
 
-@pytest.mark.parametrize(
-    "value,expected",
-    [(None, True), ("1", True), ("yes", True), ("0", False), ("off", False),
-     ("FALSE", False), ("no", False)],
-)
-def test_bulk_enabled_parsing(monkeypatch, value, expected):
-    if value is None:
-        monkeypatch.delenv("REPRO_BULK", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_BULK", value)
-    assert bulk_enabled() is expected
-
-
-# -- differential: run_trace under REPRO_BULK=0 vs 1 --------------------
-
-
-def _run_result_json(workload, regime_name, monkeypatch, *, bulk, events=2_000, trace=None):
+def _run_result_json(workload, regime_name, *, events=2_000, trace=None):
     """One (workload, regime) simulation serialized for byte comparison.
 
     ``run_trace`` on a fresh regime with the analytic tier off, so the
-    kernel the switches name is the one that runs: ``ctx.evaluate``
-    could serve either leg from the context's memo, a shared filter
-    sweep or the distinct-event histogram replay.  The conservation
-    audits run inside ``run_trace``, so any bulk accounting drift raises
-    there rather than comparing.  *trace* replaces the context's own
-    trace when given.
+    exact kernel is the one that runs: ``ctx.evaluate`` could serve
+    either leg from the context's memo, a shared filter sweep or the
+    distinct-event histogram replay.  The conservation audits run
+    inside ``run_trace``, so any accounting drift raises there rather
+    than comparing.  *trace* replaces the context's own trace when
+    given.
     """
     from repro.experiments.runner import get_context
     from repro.kernel.simulator import run_trace
 
-    monkeypatch.setenv("REPRO_BULK", "1" if bulk else "0")
     ctx = get_context(workload, events=events, seed=7)
     result = run_trace(
         ctx.trace if trace is None else trace(ctx),
@@ -192,30 +169,29 @@ def _run_result_json(workload, regime_name, monkeypatch, *, bulk, events=2_000, 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("regime", REGIMES)
-def test_bulk_run_results_byte_identical(workload, regime, monkeypatch):
-    slow = _run_result_json(workload, regime, monkeypatch, bulk=False)
-    fast = _run_result_json(workload, regime, monkeypatch, bulk=True)
+def test_bulk_run_results_byte_identical(workload, regime, request):
+    fast, slow = _accelerated_and_reference(
+        request, lambda: _run_result_json(workload, regime)
+    )
     assert fast == slow
 
 
 @pytest.mark.parametrize("workload", sorted(CATALOG))
-def test_hw_bulk_byte_identical_on_every_workload(workload, monkeypatch):
+def test_hw_bulk_byte_identical_on_every_workload(workload, request):
     # The hardware steady memo skips its structure probes while no
     # mutation counter moved; 4 000 events is long enough for a
     # missing counter bump to change a result (nginx, for one, catches
     # an STB update that does not count itself).
-    slow = _run_result_json(
-        workload, "draco-hw-complete", monkeypatch, bulk=False, events=4_000
-    )
-    fast = _run_result_json(
-        workload, "draco-hw-complete", monkeypatch, bulk=True, events=4_000
+    fast, slow = _accelerated_and_reference(
+        request,
+        lambda: _run_result_json(workload, "draco-hw-complete", events=4_000),
     )
     assert fast == slow
 
 
 def _amplified(ctx, events=4_096, run_length=32):
     """The context trace's distinct prefix, each event repeated
-    *run_length* times: the long-run locality the bulk shortcuts
+    *run_length* times: the long-run locality the run shortcuts
     exploit (Figure 3), with unchanged profile coverage."""
     from repro.syscalls.events import SyscallTrace
 
@@ -224,28 +200,42 @@ def _amplified(ctx, events=4_096, run_length=32):
 
 
 @pytest.mark.parametrize("regime", REGIMES)
-def test_bulk_byte_identical_on_long_runs(regime, monkeypatch):
-    # Runs of 32 identical events send every regime through its
-    # check_run shortcut rather than the runs-of-one fast path.
-    slow = _run_result_json(
-        "pipe-ipc", regime, monkeypatch, bulk=False, trace=_amplified
-    )
-    fast = _run_result_json(
-        "pipe-ipc", regime, monkeypatch, bulk=True, trace=_amplified
+def test_bulk_byte_identical_on_long_runs(regime, request):
+    # Runs of 32 identical events send every regime through check_run
+    # rather than the runs-of-one fast path.
+    fast, slow = _accelerated_and_reference(
+        request, lambda: _run_result_json("pipe-ipc", regime, trace=_amplified)
     )
     assert fast == slow
 
 
-def test_kill_switch_reaches_regimes(monkeypatch):
+def test_reference_kernels_bypass_every_steady_memo(reference_kernels, monkeypatch):
+    """Under the fixture no steady memo is probed or installed, so the
+    differentials above compare against code the memos do not touch."""
+    from repro.core.hardware import HardwareDraco
+    from repro.core.software import SoftwareDraco
     from repro.experiments.runner import get_context
+    from repro.kernel.simulator import run_trace
 
-    monkeypatch.setenv("REPRO_BULK", "0")
-    ctx = get_context("grep", events=500, seed=7)
-    assert ctx.make_regime("syscall-complete")._bulk is False
-    assert ctx.make_regime("draco-hw-complete")._bulk is False
-    monkeypatch.setenv("REPRO_BULK", "1")
-    assert ctx.make_regime("syscall-complete")._bulk is True
-    assert ctx.make_regime("draco-hw-complete")._bulk is True
+    def refuse(*_):
+        raise AssertionError("steady memo used under reference_kernels")
+
+    for name in ("steady_probe", "steady_replay", "_maybe_install_steady"):
+        monkeypatch.setattr(HardwareDraco, name, refuse)
+    for name in ("check_bulk", "_replay_steady"):
+        monkeypatch.setattr(SoftwareDraco, name, refuse)
+    ctx = get_context("pipe-ipc", events=2_000, seed=7)
+    for regime_name in ("draco-hw-complete", "draco-sw-complete"):
+        regime = ctx.make_regime(regime_name)
+        run_trace(
+            _amplified(ctx),
+            regime,
+            work_cycles_per_syscall=ctx.work_cycles,
+            syscall_base_cycles=ctx.syscall_base_cycles,
+            workload_name=ctx.spec.name,
+            analytic=False,
+        )
+        assert regime.draco._steady == {}, regime_name
 
 
 # -- differential: scheduler and multi-core -----------------------------
@@ -272,10 +262,9 @@ def _tenant_processes(events=1_500):
     return processes
 
 
-def _scheduler_snapshot(monkeypatch, *, bulk):
+def _scheduler_snapshot():
     from repro.kernel.scheduler import RoundRobinScheduler
 
-    monkeypatch.setenv("REPRO_BULK", "1" if bulk else "0")
     scheduler = RoundRobinScheduler(_tenant_processes(), quantum_syscalls=150)
     run = scheduler.run()
     return json.dumps(
@@ -288,16 +277,14 @@ def _scheduler_snapshot(monkeypatch, *, bulk):
     )
 
 
-def test_scheduler_bulk_byte_identical(monkeypatch):
-    slow = _scheduler_snapshot(monkeypatch, bulk=False)
-    fast = _scheduler_snapshot(monkeypatch, bulk=True)
+def test_scheduler_bulk_byte_identical(request):
+    fast, slow = _accelerated_and_reference(request, _scheduler_snapshot)
     assert fast == slow
 
 
-def _multicore_snapshot(monkeypatch, *, bulk):
+def _multicore_snapshot():
     from repro.kernel.multicore import MultiCoreSystem
 
-    monkeypatch.setenv("REPRO_BULK", "1" if bulk else "0")
     system = MultiCoreSystem(cores=2, quantum_syscalls=150)
     for process in _tenant_processes(events=1_000):
         system.assign(process)
@@ -313,9 +300,8 @@ def _multicore_snapshot(monkeypatch, *, bulk):
     )
 
 
-def test_multicore_bulk_byte_identical(monkeypatch):
-    slow = _multicore_snapshot(monkeypatch, bulk=False)
-    fast = _multicore_snapshot(monkeypatch, bulk=True)
+def test_multicore_bulk_byte_identical(request):
+    fast, slow = _accelerated_and_reference(request, _multicore_snapshot)
     assert fast == slow
 
 
@@ -543,14 +529,34 @@ def test_merge_simulations_sums_and_rederives_run_length():
     assert "hit_rate" not in whole["structures"]["draco-hw:x"]["vat"]
 
 
-def test_run_trace_records_runs_coalesced(monkeypatch):
+def test_run_trace_records_runs_coalesced(request):
     from repro.common import telemetry
     from repro.experiments.runner import get_context
+    from repro.kernel.simulator import run_trace
 
-    monkeypatch.setenv("REPRO_BULK", "1")
     telemetry.reset_counters()
     ctx = get_context("pipe-ipc", events=1_000, seed=9)
     ctx.evaluate("syscall-complete")
     snapshot = telemetry.counters_snapshot()
     assert 0 < snapshot["runs_coalesced"] <= snapshot["events_simulated"]
     assert snapshot["mean_run_length"] >= 1.0
+
+    # Run-length consumption is the simulator's, not an accelerator's:
+    # the reference kernels coalesce the same runs.
+    def coalesced():
+        telemetry.reset_counters()
+        for regime_name in REGIMES:
+            run_trace(
+                ctx.trace,
+                ctx.make_regime(regime_name),
+                work_cycles_per_syscall=ctx.work_cycles,
+                syscall_base_cycles=ctx.syscall_base_cycles,
+                workload_name=ctx.spec.name,
+                analytic=False,
+            )
+        totals = telemetry.counters_snapshot()
+        return totals["runs_coalesced"], totals["events_simulated"]
+
+    fast, slow = _accelerated_and_reference(request, coalesced)
+    telemetry.reset_counters()
+    assert fast == slow

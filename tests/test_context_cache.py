@@ -7,8 +7,7 @@ bundles and calibration values persist across processes keyed by
 content digests; a corrupt or stale entry always reads as a miss and
 the caller rebuilds; filter sweeps stay in an in-process memo; and
 every replayed Seccomp evaluation is byte-identical to the exact-kernel
-run it replaces — with ``REPRO_CACHE_DISABLE=1`` forcing the real path,
-as ``--no-cache`` does.
+run it replaces — with ``REPRO_ANALYTIC=0`` forcing the real path.
 """
 
 import gc
@@ -18,6 +17,7 @@ from dataclasses import replace
 import pytest
 
 from repro.common import telemetry
+from repro.common.analytic import ANALYTIC_ENV
 from repro.common.memo import memo_insert
 from repro.common.rng import DEFAULT_SEED
 from repro.cpu.params import DEFAULT_SW_COSTS, OLD_KERNEL_SW_COSTS
@@ -260,15 +260,20 @@ class TestContextMemo:
 class TestReplayDifferential:
     @pytest.mark.parametrize("workload", ["nginx", "pipe-ipc"])
     def test_replay_matches_exact_kernels(self, cache_dir, monkeypatch, workload):
-        """The acceptance bar: results byte-identical with the cache on
-        (replay path) and off (exact kernels) for every regime."""
-        with_cache = _evaluate_all(workload)
+        """The acceptance bar: results byte-identical with the analytic
+        backend on (replay path) and off (exact kernels) for every
+        regime, up to the ``analytic`` field that names the tier."""
+        replayed = _evaluate_all(workload)
         assert seccomp_replay.replays_served > 0
         runner.reset_context_memos()
+        monkeypatch.setenv(ANALYTIC_ENV, "0")
+        # Disk tiers off too, so the calibration probe reruns rather
+        # than reading back the W the replay solved.
         monkeypatch.setenv(result_cache.CACHE_DISABLE_ENV, "1")
-        without_cache = _evaluate_all(workload)
+        exact = _evaluate_all(workload)
         assert seccomp_replay.replays_served == 0
-        assert with_cache == without_cache
+        assert all(result.analytic is None for result in exact.values())
+        assert {name: replace(r, analytic=None) for name, r in replayed.items()} == exact
 
 
 class TestDiskRoundTrip:
@@ -346,14 +351,17 @@ class TestFig2SharedReplay:
 
         monkeypatch.setattr(runner, "run_trace", spy)
         workloads = ("nginx", "pipe-ipc")
-        with_cache = fig2_seccomp_overhead.run(events=EVENTS, workloads=workloads)
+        replayed = fig2_seccomp_overhead.run(events=EVENTS, workloads=workloads)
         assert seccomp_runs == []
         assert seccomp_replay.sweeps_built == 3 * len(workloads)
         assert seccomp_replay.replays_served == 5 * len(workloads)
 
         runner.reset_context_memos()
+        monkeypatch.setenv(ANALYTIC_ENV, "0")
+        # Disk tiers off too, so the calibration probes rerun exactly.
         monkeypatch.setenv(result_cache.CACHE_DISABLE_ENV, "1")
-        without_cache = fig2_seccomp_overhead.run(events=EVENTS, workloads=workloads)
+        exact = fig2_seccomp_overhead.run(events=EVENTS, workloads=workloads)
+        assert seccomp_replay.replays_served == 0
         # repr-compare: the paper-target columns carry NaN placeholders,
         # which never compare equal to themselves.
-        assert repr(with_cache.rows) == repr(without_cache.rows)
+        assert repr(replayed.rows) == repr(exact.rows)

@@ -1,9 +1,10 @@
 """Run the module doctests that document the kernel fast paths.
 
-``repro.common.analytic`` and ``repro.common.bulk`` carry executable
+``repro.common.analytic`` and ``repro.common.memo`` carry executable
 examples in their docstrings (the closed-form helpers, the plan sizing
-rules, the kill-switch semantics).  Wiring them into pytest keeps the
-documentation honest: an example that drifts from the code fails CI.
+rules, the kill-switch semantics, the bounded memo).  Wiring them into
+pytest keeps the documentation honest: an example that drifts from the
+code fails CI.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 
 @pytest.mark.parametrize(
     "module_name",
-    ["repro.common.analytic", "repro.common.bulk", "repro.common.memo"],
+    ["repro.common.analytic", "repro.common.memo"],
 )
 def test_module_doctests(module_name):
     module = __import__(module_name, fromlist=["_"])

@@ -128,3 +128,15 @@ class TestExecution:
         system.assign(_process("b", fd_base=10))
         result = system.run()
         assert 0.0 <= result.l3_hit_rate <= 1.0
+
+    def test_backend_keyword_selects_nothing(self):
+        def run(backend):
+            system = MultiCoreSystem(cores=2, quantum_syscalls=50)
+            system.assign(_process("a"))
+            system.assign(_process("b", fd_base=10))
+            return system.run(backend=backend)
+
+        assert run("bulk") == run(None)
+        for backend in ("event", "analytic"):
+            with pytest.raises(ValueError, match="unknown simulation backend"):
+                run(backend)

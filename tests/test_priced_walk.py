@@ -14,7 +14,6 @@ import json
 
 import pytest
 
-from repro.common.bulk import BULK_ENV
 from repro.common.errors import SimulationError
 from repro.experiments.runner import get_context
 from repro.kernel.simulator import price_walk, run_trace
@@ -46,24 +45,25 @@ def _tier(result) -> str:
 
 
 @pytest.mark.parametrize(
-    "events, analytic, bulk, names, tiers",
+    "events, analytic, reference, names, tiers",
     [
         # Sampled hardware Draco, exact-replay software Draco.
         pytest.param(
-            12_000, None, True, tuple(CATALOG), ("sampled", "exact"), id="analytic"
+            12_000, None, False, tuple(CATALOG), ("sampled", "exact"), id="analytic"
         ),
         pytest.param(
-            3_000, False, True, tuple(CATALOG), ("kernels", "kernels"), id="exact"
+            3_000, False, False, tuple(CATALOG), ("kernels", "kernels"), id="exact"
         ),
+        # The exact kernels without their accelerators.
         pytest.param(
-            3_000, False, False, ("redis", "pipe-ipc", "nginx"), ("kernels", "kernels"),
+            3_000, False, True, ("redis", "pipe-ipc", "nginx"), ("kernels", "kernels"),
             id="per-event",
         ),
     ],
 )
-def test_priced_2x_equals_direct_run(monkeypatch, events, analytic, bulk, names, tiers):
-    if not bulk:
-        monkeypatch.setenv(BULK_ENV, "0")
+def test_priced_2x_equals_direct_run(request, events, analytic, reference, names, tiers):
+    if reference:
+        request.getfixturevalue("reference_kernels")
     for name in names:
         for old_kernel in (False, True):
             ctx = get_context(name, events=events, old_kernel=old_kernel)

@@ -7,10 +7,10 @@ rescans in :meth:`RoundRobinScheduler.run` and
 These tests re-run the *historical* loop bodies — copied verbatim from
 the pre-refactor code, driving the same public quantum machinery — and
 assert the :class:`ScheduleResult` / :class:`MultiCoreResult` payloads
-are byte-identical on the existing test fleets.
+are byte-identical on the existing test fleets, with and without the
+kernel's accelerators (the ``reference_kernels`` fixture).
 """
 
-from repro.common import analytic as analytic_backend
 from repro.kernel.multicore import MultiCoreSystem
 from repro.kernel.scheduler import (
     DracoCore,
@@ -46,14 +46,11 @@ def _mixed_fleet():
     ]
 
 
-def _reference_round_robin(
-    processes, quantum, strict=True, backend=None
-) -> ScheduleResult:
+def _reference_round_robin(processes, quantum, strict=True) -> ScheduleResult:
     """The pre-refactor RoundRobinScheduler.run loop, verbatim except
     that quanta are always recorded, as they now are in the code."""
     core = DracoCore()
     total = 0
-    bulk = analytic_backend.resolve_backend(backend) != "event"
     while any(not p.done for p in processes):
         for process in processes:
             if process.done:
@@ -63,9 +60,7 @@ def _reference_round_robin(
             quantum_start = process.syscalls_run
             cycles_start = process.check_cycles
             end = min(process.cursor + quantum, len(process.trace))
-            total += _drive_quantum(
-                pipeline, core.hierarchy, process, end, strict, bulk
-            )
+            total += _drive_quantum(pipeline, core.hierarchy, process, end, strict)
             process.quanta.append(
                 QuantumRecord(
                     syscalls=process.syscalls_run - quantum_start,
@@ -82,11 +77,10 @@ def _reference_round_robin(
     )
 
 
-def _reference_multicore_run(system, strict=True, backend=None):
+def _reference_multicore_run(system, strict=True):
     """The pre-refactor MultiCoreSystem.run loop, verbatim (cursor scan
     over the full queue, tuple-rebuilding loop condition)."""
     total = 0
-    bulk = analytic_backend.resolve_backend(backend) != "event"
     cursors = [0] * len(system.cores)
     while any(not p.done for p in system.processes):
         progressed = False
@@ -100,7 +94,7 @@ def _reference_multicore_run(system, strict=True, backend=None):
                     cursors[core_index] = (
                         cursors[core_index] + offset + 1
                     ) % len(queue)
-                    total += system._run_quantum(core, candidate, strict, bulk)
+                    total += system._run_quantum(core, candidate, strict)
                     progressed = True
                     break
         if not progressed:
@@ -121,14 +115,14 @@ def _reference_multicore_run(system, strict=True, backend=None):
 
 
 class TestRoundRobinDifferential:
-    def test_byte_identical_on_mixed_fleet(self):
-        for backend in ("bulk", "event"):
-            reference = _reference_round_robin(
-                _mixed_fleet(), quantum=100, backend=backend
-            )
+    def test_byte_identical_on_mixed_fleet(self, request):
+        for reference_kernels in (False, True):
+            if reference_kernels:
+                request.getfixturevalue("reference_kernels")
+            reference = _reference_round_robin(_mixed_fleet(), quantum=100)
             refactored = RoundRobinScheduler(
                 _mixed_fleet(), quantum_syscalls=100
-            ).run(backend=backend)
+            ).run()
             assert refactored == reference
 
     def test_byte_identical_quantum_sweep(self):
@@ -160,10 +154,12 @@ def _mixed_system(cores=3, quantum=100):
 
 
 class TestMultiCoreDifferential:
-    def test_byte_identical_on_mixed_system(self):
-        for backend in ("bulk", "event"):
-            reference = _reference_multicore_run(_mixed_system(), backend=backend)
-            refactored = _mixed_system().run(backend=backend)
+    def test_byte_identical_on_mixed_system(self, request):
+        for reference_kernels in (False, True):
+            if reference_kernels:
+                request.getfixturevalue("reference_kernels")
+            reference = _reference_multicore_run(_mixed_system())
+            refactored = _mixed_system().run()
             assert refactored == reference
 
     def test_byte_identical_single_core_contention(self):

@@ -1,6 +1,6 @@
 """Fuzz tests for the strace parser: arbitrary text must never crash it."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.tracing.strace import StraceParser, parse_value, split_arguments
@@ -48,6 +48,7 @@ class TestParserRobustness:
 
     @settings(max_examples=60, deadline=None)
     @given(payload=st.text(alphabet=st.characters(blacklist_characters='"\\', blacklist_categories=("Cs", "Cc")), max_size=30))
+    @example(payload="<unfinished")
     def test_string_payloads_never_become_values(self, payload):
         parser = StraceParser()
         line = f'write(1, "{payload}", 5) = 5'
