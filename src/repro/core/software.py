@@ -218,7 +218,12 @@ class SoftwareDracoStats:
 
 
 class SoftwareDraco:
-    """The software Draco checker for one process."""
+    """The software Draco checker for one process.
+
+    Like ``HardwareDraco._result``, it builds each distinct allowed
+    outcome once per instance (never per class: another checker may
+    price with other costs), so the simulator groups them by identity.
+    """
 
     def __init__(
         self,
@@ -237,6 +242,18 @@ class SoftwareDraco:
         #: mutation counter — any insert (cuckoo relocations may evict)
         #: or flush lazily invalidates every entry.
         self._steady: Dict[SyscallEvent, Tuple[int, CheckOutcome]] = {}
+        #: Interned outcomes: the fast paths' are constants of ``costs``;
+        #: a filter run's depends only on its instruction count, which
+        #: the filter stack's length bounds.
+        self._spt_only = CheckOutcome(
+            allowed=True, cycles=costs.sw_draco_spt_only_cycles, path="spt_only",
+            flow=ledger.FLOW_SW_SPT_ONLY,
+        )
+        self._vat_hit = CheckOutcome(
+            allowed=True, cycles=costs.sw_draco_hit_cycles, path="vat_hit",
+            flow=ledger.FLOW_SW_VAT_HIT,
+        )
+        self._filter_outcomes: Dict[int, CheckOutcome] = {}
 
     #: Steady-memo size cap (safety valve, as in the hardware model).
     _STEADY_LIMIT = 1 << 14
@@ -344,42 +361,39 @@ class SoftwareDraco:
             )
 
         if not entry.checks_arguments:
-            cycles = self.costs.sw_draco_spt_only_cycles
+            outcome = self._spt_only
             self.stats.spt_only += 1
-            self.stats.spt_only_cycles += cycles
-            return CheckOutcome(
-                allowed=True, cycles=cycles, path="spt_only",
-                flow=ledger.FLOW_SW_SPT_ONLY,
-            )
+            self.stats.spt_only_cycles += outcome.cycles
+            return outcome
 
         key, hashes = VAT.hashed_key(event.args, entry.arg_bitmask)
         probe = self.tables.vat.lookup(event.sid, key, hashes)
         if probe is not None and probe.hit:
-            cycles = self.costs.sw_draco_hit_cycles
+            outcome = self._vat_hit
             self.stats.vat_hits += 1
-            self.stats.vat_hit_cycles += cycles
-            return CheckOutcome(
-                allowed=True, cycles=cycles, path="vat_hit",
-                flow=ledger.FLOW_SW_VAT_HIT,
-            )
+            self.stats.vat_hit_cycles += outcome.cycles
+            return outcome
 
         # VAT miss: execute the Seccomp filter, then cache the validation.
         # (fall through)
         decision = self.seccomp.check(event)
         if decision.allowed:
             self.tables.vat.insert(event.sid, key, event.args)
-            cost = self._filter_cost(
-                self.costs.sw_draco_hit_cycles,
-                decision.instructions_executed,
-                self.costs.sw_draco_insert_cycles,
-            )
-            cycles = cost.cycles()
+            instructions = decision.instructions_executed
+            outcome = self._filter_outcomes.get(instructions)
+            if outcome is None:
+                cost = self._filter_cost(
+                    self.costs.sw_draco_hit_cycles,
+                    instructions,
+                    self.costs.sw_draco_insert_cycles,
+                )
+                outcome = self._filter_outcomes[instructions] = CheckOutcome(
+                    allowed=True, cycles=cost.cycles(), path="filter_run",
+                    flow=ledger.FLOW_SW_FILTER, filter_cost=cost,
+                )
             self.stats.filter_runs += 1
-            self.stats.filter_run_cycles += cycles
-            return CheckOutcome(
-                allowed=True, cycles=cycles, path="filter_run",
-                flow=ledger.FLOW_SW_FILTER, filter_cost=cost,
-            )
+            self.stats.filter_run_cycles += outcome.cycles
+            return outcome
         cost = self._filter_cost(self.costs.sw_draco_hit_cycles, decision.instructions_executed)
         cycles = cost.cycles()
         self.stats.denials += 1

@@ -15,7 +15,10 @@ Draco, hardware Draco) is emergent.
 Each artifact is kept in one place per process: :func:`get_context` is
 the one in-process context memo, and a context's trace, profile bundle
 and W load from (or store to) the persistent context cache
-(:mod:`repro.experiments.cache`) only when that memo misses.
+(:mod:`repro.experiments.cache`) only when that memo misses.  A caller
+that already holds the solved W (the stage graph's context stage
+returns it) passes it to :func:`get_context`, so a process that never
+built the context skips the calibration probe.
 
 :meth:`WorkloadContext.evaluate` memoises each no-override evaluation
 per context.  Either regime of a Draco ``complete``/``complete-2x``
@@ -34,6 +37,7 @@ from typing import Dict, Optional, Tuple
 from repro.common import telemetry
 from repro.common.analytic import analytic_enabled
 from repro.common.errors import AnalyticPreconditionError, ConfigError
+from repro.common.memo import memo_insert
 from repro.common.rng import DEFAULT_SEED
 from repro.cpu.params import (
     DEFAULT_SW_COSTS,
@@ -88,19 +92,21 @@ def _docker_profile_for(table):
     return build_docker_default(table)
 
 
-def _bundle_for(spec: WorkloadSpec, seed: int) -> ProfileBundle:
-    """Load-or-build the profile bundle.  Bundles depend only on (spec,
-    seed), not on the trace length, so the disk entry omits ``events``."""
+def _bundle_for(spec: WorkloadSpec) -> ProfileBundle:
+    """Load-or-build the profile bundle from the profiling trace's
+    start-up tail and coverage pass alone (``count=0``): a full
+    recording's random draws add no rule and change no order (see
+    :func:`profile_trace`), so a bundle depends on the spec alone."""
     bundle = None
     digest = None
     if result_cache.cache_enabled():
-        digest = result_cache.context_digest("bundle", spec, seed=seed)
+        digest = result_cache.context_digest("bundle", spec)
         payload = result_cache.ResultCache().load_context("bundle", digest)
         if payload is not None:
             bundle = bundle_from_payload(payload, spec.name)
         telemetry.count("context_cache", "bundle", "hit" if bundle is not None else "miss")
     if bundle is None:
-        bundle = generate_bundle(profile_trace(spec, seed=seed), spec.name)
+        bundle = generate_bundle(profile_trace(spec, count=0), spec.name)
         if digest is not None and result_cache.ResultCache().store_context(
             "bundle", digest, bundle_to_payload(bundle)
         ):
@@ -439,6 +445,7 @@ def build_context(
     seed: int = DEFAULT_SEED,
     costs: SoftwareCostParams = DEFAULT_SW_COSTS,
     compiler: str = "binary_tree",
+    work_cycles: Optional[float] = None,
 ) -> WorkloadContext:
     """Generate traces, derive profiles, and calibrate one workload.
 
@@ -446,45 +453,27 @@ def build_context(
     (the Figure 2 targets were measured on Linux 5.3); the application
     work per syscall is a property of the application, not the kernel,
     so old-kernel contexts reuse the same W with their own cost model.
+    ``work_cycles`` is W already solved for these inputs; it replaces
+    the calibration probe.
     """
     trace = _trace_for(spec, events, seed)
-    bundle = _bundle_for(spec, seed)
-    work = calibrate_work_cycles(spec, trace, bundle, DEFAULT_SW_COSTS, compiler, seed=seed)
+    bundle = _bundle_for(spec)
+    if work_cycles is None:
+        work_cycles = calibrate_work_cycles(spec, trace, bundle, DEFAULT_SW_COSTS, compiler, seed)
     return WorkloadContext(
         spec=spec,
         trace=trace,
         bundle=bundle,
-        work_cycles=work,
+        work_cycles=work_cycles,
         costs=costs,
         compiler=compiler,
         seed=seed,
     )
 
 
-@lru_cache(maxsize=64)
-def _cached_context(
-    workload: str,
-    events: int,
-    seed: int,
-    costs: SoftwareCostParams,
-    compiler: str,
-) -> WorkloadContext:
-    """The one in-process context memo, keyed on *every* context input.
-
-    Trace, bundle and W do not depend on the cost model
-    (:func:`build_context` always calibrates against
-    ``DEFAULT_SW_COSTS``), so a context for any other cost model is the
-    default-cost context with its own ``costs`` and an empty evaluation
-    memo.  Sharing the trace and profile objects keeps the
-    identity-keyed filter-sweep memo hitting across cost models.
-    ``costs`` is a frozen dataclass: two parameter sets hash equal
-    exactly when every cost constant matches.
-    """
-    if costs != DEFAULT_SW_COSTS:
-        base = _cached_context(workload, events, seed, DEFAULT_SW_COSTS, compiler)
-        return replace(base, costs=costs, _eval_memo={})
-    spec = CATALOG[workload]
-    return build_context(spec, events=events, seed=seed, compiler=compiler)
+#: The one in-process context memo (see :func:`get_context`).
+_CONTEXTS: Dict[tuple, WorkloadContext] = {}
+_CONTEXT_LIMIT = 64
 
 
 def get_context(
@@ -494,17 +483,38 @@ def get_context(
     old_kernel: bool = False,
     compiler: str = "binary_tree",
     costs: Optional[SoftwareCostParams] = None,
+    work_cycles: Optional[float] = None,
 ) -> WorkloadContext:
     """Cached context for a catalog workload (contexts are immutable;
     regimes are created fresh per evaluation).
 
     ``old_kernel`` is a convenience alias for the Appendix A cost set;
     pass ``costs`` explicitly to evaluate any other cost model without
-    fear of stale cache entries.
+    fear of stale cache entries.  ``work_cycles`` is W already solved
+    for this workload, trace and compiler (the stage graph's context
+    stage returns it): a memo miss then skips the calibration probe.
+
+    The memo is keyed on *every* context input.  Trace, bundle and W do
+    not depend on the cost model (:func:`build_context` always
+    calibrates against ``DEFAULT_SW_COSTS``), so a context for any other
+    cost model is the default-cost context with its own ``costs`` and an
+    empty evaluation memo.  Sharing the trace and profile objects keeps
+    the identity-keyed filter-sweep memo hitting across cost models.
+    ``costs`` is a frozen dataclass: two parameter sets hash equal
+    exactly when every cost constant matches.
     """
     if costs is None:
         costs = OLD_KERNEL_SW_COSTS if old_kernel else DEFAULT_SW_COSTS
-    return _cached_context(workload, events, seed, costs, compiler)
+    key = (workload, events, seed, costs, compiler)
+    if key not in _CONTEXTS:
+        if costs != DEFAULT_SW_COSTS:
+            base = get_context(workload, events, seed, compiler=compiler, work_cycles=work_cycles)
+            context = replace(base, costs=costs, _eval_memo={})
+        else:
+            spec = CATALOG[workload]
+            context = build_context(spec, events, seed, compiler=compiler, work_cycles=work_cycles)
+        memo_insert(_CONTEXTS, key, context, _CONTEXT_LIMIT)
+    return _CONTEXTS[key]
 
 
 def reset_context_memos() -> None:
@@ -513,5 +523,5 @@ def reset_context_memos() -> None:
     from repro.experiments import seccomp_replay
 
     _docker_profile_for.cache_clear()
-    _cached_context.cache_clear()
+    _CONTEXTS.clear()
     seccomp_replay.reset_memos()

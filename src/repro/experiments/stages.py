@@ -24,9 +24,10 @@ their descendants.
 Stage payloads are plain JSON: a ``context`` stage builds the
 workload context through :func:`~repro.experiments.runner.get_context`
 and returns a tiny manifest (``events`` and ``work_cycles``; the trace
-and profile bundle land in the persistent context cache, which
-downstream stages read), an ``eval`` stage returns ``{regime:
-RunResult JSON}`` with one exact
+and profile bundle land in the persistent context cache, and every
+eval and analysis stage downstream builds the context from the
+manifest's W, so no worker re-runs the calibration probe), an ``eval``
+stage returns ``{regime: RunResult JSON}`` with one exact
 :meth:`~repro.kernel.simulator.RunResult.to_json_dict` payload per
 regime its walk serves (:func:`~repro.experiments.runner.walk_serves`:
 a Draco ``complete`` walk also carries its ``-2x`` variant, priced from
@@ -326,7 +327,23 @@ def _run_context_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
     return {"events": len(ctx.trace), "work_cycles": ctx.work_cycles}
 
 
-def _run_eval_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
+def _build_staged_context(params: Mapping[str, Any], payload: Mapping[str, Any]) -> None:
+    """Build a context stage's context from the W that stage solved, so a
+    worker that never built it does not re-run the calibration probe."""
+    get_context(
+        params["workload"],
+        events=params["events"],
+        seed=params["seed"],
+        compiler=params["compiler"],
+        work_cycles=payload["work_cycles"],
+    )
+
+
+def _run_eval_stage(
+    params: Mapping[str, Any], dep_info: Sequence[Tuple[str, Dict[str, Any], Any]]
+) -> Dict[str, Any]:
+    for _, dep_params, payload in dep_info:
+        _build_staged_context(dep_params, payload)
     ctx = get_context(
         params["workload"],
         events=params["events"],
@@ -357,12 +374,13 @@ def _run_analysis_stage(
     from repro.experiments.registry import by_id
 
     for kind, dep_params, payload in dep_info:
+        if kind == KIND_CONTEXT:
+            _build_staged_context(dep_params, payload)
+            continue
         if kind == KIND_FLEET_EVAL:
             from repro.experiments import fleet_serving
 
             fleet_serving.seed_eval(dep_params, payload)
-            continue
-        if kind != KIND_EVAL:
             continue
         ctx = get_context(
             dep_params["workload"],
@@ -420,7 +438,7 @@ def _execute_stage_inner(
         if kind == KIND_CONTEXT:
             payload = _run_context_stage(params)
         elif kind == KIND_EVAL:
-            payload = _run_eval_stage(params)
+            payload = _run_eval_stage(params, dep_info)
         elif kind == KIND_FLEET_EVAL:
             payload = _run_fleet_eval_stage(params)
         elif kind == KIND_ANALYSIS:
@@ -579,12 +597,14 @@ def execute_suite(
 
     def _submit_args(key: str):
         stage = stages[key]
-        dep_info: List[Tuple[str, Dict[str, Any], Any]] = []
+        deps = list(stage.deps)
         if stage.kind == KIND_ANALYSIS:
-            dep_info = [
-                (stages[d].kind, dict(stages[d].params), payloads[d])
-                for d in stage.deps
-            ]
+            # The contexts behind its evaluations come first, so the
+            # worker builds each from its solved W, as an eval stage
+            # does from its one dependency.
+            contexts = [c for d in deps for c in stages[d].deps if c in payloads]
+            deps = list(dict.fromkeys(contexts)) + deps
+        dep_info = [(stages[d].kind, dict(stages[d].params), payloads[d]) for d in deps]
         return (
             stage.kind,
             key,

@@ -221,10 +221,11 @@ class SeccompRegime(CheckingRegime):
         # Outcomes are pure functions of the module's decision, which is
         # itself keyed on the masked argument bytes — memoize the whole
         # CheckOutcome so repeat syscalls are a single dict probe.  The
-        # memo stays per-instance (unlike the bitmap regime's) because
-        # this regime exposes the module's raw execution counters via
-        # structure_stats(): sharing would make those depend on what ran
-        # earlier in the process and break RunResult byte-identity.
+        # memo stays per-instance because this regime exposes the
+        # module's raw execution counters via structure_stats(): a memo
+        # shared across instances would skip filter runs, making those
+        # counters depend on what ran earlier in the process and
+        # breaking RunResult byte-identity.
         self._outcome_memo: Dict[object, CheckOutcome] = {}
         self._ledger = common_ledger.FlowLedger()
 

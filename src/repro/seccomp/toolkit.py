@@ -48,7 +48,9 @@ def observed_argument_sets(
 ) -> Dict[int, Set[Tuple[int, ...]]]:
     """Map each observed SID to its distinct checkable-argument tuples."""
     by_sid: Dict[int, Set[Tuple[int, ...]]] = {}
-    for event in trace:
+    # Visit each distinct event once: a long recording repeats a few
+    # hundred of them.
+    for event in set(trace):
         sdef = table.by_sid(event.sid)
         checkable = tuple(event.args[i] for i in sdef.checkable_args)
         by_sid.setdefault(event.sid, set()).add(checkable)

@@ -47,7 +47,9 @@ def _event_record(event: SyscallEvent) -> str:
 
 
 def dumps(trace: SyscallTrace, version: int = FORMAT_VERSION) -> str:
-    """Serialise a trace to JSONL text (version 1 or 2)."""
+    """Serialise a trace to JSONL text (version 1 or 2).  Version 2
+    formats its ``[index, count]`` run records directly: for Python ints
+    that is ``json.dumps``'s text, without an encoder call per record."""
     if version == FORMAT_VERSION:
         lines = [
             json.dumps(
@@ -68,7 +70,7 @@ def dumps(trace: SyscallTrace, version: int = FORMAT_VERSION) -> str:
             index = len(table)
             index_of[event] = index
             table.append(event)
-        runs.append((index, count))
+        runs.append(f"[{index}, {count}]")
     lines = [
         json.dumps(
             {
@@ -80,7 +82,7 @@ def dumps(trace: SyscallTrace, version: int = FORMAT_VERSION) -> str:
         )
     ]
     lines.extend(_event_record(event) for event in table)
-    lines.extend(json.dumps([index, count]) for index, count in runs)
+    lines.extend(runs)
     return "\n".join(lines) + "\n"
 
 
@@ -131,10 +133,13 @@ def _loads_v1(lines, declared) -> SyscallTrace:
 
 
 def _loads_v2(lines, declared, distinct) -> SyscallTrace:
-    if not isinstance(distinct, int) or distinct < 0 or distinct > len(lines):
+    if type(distinct) is not int or distinct < 0 or distinct > len(lines):
         raise TraceFormatError(f"bad distinct-event count {distinct!r}")
     table = []
     events = []
+    # No run may overrun the declared total, so a corrupt count fails
+    # here instead of allocating its expansion first.
+    limit = float("inf") if declared is None else declared
     for number, record in _iter_records(lines, start=2):
         if len(table) < distinct:
             try:
@@ -146,15 +151,20 @@ def _loads_v2(lines, declared, distinct) -> SyscallTrace:
             continue
         try:
             event_index, count = record
-            event = table[int(event_index)]
-            count = int(count)
-            if count <= 0:
-                raise ValueError(f"non-positive run count {count}")
-        except (IndexError, TypeError, ValueError) as error:
+        except (TypeError, ValueError) as error:
             raise TraceFormatError(f"bad run on line {number}: {error}") from error
+        # Exact types: a float, a bool or a negative index (which Python
+        # would count from the table's end) is corruption, never a run.
+        if not (
+            type(event_index) is int
+            and 0 <= event_index < distinct
+            and type(count) is int
+            and 0 < count <= limit - len(events)
+        ):
+            raise TraceFormatError(f"bad run on line {number}: {record!r}")
         # The interned instance is reused for every expansion, keeping
         # run coalescing an identity comparison downstream.
-        events.extend([event] * count)
+        events.extend([table[event_index]] * count)
     if declared is not None and declared != len(events):
         raise TraceFormatError(
             f"header declares {declared} events, file has {len(events)}"
@@ -175,6 +185,8 @@ def loads(text: str) -> SyscallTrace:
         raise TraceFormatError("not a repro trace file")
     version = header.get("version")
     declared = header.get("count")
+    if declared is not None and type(declared) is not int:
+        raise TraceFormatError(f"bad event count {declared!r}")
     if version == FORMAT_VERSION:
         return _loads_v1(lines[1:], declared)
     if version == FORMAT_VERSION_RLE:

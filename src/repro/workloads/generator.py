@@ -196,6 +196,11 @@ def profile_trace(
     linker, runtime init) — those syscalls end up in every application's
     profile even though steady-state measurement never re-issues them
     (the runtime-required share of Figure 15a).
+
+    The random draws pick only argument sets the coverage pass lists,
+    and the profile generators sort rules, so ``count=0`` yields the
+    same profiles for every seed; the experiment runner's bundles skip
+    the draws that way.
     """
     from repro.workloads.startup import startup_events
 

@@ -30,16 +30,22 @@ def reference_kernels(monkeypatch):
 
     Hardware Draco walks every event (no steady memo), software Draco
     checks every event on its slow path (no steady memo), and the
-    Seccomp, bitmap-cache and software-Draco regimes check runs with
-    the base-class ``[check; advance] × count`` loop.  Differential
-    tests compare the accelerated kernel with this reference.
+    insecure, Seccomp, bitmap-cache and software-Draco regimes check
+    runs with the base-class ``[check; advance] × count`` loop.
+    Differential tests compare the accelerated kernel with this
+    reference.
     """
     from repro.core.hardware import HardwareDraco
     from repro.core.software import SoftwareDraco
-    from repro.kernel.regimes import CheckingRegime, DracoSwRegime, SeccompRegime
+    from repro.kernel.regimes import (
+        CheckingRegime,
+        DracoSwRegime,
+        InsecureRegime,
+        SeccompRegime,
+    )
     from repro.seccomp.bitmap_cache import SeccompBitmapRegime
 
     monkeypatch.setattr(HardwareDraco, "on_syscall", HardwareDraco._walk)
     monkeypatch.setattr(SoftwareDraco, "check", SoftwareDraco._check_slow)
-    for regime in (SeccompRegime, SeccompBitmapRegime, DracoSwRegime):
+    for regime in (InsecureRegime, SeccompRegime, SeccompBitmapRegime, DracoSwRegime):
         monkeypatch.setattr(regime, "check_run", CheckingRegime.check_run)

@@ -346,8 +346,11 @@ def _splits(draw):
 @given(split=_splits(), event_index=st.integers(0, 9), prefix=st.integers(0, 8))
 def test_check_run_split_conservation(regime_name, split, event_index, prefix):
     """check_run over any partition of a run yields the same coalesced
-    outcome segments — and the same total count — as one whole call."""
+    outcome segments — and the same total count — as one whole call,
+    and so does the base ``[check; advance]`` loop that a regime's run
+    shortcut stands in for."""
     from repro.experiments.runner import get_context
+    from repro.kernel.regimes import CheckingRegime
 
     total, parts = split
     ctx = get_context("grep", events=400, seed=13)
@@ -356,21 +359,25 @@ def test_check_run_split_conservation(regime_name, split, event_index, prefix):
 
     whole = ctx.make_regime(regime_name)
     pieces = ctx.make_regime(regime_name)
-    # Drive both regimes through an identical prefix so the property
+    base = ctx.make_regime(regime_name)
+    # Drive every regime through an identical prefix so the property
     # also covers warmed steady-state memos, not just cold structures.
     for warm_event in events[:prefix]:
         whole.check(warm_event)
         pieces.check(warm_event)
+        base.check(warm_event)
 
     work = ctx.work_cycles
     reference = list(whole.check_run(event, total, work))
     observed = []
     for part in parts:
         observed.extend(pieces.check_run(event, part, work))
+    looped = CheckingRegime.check_run(base, event, total, work)
 
     assert sum(count for _, count in observed) == total
     assert sum(count for _, count in reference) == total
     assert _coalesce(observed) == _coalesce(reference)
+    assert _coalesce(looped) == _coalesce(reference)
 
 
 # -- parallel engine runs -----------------------------------------------
@@ -389,7 +396,7 @@ class TestEngineParallel:
         # The serial pass warms the per-context evaluation memos and
         # fork-based pool workers inherit them; clear so every eval
         # stage actually simulates and contributes telemetry.
-        runner._cached_context.cache_clear()
+        runner._CONTEXTS.clear()
         parallel = engine.run_suite(
             ["fig13"], events=600, seed=5, jobs=4,
             cache_mode=engine.CACHE_OFF, cache_dir=str(tmp_path),

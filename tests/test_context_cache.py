@@ -212,7 +212,7 @@ class TestCalibrationMemoKey:
         monkeypatch.setenv(result_cache.CACHE_DISABLE_ENV, "1")
         spec = CATALOG[WORKLOAD]
         trace = runner._trace_for(spec, 800, DEFAULT_SEED)
-        bundle = runner._bundle_for(spec, DEFAULT_SEED)
+        bundle = runner._bundle_for(spec)
         return spec, trace, bundle
 
     def test_recycled_cost_id_recalibrates(self, inputs):
@@ -313,7 +313,7 @@ class TestDiskRoundTrip:
 class TestBundlePayload:
     def test_round_trip_through_json(self, cache_dir):
         spec = CATALOG[WORKLOAD]
-        bundle = runner._bundle_for(spec, DEFAULT_SEED)
+        bundle = runner._bundle_for(spec)
         payload = json.loads(json.dumps(bundle_to_payload(bundle)))
         rebuilt = bundle_from_payload(payload, spec.name)
         assert rebuilt is not None

@@ -134,10 +134,10 @@ class TestResultCache:
 
 class TestCalibrationCache:
     def test_calibration_persisted_and_reused(self):
-        from repro.experiments.runner import _cached_context, build_context
+        from repro.experiments.runner import _CONTEXTS, build_context
         from repro.workloads.catalog import CATALOG
 
-        _cached_context.cache_clear()
+        _CONTEXTS.clear()
         first = build_context(CATALOG["pipe-ipc"], events=2000)
         calibs = list((result_cache.cache_root() / "calibration").glob("*.json"))
         assert calibs, "calibration value should be written to disk"

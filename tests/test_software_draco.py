@@ -1,5 +1,7 @@
 """Tests for the software implementation of Draco (Section V-C)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.software import (
@@ -7,7 +9,7 @@ from repro.core.software import (
     bitmask_for_arg_indices,
     build_process_tables,
 )
-from repro.cpu.params import DEFAULT_SW_COSTS
+from repro.cpu.params import DEFAULT_SW_COSTS, OLD_KERNEL_SW_COSTS
 from repro.seccomp.compiler import compile_linear
 from repro.seccomp.engine import SeccompKernelModule
 from repro.seccomp.toolkit import generate_complete, generate_noargs
@@ -27,13 +29,13 @@ def training_trace():
     )
 
 
-def _draco(profile, times=1):
+def _draco(profile, times=1, costs=DEFAULT_SW_COSTS):
     tables = build_process_tables(profile)
     module = SeccompKernelModule()
     program = compile_linear(profile)
     for _ in range(times):
         module.attach(program)
-    return SoftwareDraco(tables, module)
+    return SoftwareDraco(tables, module, costs=costs)
 
 
 class TestBitmaskHelper:
@@ -152,3 +154,46 @@ class TestEquivalenceWithSeccomp:
         twice = _draco(profile, times=2)
         event = make_event("read", (3, 100))
         assert twice.check(event).cycles > once.check(event).cycles
+
+
+class TestInternedOutcomes:
+    def test_repeat_outcomes_are_one_object(self, training_trace):
+        draco = _draco(generate_complete(training_trace, "t"))
+        read = make_event("read", (3, 100))
+        filter_run = draco.check(read)
+        assert draco.check(read) is draco.check(read)  # VAT hits
+        getppid = make_event("getppid")
+        assert draco.check(getppid) is draco.check(getppid)  # SPT-only
+        # After a flush the same check runs the filter again, with the
+        # same instruction count, and gets the same outcome object.
+        draco.tables.vat.clear_all()
+        assert draco.check(read) is filter_run
+
+    def test_each_checker_prices_with_its_own_costs(self, training_trace):
+        """Outcomes are interned per checker, never class-wide: checkers
+        built one after another under two cost models each price every
+        path with their own, in either order."""
+        profile = generate_complete(training_trace, "t")
+        # The old kernel's SPT-only check costs what the modern one's
+        # does; make it dearer so that every path's price differs.
+        old = replace(OLD_KERNEL_SW_COSTS, sw_draco_spt_only_cycles=31)
+        events = (
+            make_event("read", (3, 100)),
+            make_event("read", (3, 100)),
+            make_event("getppid"),
+        )
+        for order in ((DEFAULT_SW_COSTS, old), (old, DEFAULT_SW_COSTS)):
+            for costs in order:
+                draco = _draco(profile, costs=costs)
+                filter_run, vat_hit, spt_only = (draco.check(e) for e in events)
+                assert filter_run.path == "filter_run"
+                insns = filter_run.filter_cost.insns
+                assert filter_run.cycles == costs.sw_draco_hit_cycles + (
+                    costs.seccomp_slow_path_cycles
+                    + costs.seccomp_fixed_cycles
+                    + insns * costs.cycles_per_bpf_insn_jit
+                ) + costs.sw_draco_insert_cycles
+                assert vat_hit.path == "vat_hit"
+                assert vat_hit.cycles == costs.sw_draco_hit_cycles
+                assert spt_only.path == "spt_only"
+                assert spt_only.cycles == costs.sw_draco_spt_only_cycles

@@ -216,6 +216,42 @@ class TestDedup:
         regimes = record.simulation["regime_events"]
         assert regimes and all(name.startswith("seccomp-bitmap:") for name in regimes), regimes
 
+    def test_downstream_stages_never_recalibrate(self, cache_dir, monkeypatch):
+        """Every stage after a context stage runs as if in a worker that
+        never built the context, with the cache off: it rebuilds the
+        context from the W the context stage solved, so each workload is
+        calibrated once and the results match a plain run."""
+        from repro.experiments import stages
+
+        ids = ("fig11", "fig12", "bitmap")
+        overrides = {eid: {"workloads": WORKLOADS, "events": EVENTS} for eid in ids}
+        plain = engine.run_suite(ids, cache_mode=engine.CACHE_OFF, run_overrides=overrides)
+        runner.reset_context_memos()
+
+        calibrated = []
+        calibrate = runner.calibrate_work_cycles
+
+        def counting_calibrate(spec, *args, **kwargs):
+            calibrated.append(spec.name)
+            return calibrate(spec, *args, **kwargs)
+
+        execute = stages._execute_stage
+
+        def fresh_worker(kind, *args):
+            if kind != stages.KIND_CONTEXT:
+                runner.reset_context_memos()
+            return execute(kind, *args)
+
+        monkeypatch.setattr(runner, "calibrate_work_cycles", counting_calibrate)
+        monkeypatch.setattr(stages, "_execute_stage", fresh_worker)
+        run = engine.run_suite(ids, cache_mode=engine.CACHE_OFF, run_overrides=overrides)
+        assert not run.failures
+        assert sorted(calibrated) == sorted(WORKLOADS)
+        assert _markdowns(run) == _markdowns(plain)
+        record = next(o.record for o in run.outcomes if o.experiment_id == "bitmap")
+        regimes = record.simulation["regime_events"]
+        assert regimes and all(name.startswith("seccomp-bitmap:") for name in regimes), regimes
+
     def test_summary_renders_stage_counters(self, cache_dir):
         run = engine.run_suite(
             ("fig13",),

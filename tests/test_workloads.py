@@ -175,3 +175,22 @@ class TestCoverage:
         measurement = generate_trace(spec, 2000, seed=777)
         for event in measurement:
             assert profile.allows(event)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_coverage_bundle_equals_full_recording(self, name):
+        """The runner derives each bundle from the start-up tail and the
+        coverage pass alone; for every seed, that bundle is the one the
+        full 20 000-event profiling recording yields, rule for rule and
+        in the same order."""
+        from repro.common.rng import DEFAULT_SEED
+        from repro.experiments import runner
+        from repro.seccomp.toolkit import bundle_to_payload, generate_bundle
+
+        spec = CATALOG[name]
+        derived = bundle_to_payload(runner._bundle_for(spec))
+        assert derived == bundle_to_payload(
+            generate_bundle(profile_trace(spec, count=0), name)
+        )
+        for seed in (DEFAULT_SEED, 1, 7, 12345):
+            recorded = generate_bundle(profile_trace(spec, seed=seed), name)
+            assert bundle_to_payload(recorded) == derived
