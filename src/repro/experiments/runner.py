@@ -15,10 +15,12 @@ Draco, hardware Draco) is emergent.
 Each artifact is kept in one place per process: :func:`get_context` is
 the one in-process context memo, and a context's trace, profile bundle
 and W load from (or store to) the persistent context cache
-(:mod:`repro.experiments.cache`) only when that memo misses.  A caller
-that already holds the solved W (the stage graph's context stage
-returns it) passes it to :func:`get_context`, so a process that never
-built the context skips the calibration probe.
+(:mod:`repro.experiments.cache`) only when that memo misses.  W is
+solved the first time it is read, so an analysis that reads only a
+trace or a bundle never calibrates.  A caller that already holds the
+solved W (the stage graph's context stage returns it) passes it to
+:func:`get_context`, so a process that never built the context skips
+the calibration probe.
 
 :meth:`WorkloadContext.evaluate` memoises each no-override evaluation
 per context.  Either regime of a Draco ``complete``/``complete-2x``
@@ -32,11 +34,11 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common import telemetry
 from repro.common.analytic import analytic_enabled
-from repro.common.errors import AnalyticPreconditionError, ConfigError
+from repro.common.errors import ConfigError
 from repro.common.memo import memo_insert
 from repro.common.rng import DEFAULT_SEED
 from repro.cpu.params import (
@@ -157,19 +159,38 @@ def walk_serves(regime_name: str) -> Tuple[str, ...]:
 
 @dataclass
 class WorkloadContext:
-    """Everything needed to evaluate one workload under any regime."""
+    """Everything needed to evaluate one workload under any regime.
+
+    W is solved the first time :attr:`work_cycles` is read, so a caller
+    that reads only the trace or the bundle never runs the calibration
+    probe.
+    """
 
     spec: WorkloadSpec
     trace: SyscallTrace
     bundle: ProfileBundle
-    work_cycles: float
     costs: SoftwareCostParams
     compiler: str
     seed: int
+    #: ``[W]``, or ``[None]`` until W is solved.  Every cost-model
+    #: variant of a context shares this one list (see :func:`get_context`).
+    _work_cycles: List[Optional[float]] = field(
+        default_factory=lambda: [None], repr=False, compare=False
+    )
     #: Per-context memo of no-override evaluations (see :meth:`evaluate`).
     _eval_memo: Dict[tuple, RunResult] = field(
         default_factory=dict, repr=False, compare=False
     )
+
+    @property
+    def work_cycles(self) -> float:
+        """W, solved against ``DEFAULT_SW_COSTS`` (see :func:`build_context`)."""
+        cell = self._work_cycles
+        if cell[0] is None:
+            cell[0] = calibrate_work_cycles(
+                self.spec, self.trace, self.bundle, DEFAULT_SW_COSTS, self.compiler, self.seed
+            )
+        return cell[0]
 
     @property
     def syscall_base_cycles(self) -> float:
@@ -269,10 +290,7 @@ class WorkloadContext:
         Either regime of a Draco ``complete``/``complete-2x`` pair walks
         the ``1x`` regime once and memoises both results, the ``-2x``
         one priced from the walk (:func:`walk_serves`); a ``-2x``
-        evaluation walks no structure of its own.  When an analytic
-        replay finds its precondition broken (a VAT eviction under
-        software Draco), the exact kernels rerun the walk on a fresh
-        regime and both results are priced from that.
+        evaluation walks no structure of its own.
         """
         if overrides:
             return self._walk(regime_name, overrides)[regime_name]
@@ -290,17 +308,6 @@ class WorkloadContext:
         return results[regime_name]
 
     def _walk(self, regime_name: str, overrides: Dict[str, object]) -> Dict[str, RunResult]:
-        try:
-            return self._run(regime_name, overrides)
-        except AnalyticPreconditionError:
-            return self._run(regime_name, overrides, analytic=False)
-
-    def _run(
-        self,
-        regime_name: str,
-        overrides: Dict[str, object],
-        analytic: Optional[bool] = None,
-    ) -> Dict[str, RunResult]:
         """One walk under *regime_name*: its result and, without
         overrides, the result of every variant priced from it."""
         regime = self.make_regime(regime_name, **overrides)
@@ -311,7 +318,6 @@ class WorkloadContext:
                 work_cycles_per_syscall=self.work_cycles,
                 syscall_base_cycles=self.syscall_base_cycles,
                 workload_name=self.spec.name,
-                analytic=analytic,
             )
         }
         if not overrides:
@@ -358,6 +364,14 @@ def _trace_for(spec: WorkloadSpec, events: int, seed: int) -> SyscallTrace:
     return trace
 
 
+def _complete_target(spec: WorkloadSpec) -> float:
+    """The Figure 2 ``syscall-complete`` bar that W is solved from."""
+    target = spec.fig2_targets.get(REGIME_COMPLETE)
+    if target is None or target <= 1.0:
+        raise ConfigError(f"{spec.name}: needs a syscall-complete target > 1.0")
+    return target
+
+
 def calibrate_work_cycles(
     spec: WorkloadSpec,
     trace: SyscallTrace,
@@ -374,10 +388,7 @@ def calibrate_work_cycles(
     length and seed, cost params, compiler strategy, and the source
     fingerprint.  A change to any of them recalibrates.
     """
-    target = spec.fig2_targets.get(REGIME_COMPLETE)
-    if target is None or target <= 1.0:
-        raise ConfigError(f"{spec.name}: needs a syscall-complete target > 1.0")
-
+    target = _complete_target(spec)
     digest = None
     if result_cache.cache_enabled():
         digest = result_cache.params_digest(
@@ -447,27 +458,26 @@ def build_context(
     compiler: str = "binary_tree",
     work_cycles: Optional[float] = None,
 ) -> WorkloadContext:
-    """Generate traces, derive profiles, and calibrate one workload.
+    """Generate traces and derive profiles for one workload, whose W
+    is calibrated when first read.
 
     Calibration always solves W against the *modern-kernel* cost model
     (the Figure 2 targets were measured on Linux 5.3); the application
     work per syscall is a property of the application, not the kernel,
     so old-kernel contexts reuse the same W with their own cost model.
     ``work_cycles`` is W already solved for these inputs; it replaces
-    the calibration probe.
+    the calibration probe.  A spec without a calibration target fails
+    here, not at the first read of W.
     """
-    trace = _trace_for(spec, events, seed)
-    bundle = _bundle_for(spec)
-    if work_cycles is None:
-        work_cycles = calibrate_work_cycles(spec, trace, bundle, DEFAULT_SW_COSTS, compiler, seed)
+    _complete_target(spec)
     return WorkloadContext(
         spec=spec,
-        trace=trace,
-        bundle=bundle,
-        work_cycles=work_cycles,
+        trace=_trace_for(spec, events, seed),
+        bundle=_bundle_for(spec),
         costs=costs,
         compiler=compiler,
         seed=seed,
+        _work_cycles=[work_cycles],
     )
 
 
@@ -485,28 +495,30 @@ def get_context(
     costs: Optional[SoftwareCostParams] = None,
     work_cycles: Optional[float] = None,
 ) -> WorkloadContext:
-    """Cached context for a catalog workload (contexts are immutable;
-    regimes are created fresh per evaluation).
+    """Cached context for a catalog workload (contexts are immutable
+    but for W, solved once; regimes are created fresh per evaluation).
 
     ``old_kernel`` is a convenience alias for the Appendix A cost set;
     pass ``costs`` explicitly to evaluate any other cost model without
     fear of stale cache entries.  ``work_cycles`` is W already solved
     for this workload, trace and compiler (the stage graph's context
-    stage returns it): a memo miss then skips the calibration probe.
+    stage returns it): the context, new or memoised, then never runs
+    the calibration probe.
 
     The memo is keyed on *every* context input.  Trace, bundle and W do
     not depend on the cost model (:func:`build_context` always
     calibrates against ``DEFAULT_SW_COSTS``), so a context for any other
     cost model is the default-cost context with its own ``costs`` and an
-    empty evaluation memo.  Sharing the trace and profile objects keeps
-    the identity-keyed filter-sweep memo hitting across cost models.
-    ``costs`` is a frozen dataclass: two parameter sets hash equal
-    exactly when every cost constant matches.
+    empty evaluation memo, sharing the default context's W.  Sharing the
+    trace and profile objects keeps the identity-keyed filter-sweep memo
+    hitting across cost models.  ``costs`` is a frozen dataclass: two
+    parameter sets hash equal exactly when every cost constant matches.
     """
     if costs is None:
         costs = OLD_KERNEL_SW_COSTS if old_kernel else DEFAULT_SW_COSTS
     key = (workload, events, seed, costs, compiler)
-    if key not in _CONTEXTS:
+    context = _CONTEXTS.get(key)
+    if context is None:
         if costs != DEFAULT_SW_COSTS:
             base = get_context(workload, events, seed, compiler=compiler, work_cycles=work_cycles)
             context = replace(base, costs=costs, _eval_memo={})
@@ -514,7 +526,9 @@ def get_context(
             spec = CATALOG[workload]
             context = build_context(spec, events, seed, compiler=compiler, work_cycles=work_cycles)
         memo_insert(_CONTEXTS, key, context, _CONTEXT_LIMIT)
-    return _CONTEXTS[key]
+    elif work_cycles is not None and context._work_cycles[0] is None:
+        context._work_cycles[0] = work_cycles
+    return context
 
 
 def reset_context_memos() -> None:

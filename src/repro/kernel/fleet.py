@@ -22,7 +22,8 @@ The model has three layers:
   Zipf tenant popularity, exponential interarrivals with occasional
   same-tenant bursts (scale-out surges) and fleet-wide lulls (long
   enough for keep-alive windows to lapse), and heavy-tailed (Pareto)
-  invocation durations expressed as body-repetition multipliers.
+  invocation durations expressed as body-repetition multipliers, held
+  as three columns indexed by sequence number (:class:`FleetLoad`).
 * **Serving simulation** — a discrete-event loop over container pools:
   warm starts pop the tenant's most-recently-idled container, cold
   starts spawn (evicting the globally least-recently-idled container
@@ -45,9 +46,10 @@ from __future__ import annotations
 
 import bisect
 import heapq
+from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common import ledger, telemetry
 from repro.common.errors import ConfigError
@@ -267,18 +269,24 @@ def calibrate_classes(
 # -- load generation -----------------------------------------------------
 
 
-class Invocation(NamedTuple):
-    """One arrival in the fleet stream."""
+@dataclass(frozen=True)
+class FleetLoad:
+    """The fleet stream in arrival order, as three columns indexed by
+    sequence number: ``tenant`` and ``reps`` (the duration multiplier:
+    the body repeats this often) in ``array("q")``, ``arrival_ms`` in
+    ``array("d")``."""
 
-    seq: int
-    tenant: int
-    arrival_ms: float
-    #: Duration multiplier: the function body repeats this many times.
-    reps: int
+    tenant: array
+    arrival_ms: array
+    reps: array
+
+    def __len__(self) -> int:
+        return len(self.tenant)
 
 
-def generate_load(params: FleetParams) -> Tuple[Invocation, ...]:
-    """Deterministic per-tenant invocation streams, merged by arrival.
+def generate_load(params: FleetParams) -> FleetLoad:
+    """Deterministic per-tenant invocation streams, merged by arrival,
+    as three columns (:class:`FleetLoad`).
 
     Tenants are picked per arrival from a Zipf popularity distribution
     (cumulative-weight bisection, O(log N) per draw); durations are
@@ -298,26 +306,27 @@ def generate_load(params: FleetParams) -> Tuple[Invocation, ...]:
     count, alpha, max_reps = params.invocations, params.duration_alpha, params.max_reps
     lull_every, burst_every = params.lull_every, params.burst_every
     arrival_rate = 1.0 / params.mean_interarrival_ms
-    out: List[Invocation] = []
+    tenants, arrivals, durations = array("q"), array("d"), array("q")
     t = 0.0
-    while len(out) < count:
+    while len(tenants) < count:
         if lull_every and random() < 1.0 / lull_every:
             # A fleet-wide lull: long enough that keep-alive windows
             # lapse, so the traffic after it restarts cold (a storm).
             t += params.keep_alive_ms * (1.0 + 2.0 * random())
         if burst_every and random() < 1.0 / burst_every:
             tenant = bisect.bisect_left(cumulative, random() * total)
-            size = min(1 + int(expovariate(1.0 / params.burst_size)), count - len(out))
+            size = min(1 + int(expovariate(1.0 / params.burst_size)), count - len(tenants))
             for _ in range(size):
                 t += 0.01
-                out.append(
-                    Invocation(len(out), tenant, t, min(max_reps, int(pareto(alpha))))
-                )
+                tenants.append(tenant)
+                arrivals.append(t)
+                durations.append(min(max_reps, int(pareto(alpha))))
             continue
         t += expovariate(arrival_rate)
-        tenant = bisect.bisect_left(cumulative, random() * total)
-        out.append(Invocation(len(out), tenant, t, min(max_reps, int(pareto(alpha)))))
-    return tuple(out)
+        tenants.append(bisect.bisect_left(cumulative, random() * total))
+        arrivals.append(t)
+        durations.append(min(max_reps, int(pareto(alpha))))
+    return FleetLoad(tenants, arrivals, durations)
 
 
 # -- serving simulation --------------------------------------------------
@@ -359,6 +368,33 @@ def _fold(starts: List[int], klass: ClassCost) -> Tuple[ledger.FlowLedger, int]:
                 counts[flow] = counts.get(flow, 0) + count * times
                 cycles[flow] = cycles.get(flow, 0.0) + cyc * times
     return led, syscalls
+
+
+def wait_summary(zeros: int, waits: List[float]) -> Dict[str, float]:
+    """Mean, p50, p95, p99 and max of *zeros* waits of exactly ``0.0``
+    and the other *waits* (sorted here, in place).
+
+    No wait is negative, so the sorted list of all waits is the zeros
+    followed by the sorted *waits*: each percentile indexes that list,
+    and the mean sums it in that order, where adding ``0.0`` changes no
+    float.  Every value is bit for bit the one the full list gives.
+    """
+    total = zeros + len(waits)
+    if not total:
+        return {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
+    waits.sort()
+
+    def percentile(fraction: float) -> float:
+        index = min(total - 1, int(fraction * total)) - zeros
+        return waits[index] if index >= 0 else 0.0
+
+    return {
+        "mean": sum(waits) / total,
+        "p50": percentile(0.50),
+        "p95": percentile(0.95),
+        "p99": percentile(0.99),
+        "max": waits[-1] if waits else 0.0,
+    }
 
 
 @dataclass(frozen=True)
@@ -438,7 +474,7 @@ def simulate_fleet(
     params: FleetParams,
     policy: str = POLICY_ROUND_ROBIN,
     classes: Optional[Tuple[ClassCost, ...]] = None,
-    load: Optional[Tuple[Invocation, ...]] = None,
+    load: Optional[FleetLoad] = None,
     record_telemetry: bool = True,
 ) -> FleetResult:
     """Serve the generated load through the container-pool model.
@@ -446,7 +482,8 @@ def simulate_fleet(
     ``classes``/``load`` accept precomputed calibration and load so
     several policies can share them (the ``fleet-eval`` stage does);
     both are pure functions of ``params``, so passing them changes
-    nothing but wall time.
+    nothing but wall time.  The loop reads the load's columns by
+    sequence number, and keeps only the waits that are not ``0.0``.
     """
     params.validate()
     if policy not in POLICIES:
@@ -485,22 +522,23 @@ def simulate_fleet(
     evictions = expiries = peak_containers = peak_busy = queue_peak = 0
     storm_windows: Dict[int, int] = {}
     busy = 0
-    waits: List[float] = []
-    queue: Any = [] if shortest else deque()  # (expected, seq, inv) heap or FIFO
+    waits: List[float] = []  # the waits that are not zero
+    queue: Any = [] if shortest else deque()  # (expected, seq) heap or FIFO of seqs
     finish_heap: List[Tuple[float, int, int, int]] = []  # (t, seq, cid, tenant)
     last_finish_ms = 0.0
 
     heappop, heappush = heapq.heappop, heapq.heappush
-    arrivals = iter(load)
-    arrival = next(arrivals, None)
-    while arrival is not None or finish_heap:
+    tenant_of, arrival_of, reps_of = load.tenant, load.arrival_ms, load.reps
+    arrivals = len(load)
+    arrived = 0  # seq of the next arrival
+    while arrived < arrivals or finish_heap:
         # Finishes go before arrivals at the same time.
-        if finish_heap and (arrival is None or finish_heap[0][0] <= arrival.arrival_ms):
+        if finish_heap and (arrived == arrivals or finish_heap[0][0] <= arrival_of[arrived]):
             now, _seq, cid, tenant = heappop(finish_heap)
-            invocation = None
+            seq = -1
         else:
-            invocation, arrival = arrival, next(arrivals, None)
-            now = invocation.arrival_ms
+            seq, now = arrived, arrival_of[arrived]
+            arrived += 1
         while idle and idle[0][0] + keep_alive_ms <= now:
             since, victim = idle.popleft()
             if container_state[victim] == 2 and container_idle_since[victim] == since:
@@ -508,7 +546,7 @@ def simulate_fleet(
                 container_count -= 1
                 live[container_tenant[victim]] -= 1
                 expiries += 1
-        if invocation is None:
+        if seq < 0:
             busy -= 1
             container_state[cid] = 2
             container_idle_since[cid] = now
@@ -520,22 +558,21 @@ def simulate_fleet(
                 idle.append((now, cid))
             if not queue:
                 continue
-            invocation = heappop(queue)[2] if shortest else queue.popleft()
+            seq = heappop(queue)[1] if shortest else queue.popleft()
         elif busy >= workers:
-            tenant = invocation.tenant
             if shortest:
-                expected = service_ms[tenant % n_classes] * invocation.reps
-                heappush(queue, (expected, invocation.seq, invocation))
+                expected = service_ms[tenant_of[seq] % n_classes] * reps_of[seq]
+                heappush(queue, (expected, seq))
             else:
-                queue.append(invocation)
+                queue.append(seq)
             if len(queue) > queue_peak:
                 queue_peak = len(queue)
             continue
 
         # Start the invocation.  Warm start: the most recently idled
         # container of its tenant.
-        tenant = invocation.tenant
-        reps = invocation.reps
+        tenant = tenant_of[seq]
+        reps = reps_of[seq]
         mine = tenant_idle[tenant]
         while mine and container_state[mine[-1]] != 2:
             mine.pop()
@@ -576,11 +613,12 @@ def simulate_fleet(
         busy += 1
         if busy > peak_busy:
             peak_busy = busy
-        waits.append(now - invocation.arrival_ms)
+        if now > arrival_of[seq]:  # else it waits exactly 0.0
+            waits.append(now - arrival_of[seq])
         finish = begin + service_ms[tenant % n_classes] * reps
         if finish > last_finish_ms:
             last_finish_ms = finish
-        heappush(finish_heap, (finish, invocation.seq, cid, tenant))
+        heappush(finish_heap, (finish, seq, cid, tenant))
 
     # Fleet ledger: the exact merge of the per-tenant buckets.
     fleet = ledger.FlowLedger()
@@ -633,21 +671,6 @@ def simulate_fleet(
     check_cycles = fleet.total_cycles()
     fleet.audit_totals(syscalls, check_cycles, scope=f"fleet/{policy}")
 
-    waits.sort()
-
-    def percentile(fraction: float) -> float:
-        if not waits:
-            return 0.0
-        return waits[min(len(waits) - 1, int(fraction * len(waits)))]
-
-    wait_ms = {
-        "mean": sum(waits) / len(waits) if waits else 0.0,
-        "p50": percentile(0.50),
-        "p95": percentile(0.95),
-        "p99": percentile(0.99),
-        "max": waits[-1] if waits else 0.0,
-    }
-
     # Footprint: per-tenant peaks (concurrent containers x per-container
     # VAT+SPT bytes) and the mean-per-container extrapolation.
     fleet_peak_bytes = sum(t.footprint_peak_bytes for t in aggregates)
@@ -677,7 +700,8 @@ def simulate_fleet(
         syscalls=syscalls,
         check_cycles=check_cycles,
         horizon_ms=last_finish_ms,
-        wait_ms=wait_ms,
+        # Every invocation starts once: those not in waits waited 0.0.
+        wait_ms=wait_summary(len(load) - len(waits), waits),
         counters=counters,
         footprint=footprint,
         flow_counts=dict(fleet.counts),

@@ -130,7 +130,9 @@ class CheckingRegime(abc.ABC):
     def analytic_verify(self) -> None:
         """Post-run hook for exact analytic replays: raise
         :class:`~repro.common.errors.AnalyticPreconditionError` if a
-        precondition the plan relied on turned out not to hold."""
+        precondition the plan relied on turned out not to hold, after
+        putting the regime back in its state before the replay; the
+        simulator then reruns the trace on the exact kernels."""
 
     def analytic_context_switch(self) -> None:
         """Fire one context switch by hand (the sampled plan's transient
@@ -313,10 +315,14 @@ class DracoSwRegime(CheckingRegime):
         self.name = name or _stack_name("draco-sw", profile, times)
         self.profile = profile
         self.times = times
-        tables = build_process_tables(profile, table=profile.table)
-        self.draco = SoftwareDraco(
-            tables,
-            _attach(profile, times, compiler),
+        self._checker_inputs = (compiler, use_jit, costs)
+        self.draco = self._fresh_checker()
+
+    def _fresh_checker(self) -> SoftwareDraco:
+        compiler, use_jit, costs = self._checker_inputs
+        return SoftwareDraco(
+            build_process_tables(self.profile, table=self.profile.table),
+            _attach(self.profile, self.times, compiler),
             costs=costs,
             use_jit=use_jit,
         )
@@ -332,27 +338,27 @@ class DracoSwRegime(CheckingRegime):
         return self.draco.check_bulk(event, count)
 
     def analytic_plan(self, windows, work_cycles: float = 0.0):
-        """Exact, under one precondition: the VAT suffers no cuckoo
-        evictions, making it an insert-only value-keyed map whose
-        outcomes do not depend on event interleaving.  The OS sizes each
-        per-syscall table at twice the profile's argument-set count
-        (load factor <= 0.5), which makes evictions rare but not
-        impossible; when one happens, :meth:`analytic_verify` fails the
-        replay loudly.
+        """Exact for a checker that has checked nothing yet, under one
+        precondition: the VAT suffers no cuckoo evictions, making it an
+        insert-only value-keyed map whose outcomes do not depend on
+        event interleaving.  The OS sizes each per-syscall table at
+        twice the profile's argument-set count (load factor <= 0.5),
+        which makes evictions rare but not impossible; when one happens,
+        :meth:`analytic_verify` puts a fresh checker back, so the exact
+        kernels can rerun the trace.  A checker with history declines:
+        nothing could restore it.
         """
-        self._analytic_evictions_before = self.draco.tables.vat.structure_stats()[
-            "evictions"
-        ]
+        if self.draco.stats.total:
+            return None
         return analytic_backend.EXACT_PLAN
 
     def analytic_verify(self) -> None:
         evictions = self.draco.tables.vat.structure_stats()["evictions"]
-        before = getattr(self, "_analytic_evictions_before", 0)
-        if evictions != before:
+        if evictions:
+            self.draco = self._fresh_checker()
             raise AnalyticPreconditionError(
-                f"{self.name}: VAT evicted {evictions - before} entries during "
-                "an analytic exact replay — the no-eviction precondition is "
-                "violated; rerun on the exact kernels (analytic=False)"
+                f"{self.name}: VAT evicted {evictions} entries during an "
+                "analytic exact replay — the no-eviction precondition is violated"
             )
 
     def priced_name(self, copies: int) -> str:

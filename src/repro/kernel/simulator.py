@@ -57,7 +57,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 from repro.common import analytic as analytic_backend
 from repro.common import ledger, telemetry
 from repro.common.analytic import AnalyticInfo, AnalyticPlan, TraceWindows
-from repro.common.errors import SimulationError
+from repro.common.errors import AnalyticPreconditionError, SimulationError
 from repro.core.software import CheckOutcome
 from repro.kernel.regimes import CheckingRegime
 from repro.syscalls.events import SyscallEvent, SyscallTrace, iter_runs
@@ -750,7 +750,9 @@ def run_trace(
     ``analytic`` is the per-run opt-in/out seam for the analytic tier:
     ``None`` follows ``REPRO_ANALYTIC`` (default on), ``False`` forces
     the exact kernels, ``True`` requests the analytic tier (which still
-    falls back to the exact kernels when the regime declines a plan).
+    falls back to the exact kernels when the regime declines a plan, or
+    when an exact replay finds its precondition broken and the regime
+    resets itself; the result then carries ``analytic=None``).
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise SimulationError("warmup_fraction must be within [0, 1)")
@@ -766,16 +768,21 @@ def run_trace(
         windows = analytic_backend.trace_windows(trace, warmup)
         if windows is not None:
             plan = regime.analytic_plan(windows, work_cycles_per_syscall)
-            if plan is not None:
-                if plan.mode == "exact":
-                    return _keep_walk(regime, _run_exact_window(
+            if plan is not None and plan.mode == "exact":
+                try:
+                    walk = _run_exact_window(
                         windows,
                         regime,
                         work_cycles_per_syscall,
                         syscall_base_cycles,
                         workload_name,
                         strict,
-                    ))
+                    )
+                except AnalyticPreconditionError:
+                    pass  # the regime reset itself: walk the exact kernels below
+                else:
+                    return _keep_walk(regime, walk)
+            elif plan is not None:
                 return _keep_walk(regime, _run_sampled_window(
                     trace,
                     windows,

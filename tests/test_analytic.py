@@ -70,9 +70,8 @@ def _as_json(result):
 def test_evaluate_falls_back_to_exact_kernels_on_vat_eviction():
     """On seed 4's elasticsearch trace software Draco's VAT evicts an
     entry, which breaks the analytic replay's no-eviction precondition:
-    the replay raises, and ``evaluate`` returns the exact-kernel result
-    of a fresh regime instead of failing the experiment."""
-    from repro.common.errors import AnalyticPreconditionError
+    the regime puts a fresh checker back, and ``run_trace`` returns the
+    exact kernels' result, byte for byte, instead of failing."""
     from repro.experiments.runner import get_context
     from repro.kernel.simulator import run_trace
 
@@ -88,11 +87,32 @@ def test_evaluate_falls_back_to_exact_kernels_on_vat_eviction():
             analytic=analytic,
         )
 
-    with pytest.raises(AnalyticPreconditionError):
-        run(analytic=True)
     exact = run(analytic=False)
+    assert _as_json(run(analytic=True)) == _as_json(exact)
     assert exact.normalized_time == pytest.approx(1.0529, abs=1e-4)
     assert _as_json(ctx.evaluate("draco-sw-complete")) == _as_json(exact)
+
+
+def test_software_draco_replays_only_a_fresh_checker():
+    """A checker that has checked events declines the exact plan: an
+    eviction is undone by a fresh checker, which would lose that
+    history.  A second walk on one regime equals the exact kernels'
+    second walk, byte for byte."""
+    from repro.kernel.regimes import DracoSwRegime
+    from repro.kernel.simulator import run_trace
+    from repro.seccomp.toolkit import generate_complete
+    from repro.syscalls.events import SyscallTrace, make_event
+
+    # close(7) and close(5) take turns evicting each other from the VAT.
+    trace = SyscallTrace([make_event("close", (fd,), pc=0x103) for fd in (7, 5) * 20])
+    profile = generate_complete(trace, "t")
+
+    def second_walk(analytic):
+        regime = DracoSwRegime(profile)
+        run_trace(trace, regime, 100.0, 150.0, analytic=False)
+        return run_trace(trace, regime, 100.0, 150.0, analytic=analytic)
+
+    assert _as_json(second_walk(True)) == _as_json(second_walk(False))
 
 
 @pytest.mark.parametrize("workload", EXACT_WORKLOADS)

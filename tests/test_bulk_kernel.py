@@ -479,12 +479,13 @@ def test_merge_simulations_sums_and_rederives_run_length():
     from repro.kernel.simulator import run_trace
 
     ctx = get_context("pipe-ipc", events=1_500, seed=3)
+    work = ctx.work_cycles  # solve W before the first snapshot
 
     def simulate(regime_name):
         return lambda: run_trace(
             ctx.trace,
             ctx.make_regime(regime_name),
-            work_cycles_per_syscall=ctx.work_cycles,
+            work_cycles_per_syscall=work,
             syscall_base_cycles=ctx.syscall_base_cycles,
             workload_name=ctx.spec.name,
             analytic=False,

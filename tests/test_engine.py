@@ -139,6 +139,7 @@ class TestCalibrationCache:
 
         _CONTEXTS.clear()
         first = build_context(CATALOG["pipe-ipc"], events=2000)
+        assert first.work_cycles > 0  # W is solved, and stored, on its first read
         calibs = list((result_cache.cache_root() / "calibration").glob("*.json"))
         assert calibs, "calibration value should be written to disk"
         second = build_context(CATALOG["pipe-ipc"], events=2000)

@@ -3,9 +3,13 @@
 import hashlib
 import json
 import time
+import tracemalloc
+from array import array
+from collections import Counter
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common import ledger
@@ -19,6 +23,7 @@ from repro.kernel.fleet import (
     calibrate_classes,
     generate_load,
     simulate_fleet,
+    wait_summary,
 )
 
 
@@ -48,21 +53,20 @@ class TestLoadGeneration:
         params, _, load = tiny_run
         assert load == generate_load(params)
         assert len(load) == params.invocations
-        assert all(a.arrival_ms <= b.arrival_ms for a, b in zip(load, load[1:]))
+        assert len(load.tenant) == len(load.arrival_ms) == len(load.reps)
+        arrivals = load.arrival_ms
+        assert all(a <= b for a, b in zip(arrivals, arrivals[1:]))
 
     def test_popularity_is_skewed(self, tiny_run):
         params, _, load = tiny_run
-        counts = {}
-        for inv in load:
-            counts[inv.tenant] = counts.get(inv.tenant, 0) + 1
-        hottest = max(counts.values())
+        hottest = max(Counter(load.tenant).values())
         # Zipf(1.2) over 40 tenants: the head tenant dominates a
         # uniform share (1500/40 = 37.5) by a wide margin.
         assert hottest > 4 * params.invocations / params.tenants
 
     def test_durations_are_capped(self, tiny_run):
         params, _, load = tiny_run
-        assert all(1 <= inv.reps <= params.max_reps for inv in load)
+        assert all(1 <= reps <= params.max_reps for reps in load.reps)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -221,22 +225,94 @@ class TestServing:
         assert result.invocations == 10_000
         assert elapsed < 20.0  # generous CI bound; locally ~0.2s
 
+    def test_default_scale_memory(self):
+        """At the default scale the load is three machine-word columns
+        (2.8 MB; 16.3 MB as one tuple per invocation), and serving one
+        policy peaks 3.9 MB above its start (7.2 MB when every wait,
+        96% of them exactly zero, was stored)."""
+        params = resolve_params()
+        classes = calibrate_classes(params)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            load = generate_load(params)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            simulate_fleet(
+                params, POLICY_ROUND_ROBIN, classes=classes, load=load,
+                record_telemetry=False,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert start - before <= 4 * 2**20
+        assert peak - start <= 5 * 2**20
+
+
+def _full_sort_summary(waits):
+    """The wait summary from the sorted list of every wait."""
+    waits = sorted(waits)
+
+    def percentile(fraction):
+        if not waits:
+            return 0.0
+        return waits[min(len(waits) - 1, int(fraction * len(waits)))]
+
+    return {
+        "mean": sum(waits) / len(waits) if waits else 0.0,
+        "p50": percentile(0.50),
+        "p95": percentile(0.95),
+        "p99": percentile(0.99),
+        "max": waits[-1] if waits else 0.0,
+    }
+
+
+_WAITS = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.sampled_from((0.01, 0.5, 7.25)),
+        st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False),
+    ),
+    max_size=300,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(waits=_WAITS)
+@example(waits=[])
+@example(waits=[0.0])
+@example(waits=[3.5])
+@example(waits=[0.0] * 40)
+@example(waits=[0.3, 1e-9, 5.0, 0.1, 0.7])
+@example(waits=[2.0, 0.0, 2.0, 0.0, 0.0, 2.0, 0.1, 0.1])
+def test_zero_count_summary_equals_full_sort(waits):
+    """Counting the zero waits and sorting the rest gives every
+    summary float bit for bit as sorting all waits does."""
+    zeros = sum(1 for wait in waits if not wait)
+    rest = [wait for wait in waits if wait]
+    assert wait_summary(zeros, rest) == _full_sort_summary(waits)
+
 
 def _on_grid(ms):
     """Floor each arrival to a multiple of *ms*."""
-    return lambda i: i._replace(arrival_ms=ms * (i.arrival_ms // ms))
+    return lambda load: replace(
+        load, arrival_ms=array("d", (ms * (t // ms) for t in load.arrival_ms))
+    )
 
 
 def _zero_reps(every):
     """Give every *every*-th invocation zero body repetitions."""
-    return lambda i: i if i.seq % every else i._replace(reps=0)
+    return lambda load: replace(
+        load,
+        reps=array("q", (reps if seq % every else 0 for seq, reps in enumerate(load.reps))),
+    )
 
 
 #: ``(params, reshape, digests...)``: SHA-256 of each policy's
 #: ``FleetResult.to_json_dict()`` as sorted-key JSON, recorded from the
 #: serving loop that charged each start to a per-tenant ledger and kept
-#: idle containers in two lazy heaps.  A ``reshape`` maps each generated
-#: invocation before serving: the ``ties`` load lies on a 2 ms grid with
+#: idle containers in two lazy heaps.  A ``reshape`` maps the generated
+#: load's columns before serving: the ``ties`` load lies on a 2 ms grid with
 #: integral service times, so containers go idle at equal times and the
 #: FIFO's container-id tie rule decides evictions; ``zero-reps`` gives
 #: every third invocation ``reps == 0``, which charges its start ledger
@@ -315,7 +391,7 @@ def test_results_match_pinned_digests(name):
     classes = calibrate_classes(params)
     load = generate_load(params)
     if reshape is not None:
-        load = tuple(map(reshape, load))
+        load = reshape(load)
     got = []
     for policy in POLICIES:
         result = simulate_fleet(

@@ -10,7 +10,7 @@ summary-rendering, and SLB-fill bugfixes.
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.common import ledger, telemetry
@@ -231,6 +231,14 @@ _SYSCALL_TEMPLATES = (
 )
 
 
+def _trace_of(picks):
+    events = []
+    for index, a, b in picks:
+        name, build = _SYSCALL_TEMPLATES[index]
+        events.append(make_event(name, build(a, b), pc=0x100 + index))
+    return SyscallTrace(events)
+
+
 @st.composite
 def _random_traces(draw):
     picks = draw(
@@ -244,11 +252,7 @@ def _random_traces(draw):
             max_size=120,
         )
     )
-    events = []
-    for index, a, b in picks:
-        name, build = _SYSCALL_TEMPLATES[index]
-        events.append(make_event(name, build(a, b), pc=0x100 + index))
-    return SyscallTrace(events)
+    return _trace_of(picks)
 
 
 def _assert_conserves(result):
@@ -267,6 +271,9 @@ def _assert_conserves(result):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(trace=_random_traces())
+# close(7) and close(5) take turns evicting each other from software
+# Draco's VAT, which breaks the analytic replay's precondition.
+@example(trace=_trace_of([(3, 4, 0), (3, 2, 0)] * 20))
 def test_conservation_across_regimes(trace):
     profile = generate_complete(trace, "t")
     regimes = (

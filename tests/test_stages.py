@@ -252,6 +252,22 @@ class TestDedup:
         regimes = record.simulation["regime_events"]
         assert regimes and all(name.startswith("seccomp-bitmap:") for name in regimes), regimes
 
+    def test_trace_and_bundle_analyses_never_calibrate(self, cache_dir, monkeypatch):
+        """fig3 and fig14 read each context's trace only, fig15 and vat
+        its bundle only: on cleared context memos with the cache off
+        they build their contexts and solve no W."""
+        calibrated = []
+        monkeypatch.setattr(
+            runner, "calibrate_work_cycles", lambda spec, *a, **k: calibrated.append(spec.name)
+        )
+        ids = ("fig3", "fig14", "fig15", "vat")
+        overrides = {eid: {"workloads": WORKLOADS} for eid in ids if eid != "fig3"}
+        run = engine.run_suite(
+            ids, events=EVENTS, cache_mode=engine.CACHE_OFF, run_overrides=overrides
+        )
+        assert not run.failures
+        assert calibrated == []
+
     def test_summary_renders_stage_counters(self, cache_dir):
         run = engine.run_suite(
             ("fig13",),
