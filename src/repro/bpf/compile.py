@@ -50,6 +50,7 @@ from repro.bpf.insn import (
     BPF_LD,
     BPF_LDX,
     BPF_LSH,
+    BPF_MAXINSNS,
     BPF_MEM,
     BPF_MEMWORDS,
     BPF_MISC,
@@ -331,17 +332,24 @@ def _alu(op: int, a: int, operand: int, pc: int) -> int:
     return (-a) & U32_MASK  # BPF_NEG: the verifier admits no other op
 
 
+#: Every pc of a program up to ``BPF_MAXINSNS`` long, and one past its
+#: end, as one shared int each: rows take their next pc and jump
+#: targets from here rather than allocating an int per row.  The
+#: verifier bounds every target by the program's length.
+_PCS = tuple(range(BPF_MAXINSNS + 1))
+
+
 def _decode(insn: Insn, pc: int) -> Row:
     """The table row for the verified instruction at *pc*."""
     code, k = insn.code, insn.k
     cls = bpf_class(code)
-    nxt = pc + 1
+    nxt = _PCS[pc + 1]
     if cls == BPF_JMP:
         op = bpf_op(code)
         if op == BPF_JA:
-            return (_JA, 0, nxt + k, 0)
+            return (_JA, 0, _PCS[nxt + k], 0)
         row_k, row_x = _JUMP_ROWS[op]
-        return (row_x if bpf_src(code) else row_k, k, nxt + insn.jt, nxt + insn.jf)
+        return (row_x if bpf_src(code) else row_k, k, _PCS[nxt + insn.jt], _PCS[nxt + insn.jf])
     if cls == BPF_RET:
         return (_RET_A, 0, 0, 0) if bpf_rval(code) == BPF_A else (_RET_K, k, 0, 0)
     if cls == BPF_LD:

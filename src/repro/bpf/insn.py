@@ -97,7 +97,7 @@ def bpf_rval(code: int) -> int:
     return code & 0x18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Insn:
     """One classic BPF instruction: ``(code, jt, jf, k)``."""
 

@@ -93,6 +93,10 @@ KIND_EVAL = "eval"
 KIND_FLEET_EVAL = "fleet-eval"
 KIND_ANALYSIS = "analysis"
 
+#: Stage kinds :func:`execute_suite` dispatches before every other
+#: stage; none of them has dependencies.
+_DISPATCH_FIRST = frozenset({KIND_FLEET_EVAL})
+
 #: run() keyword arguments the DAG planner understands.  Anything else
 #: (unknown overrides) falls back to a monolithic analysis stage.
 _PLANNABLE_KWARGS = frozenset({"events", "seed", "workloads", "old_kernel"})
@@ -561,6 +565,13 @@ def execute_suite(
         stack.extend(d for d in stages[key].deps if d not in done and d not in needed)
 
     order = [key for key in stages if key in needed]
+    # Fleet-eval stages first.  The fleet stage's transient allocations
+    # are the largest of any stage and it keeps nothing resident but its
+    # payload: run first, they sit on the post-import base instead of on
+    # the contexts and filters the other stages leave held, which set a
+    # cold suite's peak RSS.  On workers it is also the longest stage.
+    # It has no dependencies, so the stable sort stays topological.
+    order.sort(key=lambda key: stages[key].kind not in _DISPATCH_FIRST)
     dependents: Dict[str, List[str]] = {}
     unmet: Dict[str, int] = {}
     for key in order:
@@ -616,7 +627,7 @@ def execute_suite(
         )
 
     if jobs == 1 or len(order) <= 1:
-        # Insertion order is topological, so a single pass suffices.
+        # The order is topological, so a single pass suffices.
         for key in order:
             if key in failed:
                 continue

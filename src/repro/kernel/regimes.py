@@ -229,9 +229,18 @@ class SeccompRegime(CheckingRegime):
         # counters depend on what ran earlier in the process and
         # breaking RunResult byte-identity.
         self._outcome_memo: Dict[object, CheckOutcome] = {}
+        self._generation = self.module.generation
         self._ledger = common_ledger.FlowLedger()
 
+    def _restack(self) -> None:
+        """A filter was attached since the memo was filled: forget the
+        looser stack's outcomes, which the new filter may overrule."""
+        self._generation = self.module.generation
+        self._outcome_memo.clear()
+
     def check(self, event: SyscallEvent) -> CheckOutcome:
+        if self._generation != self.module.generation:
+            self._restack()
         key = self.module.memo_key(event)
         if key is not None:
             cached = self._outcome_memo.get(key)
@@ -279,8 +288,9 @@ class SeccompRegime(CheckingRegime):
             return super().check_run(event, count, work_cycles)
         segments: List[Tuple[CheckOutcome, int]] = []
         remaining = count
-        if key not in self._outcome_memo:
-            # Cold first check runs the filter and installs the memo.
+        if self._generation != self.module.generation or key not in self._outcome_memo:
+            # A cold (or restacked) first check runs the filter and
+            # installs the memo.
             _merge_segment(segments, self.check(event), 1)
             remaining -= 1
         cached = self._outcome_memo[key]

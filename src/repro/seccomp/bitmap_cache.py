@@ -22,7 +22,9 @@ The bitmap never changes after attach and filter decisions are pure
 functions of the masked argument bytes, so the regime's run shortcut
 (:meth:`SeccompBitmapRegime.check_run`) collapses a run of one event to
 one counter bump; the base-class loop it stands in for is the
-reference.
+reference.  A filter attached mid-run rebuilds the bitmap and drops
+every cached outcome before the next check, as the kernel prepares the
+cache again at attach time.
 """
 
 from __future__ import annotations
@@ -115,7 +117,6 @@ class SeccompBitmapRegime(CheckingRegime):
         self.costs = costs
         self.use_jit = use_jit
         self.module = _attach(profile, times, compiler)
-        self.cache = SeccompActionCache(self.module, table=profile.table)
         self.bitmap_hits = 0
         self.filter_runs = 0
         self._hit_outcome = CheckOutcome(
@@ -124,8 +125,19 @@ class SeccompBitmapRegime(CheckingRegime):
         #: Filter outcomes are pure functions of the masked argument
         #: bytes (same argument as SeccompRegime's memo).
         self._outcome_memo: Dict[object, CheckOutcome] = {}
+        self._restack()
+
+    def _restack(self) -> None:
+        """(Re)build what the current filter stack decides: the kernel
+        prepares the bitmap at attach time, and a filter attached since
+        may overrule any bit or outcome the looser stack earned."""
+        self._generation = self.module.generation
+        self.cache = SeccompActionCache(self.module, table=self.profile.table)
+        self._outcome_memo.clear()
 
     def check(self, event: SyscallEvent) -> CheckOutcome:
+        if self._generation != self.module.generation:
+            self._restack()
         if self.cache.hit(event.sid):
             self.bitmap_hits += 1
             return self._hit_outcome
@@ -155,6 +167,8 @@ class SeccompBitmapRegime(CheckingRegime):
         to one counter bump on the cached outcome."""
         if count <= 1:
             return super().check_run(event, count, work_cycles)
+        if self._generation != self.module.generation:
+            self._restack()
         if self.cache.hit(event.sid):
             self.bitmap_hits += count
             return [(self._hit_outcome, count)]

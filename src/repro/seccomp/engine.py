@@ -37,7 +37,6 @@ from repro.bpf.compile import (
     build_key_fn,
     compile_program,
     event_words,
-    read_word_indices,
 )
 from repro.bpf.insn import Insn
 from repro.common.errors import SimulationError
@@ -82,6 +81,9 @@ class SeccompKernelModule:
         self._memoize = memoize
         self._memo: Dict[Any, SeccompDecision] = {}
         self._key_fn: Optional[Callable[[SyscallEvent], Any]] = None
+        #: Bumped by every attach, so a regime that caches what the
+        #: stack decided can tell that the stack changed.
+        self.generation = 0
         #: Execution accounting (ledger observability layer): how often
         #: the filter stack was consulted, how often the decision memo
         #: short-circuited it, and how many BPF instructions actually
@@ -111,11 +113,10 @@ class SeccompKernelModule:
         )
         # A new filter may observe words earlier ones did not: rebuild
         # the memo key over the union and drop now-stale decisions.
-        observed = frozenset().union(
-            *(read_word_indices(f.program) for f in self._filters)
-        )
+        observed = frozenset().union(*(f.compiled.read_words for f in self._filters))
         self._key_fn = build_key_fn(observed)
         self._memo.clear()
+        self.generation += 1
 
     def memo_key(self, event: SyscallEvent) -> Optional[Any]:
         """The masked-argument-bytes memo key for *event* (None when

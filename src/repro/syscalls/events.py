@@ -9,19 +9,20 @@ regime consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.syscalls.table import LINUX_X86_64, SyscallDef, SyscallTable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SyscallEvent:
     """One dynamic system call instance."""
 
     sid: int
     args: Tuple[int, ...]
     pc: int = 0
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sid < 0:

@@ -6,10 +6,14 @@ runtime errors — over randomized programs, randomized inputs, and the
 real bundled profiles (docker-default, gVisor, Firecracker).
 """
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bpf import compile as bpf_compile
 from repro.bpf.compile import (
     CompiledFilter,
     WORD_ARGS,
@@ -61,7 +65,10 @@ from repro.bpf.seccomp_data import IP_OFFSET, NR_OFFSET, SeccompData, args_off
 from repro.common.errors import BpfRuntimeError
 from repro.seccomp.compiler import compile_profile_chunked
 from repro.seccomp.profiles import build_docker_default, build_firecracker, build_gvisor
+from repro.seccomp.toolkit import generate_bundle
 from repro.syscalls.events import SyscallEvent
+from repro.workloads.catalog import CATALOG
+from repro.workloads.generator import profile_trace
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -293,3 +300,36 @@ class TestCompileCache:
         second = compile_program(list(program))
         assert isinstance(first, CompiledFilter)
         assert second is first
+
+
+# ---------------------------------------------------------------------------
+# footprint
+
+
+class TestFootprint:
+    def test_catalog_filters_stay_compact(self, monkeypatch):
+        """The binary-tree filters of the catalog's noargs and complete
+        profiles, assembled and decoded from an empty compile memo, hold
+        at most 180 B per instruction: a slotted ``Insn`` and a table row
+        of shared ints (230 B with an instance dict per ``Insn`` and
+        fresh pc ints per row)."""
+        profiles = []
+        for spec in CATALOG.values():
+            bundle = generate_bundle(profile_trace(spec, count=0), spec.name)
+            profiles += [bundle.noargs, bundle.complete]
+        monkeypatch.setattr(bpf_compile, "_COMPILE_CACHE", {})
+        gc.collect()
+        tracemalloc.start()
+        try:
+            compiled = [
+                compile_program(program)
+                for profile in profiles
+                for program in compile_profile_chunked(profile, "binary_tree")
+            ]
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        instructions = sum(len(c) for c in compiled)
+        assert instructions > 30_000
+        assert held / instructions <= 180, held / instructions

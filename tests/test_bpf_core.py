@@ -51,6 +51,13 @@ class TestInsn:
         assert jump(BPF_JMP | BPF_JEQ | BPF_K, 0, 0, 0).is_jump
         assert not stmt(BPF_LD | BPF_W | BPF_ABS, 0).is_jump
 
+    def test_slotted(self):
+        """About 45 000 instructions stay held in a suite: no instance dict."""
+        insn = stmt(BPF_RET | BPF_K, 0)
+        assert not hasattr(insn, "__dict__")
+        with pytest.raises(AttributeError):
+            insn.k = 1
+
     def test_mnemonics_cover_classes(self):
         assert "ld" in stmt(BPF_LD | BPF_W | BPF_ABS, 0).mnemonic()
         assert "ret" in stmt(BPF_RET | BPF_K, 5).mnemonic()

@@ -12,12 +12,14 @@ intermediates from disk.
 
 import json
 from collections import Counter
+from concurrent.futures import Future
+from types import SimpleNamespace
 
 import pytest
 
 from repro.common import storage, telemetry
 from repro.experiments import cache as result_cache
-from repro.experiments import engine, runner
+from repro.experiments import engine, runner, stages
 from repro.experiments.registry import REGISTRY
 from repro.experiments.stages import EvalPlan, build_plan, monolithic_plan
 
@@ -27,6 +29,9 @@ EVENTS = 1200
 WORKLOADS = ("nginx", "pipe-ipc")
 HW_SUITE = ("fig12", "fig13", "flowmix")
 HW_OVERRIDES = {eid: {"workloads": WORKLOADS, "events": EVENTS} for eid in HW_SUITE}
+#: The hardware-Draco trio plus a small fleet, requested last.
+FLEET_SUITE = HW_SUITE + ("fleet",)
+FLEET_OVERRIDES = {**HW_OVERRIDES, "fleet": {"tenants": 50, "invocations": 2000}}
 
 
 @pytest.fixture
@@ -397,3 +402,83 @@ class TestFailureIsolation:
         assert by_id["fig13"].result is None
         assert "Traceback" in by_id["fig13"].record.error
         assert by_id["table1"].ok
+
+
+class _RecordingExecutor:
+    """A stand-in pool executor that runs each stage at submit time and
+    records the kinds in submission order."""
+
+    def __init__(self):
+        self.kinds = []
+
+    def submit(self, fn, *args):
+        self.kinds.append(args[0])
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestDispatchOrder:
+    """The fleet-eval stage is dispatched before every other stage (its
+    transient peak then sits on the post-import base), and the order
+    changes no result."""
+
+    @staticmethod
+    def _serial_kinds(monkeypatch):
+        """The kinds a serial run of the fleet suite executes, in order."""
+        kinds = []
+        execute = stages._execute_stage
+
+        def recording(kind, *args):
+            kinds.append(kind)
+            return execute(kind, *args)
+
+        monkeypatch.setattr(stages, "_execute_stage", recording)
+        run = engine.run_suite(
+            FLEET_SUITE, cache_mode=engine.CACHE_OFF, run_overrides=FLEET_OVERRIDES
+        )
+        assert not run.failures
+        assert kinds.count(stages.KIND_FLEET_EVAL) == 1
+        return kinds
+
+    def test_serial_executes_fleet_eval_first(self, cache_dir, monkeypatch):
+        assert self._serial_kinds(monkeypatch)[0] == stages.KIND_FLEET_EVAL
+
+    def test_without_dispatch_first_fleet_eval_runs_last(self, cache_dir, monkeypatch):
+        """With no kind dispatched first, stages run in insertion order:
+        the fleet, requested last, runs after every other stage."""
+        monkeypatch.setattr(stages, "_DISPATCH_FIRST", frozenset())
+        kinds = self._serial_kinds(monkeypatch)
+        assert kinds[-2:] == [stages.KIND_FLEET_EVAL, stages.KIND_ANALYSIS]
+
+    def test_two_workers_submit_fleet_eval_first(self, cache_dir, monkeypatch):
+        executor = _RecordingExecutor()
+        monkeypatch.setattr(
+            stages.warm_pool, "get_pool", lambda jobs: SimpleNamespace(executor=executor)
+        )
+        run = engine.run_suite(
+            FLEET_SUITE, jobs=2, cache_mode=engine.CACHE_OFF, run_overrides=FLEET_OVERRIDES
+        )
+        assert not run.failures
+        assert executor.kinds[0] == stages.KIND_FLEET_EVAL
+        assert executor.kinds.count(stages.KIND_FLEET_EVAL) == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_order_changes_no_result(self, cache_dir, monkeypatch, jobs):
+        """Fleet stage first against the fleet stage last: byte-identical
+        markdown and equal stage counters."""
+
+        def suite():
+            runner.reset_context_memos()
+            run = engine.run_suite(
+                FLEET_SUITE, jobs=jobs, cache_mode=engine.CACHE_OFF, run_overrides=FLEET_OVERRIDES
+            )
+            assert not run.failures
+            counters = {o.experiment_id: _stage_counters(o.record) for o in run.outcomes}
+            return _markdowns(run), counters
+
+        first = suite()
+        monkeypatch.setattr(stages, "_DISPATCH_FIRST", frozenset())
+        last = suite()
+        assert set(first[0]) == set(FLEET_SUITE)
+        assert first == last

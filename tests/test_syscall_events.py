@@ -27,6 +27,15 @@ class TestSyscallEvent:
     def test_name(self):
         assert SyscallEvent(sid=0, args=()).name() == "read"
 
+    def test_slotted_with_cached_hash(self):
+        event = SyscallEvent(sid=0, args=(3, 0, 100), pc=0x10)
+        assert not hasattr(event, "__dict__")
+        assert hash(event) == hash((0, (3, 0, 100), 0x10))
+        assert event == SyscallEvent(sid=0, args=(3, 0, 100), pc=0x10)
+        assert repr(event) == "SyscallEvent(sid=0, args=(3, 0, 100), pc=16)"
+        with pytest.raises(AttributeError):
+            event.pc = 0
+
 
 class TestMakeEvent:
     def test_places_values_on_checkable_slots(self):
