@@ -8,10 +8,10 @@ same ID and argument set".
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.common.stats import mean
 from repro.syscalls.events import SyscallTrace
 from repro.syscalls.table import LINUX_X86_64, SyscallTable
 
@@ -62,36 +62,62 @@ def reuse_distances(trace: SyscallTrace) -> Dict[Tuple[int, Tuple[int, ...]], Li
 def analyze_locality(
     trace: SyscallTrace, table: SyscallTable = LINUX_X86_64
 ) -> LocalityReport:
-    """Produce the Figure 3 view of a trace."""
+    """Produce the Figure 3 view of a trace.
+
+    Every quantity depends only on distinct events, so the work is done
+    per distinct event.  A (SID, argument set) used ``n >= 2`` times,
+    first at position ``f`` and last at ``l``, has ``n - 1`` reuse
+    distances summing to ``l - f - (n - 1)``.  Each syscall's mean is
+    then one integer sum over one integer count: exactly what
+    :func:`repro.common.stats.mean` makes of the per-use distances
+    :func:`reuse_distances` lists.
+    """
     total = len(trace)
     if total == 0:
         return LocalityReport(total_calls=0, syscalls=())
 
-    call_counts: Dict[int, int] = {}
-    arg_set_counts: Dict[int, Dict[Tuple[int, ...], int]] = {}
-    for event in trace:
-        call_counts[event.sid] = call_counts.get(event.sid, 0) + 1
-        per_sid = arg_set_counts.setdefault(event.sid, {})
-        per_sid[event.args] = per_sid.get(event.args, 0) + 1
+    events = list(trace)
+    counts = Counter(events)
+    # A later pair overwrites an earlier one: forward gives each event's
+    # last position, backward its first.
+    last = dict(zip(events, range(total)))
+    first = dict(zip(reversed(events), range(total - 1, -1, -1)))
+    # Per (SID, argument set): [uses, first position, last position].
+    # One key spans every pc that made the call.
+    uses: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
+    for event, n in counts.items():
+        slot = uses.get(event.key)
+        if slot is None:
+            uses[event.key] = [n, first[event], last[event]]
+        else:
+            slot[0] += n
+            slot[1] = min(slot[1], first[event])
+            slot[2] = max(slot[2], last[event])
 
-    distances = reuse_distances(trace)
-    per_sid_distances: Dict[int, List[int]] = {}
-    for (sid, _args), dists in distances.items():
-        per_sid_distances.setdefault(sid, []).extend(dists)
+    # Counter order, and so ``uses`` order, is order of first use: ties
+    # in the frequency sort below keep it, as a per-event count does.
+    call_counts: Dict[int, int] = {}
+    arg_set_counts: Dict[int, List[int]] = {}
+    distance_sums: Dict[int, List[int]] = {}
+    for (sid, _args), (n, start, end) in uses.items():
+        call_counts[sid] = call_counts.get(sid, 0) + n
+        arg_set_counts.setdefault(sid, []).append(n)
+        if n > 1:
+            sums = distance_sums.setdefault(sid, [0, 0])
+            sums[0] += end - start - (n - 1)
+            sums[1] += n - 1
 
     entries = []
     for sid, count in sorted(call_counts.items(), key=lambda kv: -kv[1]):
-        arg_fracs = tuple(
-            sorted((c / count for c in arg_set_counts[sid].values()), reverse=True)
-        )
-        sid_distances = per_sid_distances.get(sid)
+        arg_fracs = tuple(sorted((c / count for c in arg_set_counts[sid]), reverse=True))
+        sums = distance_sums.get(sid)
         entries.append(
             SyscallLocality(
                 name=table.by_sid(sid).name if sid in table else f"sys_{sid}",
                 sid=sid,
                 fraction=count / total,
                 arg_set_fractions=arg_fracs,
-                mean_reuse_distance=mean(sid_distances) if sid_distances else None,
+                mean_reuse_distance=sums[0] / sums[1] if sums else None,
             )
         )
     return LocalityReport(total_calls=total, syscalls=tuple(entries))

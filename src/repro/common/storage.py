@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
+import threading
+from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from pathlib import Path
 from typing import Any, Iterator, Optional
@@ -97,10 +98,21 @@ def cache_root() -> Path:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
+    """Publish *text* at *path* in one ``os.replace``.
+
+    Each writer, a process or one of its threads, fills its own temp
+    file, so two writers of one entry never share a half-written file;
+    the last replace wins.  A failed write removes its temp file.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def read_json(path: Path) -> Optional[Any]:

@@ -188,6 +188,9 @@ class HardwareDraco:
         #: structure entries its walk touched remain resident — see
         #: :meth:`steady_probe`.
         self._steady: Dict[SyscallEvent, SteadyMemo] = {}
+        #: The module's filter-stack generation the structures were
+        #: filled under.
+        self._generation = seccomp.generation
         self._populate_spt()
 
     #: Steady-memo size cap (events are few in practice; this is a
@@ -294,8 +297,12 @@ class HardwareDraco:
         an approximation.  Otherwise the full walk (:meth:`_walk`, the
         reference semantics) runs, and a walk that mutated no structure
         is memoized for later replays (see
-        :meth:`_maybe_install_steady`).
+        :meth:`_maybe_install_steady`).  A filter attached to the module
+        since the last syscall first flushes every cached validation
+        (:meth:`_restack`).
         """
+        if self._generation != self.seccomp.generation:
+            self._restack()
         memo = self.steady_probe(event)
         if memo is not None:
             self.steady_replay(memo)
@@ -616,6 +623,15 @@ class HardwareDraco:
         structures in one shot", Section VII-B).  Stale SLB/VAT entries
         would otherwise bypass the new, stricter filter."""
         self.seccomp.attach(program)
+        self._restack()
+
+    def _restack(self) -> None:
+        """A filter was attached to the module, through
+        :meth:`attach_additional_filter` or straight to the module:
+        flush the VAT, the SLB, the STB and the Temporary Buffer.  Each
+        flush moves the mutation epoch, and the emptied STB fails every
+        steady memo's re-verification."""
+        self._generation = self.seccomp.generation
         self.tables.vat.clear_all()
         self.slb.invalidate_all()
         self.stb.invalidate_all()

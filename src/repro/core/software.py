@@ -254,6 +254,8 @@ class SoftwareDraco:
             flow=ledger.FLOW_SW_VAT_HIT,
         )
         self._filter_outcomes: Dict[int, CheckOutcome] = {}
+        #: The module's filter-stack generation the VAT was filled under.
+        self._generation = seccomp.generation
 
     #: Steady-memo size cap (safety valve, as in the hardware model).
     _STEADY_LIMIT = 1 << 14
@@ -269,6 +271,14 @@ class SoftwareDraco:
         (SID, argument set) combinations.
         """
         self.seccomp.attach(program)
+        self._restack()
+
+    def _restack(self) -> None:
+        """A filter was attached to the module, through
+        :meth:`attach_additional_filter` or straight to the module:
+        flush every validation the looser stack made.  The VAT flush
+        moves its mutation epoch, which retires the steady memo too."""
+        self._generation = self.seccomp.generation
         self.tables.vat.clear_all()
 
     def _filter_cost(self, lookup: float, instructions: int, insert: float = 0) -> FilterCost:
@@ -292,6 +302,8 @@ class SoftwareDraco:
         """Figure 4's workflow: table check, then filter on a miss
         (:meth:`_check_slow`, the reference semantics), with a
         steady-state memo in front."""
+        if self._generation != self.seccomp.generation:
+            self._restack()
         memo = self._steady.get(event)
         if memo is not None and memo[0] == self.tables.vat.mutations:
             self._replay_steady(memo[1], 1)
@@ -323,6 +335,8 @@ class SoftwareDraco:
         ``(outcome, n)`` segments.  Once the walk reaches a steady fast
         path the remainder of the run is replayed arithmetically (a
         steady replay mutates nothing, so it stays steady)."""
+        if self._generation != self.seccomp.generation:
+            self._restack()
         segments: List[Tuple[CheckOutcome, int]] = []
         remaining = count
         while remaining:

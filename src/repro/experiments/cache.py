@@ -25,7 +25,7 @@ simulation without re-deriving contexts.  (Filter sweeps stay in
 :mod:`repro.experiments.seccomp_replay`'s in-process memo.)
 Context entries are versioned JSON documents keyed by
 :func:`context_digest` (spec payload + parameters + code fingerprint +
-``CONTEXT_FORMAT_VERSION``); traces use the RLE trace format from
+``CONTEXT_FORMAT_VERSION``); traces use the index-column trace format from
 :mod:`repro.syscalls.serialize`.  A corrupt, truncated, or
 schema-drifted entry always reads as a miss and the caller rebuilds.
 
@@ -44,7 +44,7 @@ Layout (under :func:`cache_root`, default ``~/.cache/repro-draco`` or
     results/<experiment_id>/<digest>.json    cached ExperimentResult
     stages/<kind>/<digest>.json              intermediate stage payloads
     calibration/<digest>.json                cached work-cycle value
-    contexts/trace/<digest>.jsonl            RLE-serialised traces
+    contexts/trace/<digest>.jsonl            index-column traces
     contexts/bundle/<digest>.json            derived profile bundles
     runs/latest.json                         most recent run report
     runs/run-<timestamp>.json                archived run reports
@@ -260,7 +260,7 @@ class ResultCache:
     def store_trace_context(self, digest: str, trace: SyscallTrace) -> bool:
         return _store(
             self.context_path("trace", digest, suffix=".jsonl"),
-            serialize.dumps(trace, version=serialize.FORMAT_VERSION_RLE),
+            serialize.dumps(trace, version=serialize.FORMAT_VERSION_COLUMN),
         )
 
     # -- stage payloads -------------------------------------------------

@@ -8,7 +8,8 @@ the SLB subtables from the Linux-wide distribution.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from collections import Counter
+from typing import Iterable, Optional, Tuple
 
 from repro.common.rng import DEFAULT_SEED
 from repro.experiments.results import ExperimentResult
@@ -17,17 +18,27 @@ from repro.syscalls.table import LINUX_X86_64
 from repro.workloads.catalog import CATALOG
 
 
-def _distribution(arg_counts: List[int]) -> Tuple[int, ...]:
-    """Histogram over argument counts 0..6."""
+def _histogram(weighted: Iterable[Tuple[int, int]]) -> Tuple[int, ...]:
+    """Histogram over argument counts 0..6 from ``(count, weight)`` pairs."""
     hist = [0] * 7
-    for count in arg_counts:
-        hist[count] += 1
+    for count, weight in weighted:
+        hist[count] += weight
     return tuple(hist)
 
 
 def linux_distribution() -> Tuple[int, ...]:
     """Checkable-argument counts across the whole syscall table."""
-    return _distribution([d.num_checkable_args for d in LINUX_X86_64])
+    return _histogram((d.num_checkable_args, 1) for d in LINUX_X86_64)
+
+
+def trace_distribution(trace) -> Tuple[int, ...]:
+    """Checkable-argument counts weighted by dynamic occurrence: each
+    syscall instance contributes its count (that is what the SLB sees),
+    so each distinct event adds its number of occurrences."""
+    return _histogram(
+        (LINUX_X86_64.by_sid(event.sid).num_checkable_args, n)
+        for event, n in Counter(trace).items()
+    )
 
 
 def run(
@@ -46,13 +57,7 @@ def run(
         kwargs = dict(seed=seed)
         if events is not None:
             kwargs["events"] = events
-        ctx = get_context(name, **kwargs)
-        # Weight by dynamic occurrence: each checked syscall instance
-        # contributes its checkable-arg count (that is what the SLB sees).
-        counts = [
-            LINUX_X86_64.by_sid(event.sid).num_checkable_args for event in ctx.trace
-        ]
-        hist = _distribution(counts)
+        hist = trace_distribution(get_context(name, **kwargs).trace)
         rows.append((name,) + hist + (_median(hist),))
     return ExperimentResult(
         experiment_id="Fig 14",

@@ -349,7 +349,7 @@ def _trace_for(spec: WorkloadSpec, events: int, seed: int) -> SyscallTrace:
             spec,
             events=events,
             seed=seed,
-            trace_format=serialize.FORMAT_VERSION_RLE,
+            trace_format=serialize.FORMAT_VERSION_COLUMN,
         )
         trace = result_cache.ResultCache().load_trace_context(digest)
         if trace is not None and len(trace) != events:

@@ -51,35 +51,42 @@ def compile_linear(profile: SeccompProfile) -> Tuple[Insn, ...]:
     return program
 
 
+def _emit_tree_node(
+    builder: ProgramBuilder, rules, lo: int, hi: int, counter: List[int]
+) -> None:
+    """Dispatch over ``rules[lo:hi]``; ``counter`` numbers the labels.
+
+    A module-level function, not a closure over the builder: a nested
+    recursive function refers to itself, and that cycle would keep the
+    builder alive until the cyclic collector runs.
+    """
+    if hi - lo <= TREE_LEAF_SIZE:
+        for index in range(lo, hi):
+            builder.jeq(rules[index].sid, 0, 1)
+            builder.jmp(_body_label(index))
+        builder.jmp("miss")
+        return
+    mid = (lo + hi) // 2
+    pivot = rules[mid].sid
+    right_label = f"tree_{counter[0]}"
+    counter[0] += 1
+    # A >= pivot  -> fall through to the long jump into the right half;
+    # A <  pivot  -> skip it and continue into the left half inline.
+    builder.jge(pivot, 0, 1)
+    builder.jmp(right_label)
+    _emit_tree_node(builder, rules, lo, mid, counter)
+    builder.label(right_label)
+    _emit_tree_node(builder, rules, mid, hi, counter)
+
+
 def compile_binary_tree(profile: SeccompProfile) -> Tuple[Insn, ...]:
     """Binary-search dispatch over sorted SIDs (libseccomp-style)."""
     builder = ProgramBuilder()
     _emit_arch_check(builder, profile)
     builder.ld_abs(NR_OFFSET)
     rules = profile.rules  # already sorted by sid
-    counter = [0]
-
-    def emit_node(lo: int, hi: int) -> None:
-        if hi - lo <= TREE_LEAF_SIZE:
-            for index in range(lo, hi):
-                builder.jeq(rules[index].sid, 0, 1)
-                builder.jmp(_body_label(index))
-            builder.jmp("miss")
-            return
-        mid = (lo + hi) // 2
-        pivot = rules[mid].sid
-        right_label = f"tree_{counter[0]}"
-        counter[0] += 1
-        # A >= pivot  -> fall through to the long jump into the right half;
-        # A <  pivot  -> skip it and continue into the left half inline.
-        builder.jge(pivot, 0, 1)
-        builder.jmp(right_label)
-        emit_node(lo, mid)
-        builder.label(right_label)
-        emit_node(mid, hi)
-
     if rules:
-        emit_node(0, len(rules))
+        _emit_tree_node(builder, rules, 0, len(rules), [0])
     builder.label("miss")
     builder.ret_k(profile.default_action)
     _emit_bodies(builder, rules, profile.default_action)

@@ -5,27 +5,36 @@ replayed deterministically — the substrate for regression corpora, for
 sharing workloads between machines, and for the on-disk context cache
 (``repro.experiments.cache``).
 
-Two on-disk versions exist, both JSONL with a leading header line:
+Two on-disk versions exist.  Every line of either is one JSON value,
+and the first line is a header:
 
 * **version 1** — one JSON object per event, ``{"sid": int,
   "args": [int...], "pc": int}``, preceded by ``{"format":
   "repro-trace", "version": 1, "count": N}``.  Simple and grep-able.
-* **version 2** — run-length encoded: a ``{"format": "repro-trace",
-  "version": 2, "count": N, "distinct": D}`` header, then ``D`` event
-  objects (the distinct-event table, in first-occurrence order), then
-  ``[index, count]`` run records.  Loading interns one
-  :class:`SyscallEvent` instance per distinct value and reuses it
-  across runs, so the identity fast path in
+* **version 3** — an interned table plus one index column: a
+  ``{"format": "repro-trace", "version": 3, "count": N, "distinct":
+  D}`` header, then ``D`` event objects (the distinct-event table, in
+  first-occurrence order), then one JSON string: the base64 of the
+  ``N`` per-event table indices as 4-byte little-endian unsigned ints.
+  Catalog traces repeat a few thousand distinct events in runs that
+  average about one event, so the column is per event rather than run
+  length encoded, and both ends of it are C-level ``array`` and
+  ``base64`` calls.  Loading expands the column through the table, so
+  every event of one value is one interned :class:`SyscallEvent`
+  instance and the identity fast path in
   :func:`repro.syscalls.events.iter_runs` stays a pointer comparison
   for re-loaded traces, exactly as it is for generated ones.
 
 :func:`loads` accepts either version; :func:`dumps` writes version 1
-unless asked for 2.
+unless asked for 3.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import sys
+from array import array
 from pathlib import Path
 from typing import Union
 
@@ -34,8 +43,14 @@ from repro.syscalls.events import SyscallEvent, SyscallTrace
 
 FORMAT_NAME = "repro-trace"
 FORMAT_VERSION = 1
-#: Run-length-encoded format with an interned distinct-event table.
-FORMAT_VERSION_RLE = 2
+#: An interned distinct-event table and one per-event index column.
+FORMAT_VERSION_COLUMN = 3
+
+#: The column's ``array`` type code: unsigned ints, 4 bytes wide.
+_COLUMN_TYPE = "I"
+_COLUMN_WIDTH = 4
+if array(_COLUMN_TYPE).itemsize != _COLUMN_WIDTH:  # pragma: no cover
+    raise ImportError(f"array({_COLUMN_TYPE!r}) is not {_COLUMN_WIDTH} bytes wide here")
 
 
 class TraceFormatError(ReproError):
@@ -46,51 +61,38 @@ def _event_record(event: SyscallEvent) -> str:
     return json.dumps({"sid": event.sid, "args": list(event.args), "pc": event.pc})
 
 
+def _header(version: int, **fields: int) -> str:
+    return json.dumps({"format": FORMAT_NAME, "version": version, **fields})
+
+
 def dumps(trace: SyscallTrace, version: int = FORMAT_VERSION) -> str:
-    """Serialise a trace to JSONL text (version 1 or 2).  Version 2
-    formats its ``[index, count]`` run records directly: for Python ints
-    that is ``json.dumps``'s text, without an encoder call per record."""
+    """Serialise a trace to JSONL text (version 1 or 3)."""
     if version == FORMAT_VERSION:
-        lines = [
-            json.dumps(
-                {"format": FORMAT_NAME, "version": FORMAT_VERSION, "count": len(trace)}
-            )
-        ]
-        for event in trace:
-            lines.append(_event_record(event))
+        lines = [_header(FORMAT_VERSION, count=len(trace))]
+        lines.extend(_event_record(event) for event in trace)
         return "\n".join(lines) + "\n"
-    if version != FORMAT_VERSION_RLE:
+    if version != FORMAT_VERSION_COLUMN:
         raise TraceFormatError(f"cannot write version {version}")
+    # First occurrence assigns the next index: ``len`` is read before
+    # ``setdefault`` inserts, and dict order is the table's order.
     index_of: dict = {}
-    table: list = []
-    runs: list = []
-    for event, count in trace.iter_runs():
-        index = index_of.get(event)
-        if index is None:
-            index = len(table)
-            index_of[event] = index
-            table.append(event)
-        runs.append(f"[{index}, {count}]")
-    lines = [
-        json.dumps(
-            {
-                "format": FORMAT_NAME,
-                "version": FORMAT_VERSION_RLE,
-                "count": len(trace),
-                "distinct": len(table),
-            }
-        )
-    ]
-    lines.extend(_event_record(event) for event in table)
-    lines.extend(runs)
+    indices = [index_of.setdefault(event, len(index_of)) for event in trace]
+    try:
+        column = array(_COLUMN_TYPE, indices)
+    except OverflowError as error:
+        raise TraceFormatError(f"{len(index_of)} distinct events overflow the column") from error
+    if sys.byteorder == "big":
+        column.byteswap()
+    lines = [_header(FORMAT_VERSION_COLUMN, count=len(trace), distinct=len(index_of))]
+    lines.extend(_event_record(event) for event in index_of)
+    lines.append(json.dumps(base64.b64encode(column.tobytes()).decode("ascii")))
     return "\n".join(lines) + "\n"
 
 
 def _parse_event(record) -> SyscallEvent:
+    # The event converts each argument with ``int`` itself.
     return SyscallEvent(
-        sid=int(record["sid"]),
-        args=tuple(int(a) for a in record["args"]),
-        pc=int(record.get("pc", 0)),
+        sid=int(record["sid"]), args=tuple(record["args"]), pc=int(record.get("pc", 0))
     )
 
 
@@ -132,44 +134,53 @@ def _loads_v1(lines, declared) -> SyscallTrace:
     return SyscallTrace(events)
 
 
-def _loads_v2(lines, declared, distinct) -> SyscallTrace:
-    if type(distinct) is not int or distinct < 0 or distinct > len(lines):
-        raise TraceFormatError(f"bad distinct-event count {distinct!r}")
-    table = []
-    events = []
-    # No run may overrun the declared total, so a corrupt count fails
-    # here instead of allocating its expansion first.
-    limit = float("inf") if declared is None else declared
-    for number, record in _iter_records(lines, start=2):
-        if len(table) < distinct:
-            try:
-                table.append(_parse_event(record))
-            except (KeyError, TypeError, ValueError) as error:
-                raise TraceFormatError(
-                    f"bad event on line {number}: {error}"
-                ) from error
-            continue
-        try:
-            event_index, count = record
-        except (TypeError, ValueError) as error:
-            raise TraceFormatError(f"bad run on line {number}: {error}") from error
-        # Exact types: a float, a bool or a negative index (which Python
-        # would count from the table's end) is corruption, never a run.
-        if not (
-            type(event_index) is int
-            and 0 <= event_index < distinct
-            and type(count) is int
-            and 0 < count <= limit - len(events)
-        ):
-            raise TraceFormatError(f"bad run on line {number}: {record!r}")
-        # The interned instance is reused for every expansion, keeping
-        # run coalescing an identity comparison downstream.
-        events.extend([table[event_index]] * count)
-    if declared is not None and declared != len(events):
+def _read_column(line: str, number: int) -> array:
+    """The index column stored on *line*: a JSON string of strict
+    base64 over whole 4-byte little-endian entries."""
+    try:
+        # ``b64decode`` refuses every JSON value but a string.
+        raw = base64.b64decode(json.loads(line), validate=True)
+    except (TypeError, ValueError) as error:
+        raise TraceFormatError(f"bad index column on line {number}: {error}") from error
+    if len(raw) % _COLUMN_WIDTH:
         raise TraceFormatError(
-            f"header declares {declared} events, file has {len(events)}"
+            f"index column on line {number} is {len(raw)} bytes, "
+            f"not whole {_COLUMN_WIDTH}-byte entries"
         )
-    return SyscallTrace(events)
+    column = array(_COLUMN_TYPE, raw)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column
+
+
+def _loads_column(lines, declared, distinct) -> SyscallTrace:
+    if type(declared) is not int or declared < 0:
+        raise TraceFormatError(f"bad event count {declared!r}")
+    if type(distinct) is not int or distinct < 0:
+        raise TraceFormatError(f"bad distinct-event count {distinct!r}")
+    if len(lines) != distinct + 1:
+        raise TraceFormatError(
+            f"header declares {distinct} distinct events and an index column, "
+            f"file has {len(lines)} lines after it"
+        )
+    table = []
+    for number, record in _iter_records(lines[:-1], start=2):
+        try:
+            table.append(_parse_event(record))
+        except (KeyError, TypeError, ValueError) as error:
+            raise TraceFormatError(f"bad event on line {number}: {error}") from error
+    column = _read_column(lines[-1], distinct + 2)
+    if len(column) != declared:
+        raise TraceFormatError(
+            f"header declares {declared} events, index column has {len(column)}"
+        )
+    if column and max(column) >= distinct:
+        raise TraceFormatError(
+            f"index {max(column)} outside the {distinct}-event table"
+        )
+    # Every event of one value is the table's one instance, keeping run
+    # coalescing an identity comparison downstream.
+    return SyscallTrace(map(table.__getitem__, column))
 
 
 def loads(text: str) -> SyscallTrace:
@@ -185,12 +196,12 @@ def loads(text: str) -> SyscallTrace:
         raise TraceFormatError("not a repro trace file")
     version = header.get("version")
     declared = header.get("count")
-    if declared is not None and type(declared) is not int:
-        raise TraceFormatError(f"bad event count {declared!r}")
     if version == FORMAT_VERSION:
+        if declared is not None and type(declared) is not int:
+            raise TraceFormatError(f"bad event count {declared!r}")
         return _loads_v1(lines[1:], declared)
-    if version == FORMAT_VERSION_RLE:
-        return _loads_v2(lines[1:], declared, header.get("distinct"))
+    if version == FORMAT_VERSION_COLUMN:
+        return _loads_column(lines[1:], declared, header.get("distinct"))
     raise TraceFormatError(f"unsupported version {version}")
 
 

@@ -1,6 +1,8 @@
 """Tests for the analysis layer: locality, security, hardware cost."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.hwcost import (
     PAPER_TABLE3,
@@ -8,16 +10,26 @@ from repro.analysis.hwcost import (
     draco_hardware_costs,
     sram_cost,
 )
-from repro.analysis.locality import analyze_locality, merge_reports, reuse_distances
+from repro.analysis.locality import (
+    LocalityReport,
+    SyscallLocality,
+    analyze_locality,
+    merge_reports,
+    reuse_distances,
+)
 from repro.analysis.security import (
     CONTAINER_RUNTIME_SYSCALLS,
     analyze_profile,
     argument_slots_checked,
 )
+from repro.common.stats import mean
 from repro.cpu.params import DracoHwParams, SlbSubtableParams
 from repro.seccomp.profiles import build_docker_default, build_firecracker
 from repro.seccomp.toolkit import generate_complete
-from repro.syscalls.events import SyscallTrace, make_event
+from repro.syscalls.events import SyscallEvent, SyscallTrace, make_event
+from repro.syscalls.table import LINUX_X86_64
+from repro.workloads.catalog import CATALOG, MACRO_WORKLOADS
+from repro.workloads.generator import generate_trace
 
 
 @pytest.fixture
@@ -84,6 +96,77 @@ class TestLocalityReport:
         merged = merge_reports({"a": analyze_locality(trace), "b": analyze_locality(trace)})
         assert merged.total_calls == 2 * len(trace)
         assert sum(s.fraction for s in merged.syscalls) == pytest.approx(1.0)
+
+
+def _per_event_locality(trace):
+    """Figure 3 counted event by event, each syscall's mean taken by
+    ``stats.mean`` over its per-use distances: the reference the
+    per-distinct-event :func:`analyze_locality` must equal exactly."""
+    total = len(trace)
+    call_counts, arg_set_counts = {}, {}
+    for event in trace:
+        call_counts[event.sid] = call_counts.get(event.sid, 0) + 1
+        per_sid = arg_set_counts.setdefault(event.sid, {})
+        per_sid[event.args] = per_sid.get(event.args, 0) + 1
+    per_sid_distances = {}
+    for (sid, _args), dists in reuse_distances(trace).items():
+        per_sid_distances.setdefault(sid, []).extend(dists)
+    entries = []
+    for sid, count in sorted(call_counts.items(), key=lambda kv: -kv[1]):
+        distances = per_sid_distances.get(sid)
+        entries.append(
+            SyscallLocality(
+                name=LINUX_X86_64.by_sid(sid).name if sid in LINUX_X86_64 else f"sys_{sid}",
+                sid=sid,
+                fraction=count / total,
+                arg_set_fractions=tuple(
+                    sorted((c / count for c in arg_set_counts[sid].values()), reverse=True)
+                ),
+                mean_reuse_distance=mean(distances) if distances else None,
+            )
+        )
+    return LocalityReport(total_calls=total, syscalls=tuple(entries))
+
+
+#: Events from a small pool: three syscalls (one never in the table),
+#: two argument sets each and three pcs, so one (SID, argument set)
+#: recurs from several pcs and frequencies tie.
+_POOL_EVENTS = st.builds(
+    SyscallEvent,
+    sid=st.sampled_from([0, 1, 439]),
+    args=st.sampled_from([(3, 0, 100), (4, 0, 100)]),
+    pc=st.sampled_from([0x100, 0x104, 2**63]),
+)
+
+
+class TestClosedFormLocality:
+    """The per-distinct-event Figure 3 equals the per-event count and
+    the per-use mean, compared with ``==`` on floats."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_POOL_EVENTS, min_size=1, max_size=60))
+    def test_property_equals_per_event(self, events):
+        trace = SyscallTrace(events)
+        assert analyze_locality(trace) == _per_event_locality(trace)
+
+    def test_key_spanning_pcs(self):
+        """read(3, 0, 100) from two pcs is one key: distances 1 and 0."""
+        trace = SyscallTrace(
+            [
+                SyscallEvent(0, (3, 0, 100), 0x100),
+                SyscallEvent(1, (1, 0, 64), 0x200),
+                SyscallEvent(0, (3, 0, 100), 0x104),
+                SyscallEvent(0, (3, 0, 100), 0x100),
+            ]
+        )
+        read = analyze_locality(trace).syscalls[0]
+        assert read.name == "read"
+        assert read.mean_reuse_distance == mean([1, 0]) == 0.5
+
+    @pytest.mark.parametrize("name", [spec.name for spec in MACRO_WORKLOADS])
+    def test_macro_traces(self, name):
+        trace = generate_trace(CATALOG[name], 4000)
+        assert analyze_locality(trace) == _per_event_locality(trace)
 
 
 class TestSecurityAnalysis:

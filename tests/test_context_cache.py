@@ -12,6 +12,8 @@ run it replaces — with ``REPRO_ANALYTIC=0`` forcing the real path.
 
 import gc
 import json
+import os
+import threading
 from dataclasses import replace
 
 import pytest
@@ -169,6 +171,51 @@ def _corrupt(path, mode):
                     }
                 )
             )
+
+
+def test_two_threads_store_one_trace_digest(cache_dir, monkeypatch):
+    """Two threads of one process store the same trace digest, both
+    temp files written before either is published (a barrier in front
+    of ``os.replace`` forces that order).  Each writer has its own temp
+    file, so both stores succeed, the entry loads and no temp file is
+    left; with one temp path per process the second publish found its
+    file gone and the first could publish a half-written one."""
+    from repro.workloads.generator import generate_trace
+
+    trace = generate_trace(CATALOG[WORKLOAD], 300, seed=DEFAULT_SEED)
+    barrier = threading.Barrier(2, timeout=10)
+    real_replace = os.replace
+
+    def replace_after_both_wrote(src, dst):
+        barrier.wait()
+        real_replace(src, dst)
+
+    stored = []
+
+    def store():
+        stored.append(result_cache.ResultCache().store_trace_context("race", trace))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", replace_after_both_wrote)
+        threads = [threading.Thread(target=store) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+            assert not thread.is_alive()
+    assert stored == [True, True]
+    loaded = result_cache.ResultCache().load_trace_context("race")
+    assert loaded is not None and list(loaded) == list(trace)
+    assert list(cache_dir.rglob("*.tmp")) == []
+
+
+def test_failed_store_leaves_no_temp_file(cache_dir, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError("read-only entry")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert result_cache.ResultCache().store_calibration("refused", 1.5) is False
+    assert list(cache_dir.rglob("*.tmp")) == []
 
 
 class TestCorruptionFallback:

@@ -10,6 +10,10 @@ from repro.experiments import (
     flow_mix,
     vat_footprint,
 )
+from repro.experiments.runner import DEFAULT_EVENTS
+from repro.syscalls.table import LINUX_X86_64
+from repro.workloads.catalog import CATALOG
+from repro.workloads.generator import generate_trace
 
 EVENTS = 2500
 WORKLOADS = ("pipe-ipc", "pwgen")
@@ -68,6 +72,17 @@ class TestFig14Small:
         result = fig14_arg_distribution.run(events=EVENTS, workloads=("pwgen",))
         row = result.row_dict("pwgen")
         assert sum(row[f"args={n}"] for n in range(7)) == EVENTS
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_fig14_distribution_per_distinct_event(name):
+    """The histogram counted per distinct event equals the one counted
+    event by event, on every catalog trace."""
+    trace = generate_trace(CATALOG[name], DEFAULT_EVENTS)
+    per_event = [0] * 7
+    for event in trace:
+        per_event[LINUX_X86_64.by_sid(event.sid).num_checkable_args] += 1
+    assert fig14_arg_distribution.trace_distribution(trace) == tuple(per_event)
 
 
 class TestVatSmall:

@@ -71,19 +71,32 @@ class TestSoftwareFlush:
         assert draco.check(survivor).path == "vat_hit"
 
     def test_without_flush_would_be_a_bug(self):
-        """Demonstrate the bug the flush prevents: attaching a filter
-        directly to the module (bypassing the Draco-aware path) leaves a
-        stale VAT entry that contradicts the module's own decision."""
+        """A filter attached straight to the module, bypassing
+        ``attach_additional_filter``, is obeyed too: the checker
+        compares the module's generation before serving, so no VAT
+        entry or steady memo the looser stack earned survives."""
         profile = _loose_profile()
         module = SeccompKernelModule()
         module.attach(compile_linear(profile))
         draco = SoftwareDraco(build_process_tables(profile), module)
         victim = make_event("read", (4, 100), pc=PC)
         draco.check(victim)
-        module.attach(_strict_program())            # raw attach: no flush
-        stale = draco.check(victim)
-        assert stale.allowed                        # the cache lies...
-        assert not module.check(victim).allowed     # ...the filter knows
+        assert draco.check(victim).path == "vat_hit"
+        module.attach(_strict_program())            # raw attach
+        assert not draco.check(victim).allowed
+        assert not module.check(victim).allowed
+
+    def test_raw_attach_flushes_runs(self):
+        """``check_bulk`` serves a run from the steady memo: it too
+        compares the generation first."""
+        profile = _loose_profile()
+        module = SeccompKernelModule()
+        module.attach(compile_linear(profile))
+        draco = SoftwareDraco(build_process_tables(profile), module)
+        victim = make_event("read", (4, 100), pc=PC)
+        draco.check_bulk(victim, 4)
+        module.attach(_strict_program())
+        assert [o.allowed for o, _ in draco.check_bulk(victim, 4)] == [False]
 
 
 class TestHardwareFlush:
@@ -114,6 +127,24 @@ class TestHardwareFlush:
         assert first.allowed and first.os_invoked   # revalidated by the OS
         warm = draco.on_syscall(survivor)
         assert warm.allowed and not warm.os_invoked
+
+    def test_without_flush_would_be_a_bug(self):
+        """The hardware twin: a raw attach flushes the VAT, SLB, STB and
+        Temporary Buffer before the next syscall is served, so neither
+        an SLB hit nor a steady memo replays the looser verdict."""
+        profile = _loose_profile()
+        module = SeccompKernelModule()
+        module.attach(compile_linear(profile))
+        draco = HardwareDraco(build_process_tables(profile), module)
+        victim = make_event("read", (4, 100), pc=PC)
+        for _ in range(3):
+            draco.on_syscall(victim)
+        assert not draco.on_syscall(victim).os_invoked   # served warm
+        module.attach(_strict_program())                 # raw attach
+        result = draco.on_syscall(victim)
+        assert not result.allowed
+        assert result.os_invoked
+        assert not module.check(victim).allowed
 
 
 def _allowed(outcomes):

@@ -1,6 +1,9 @@
 """Tests for the profile-to-BPF compilers, including the equivalence
 property: compiled filters decide exactly like the reference semantics."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from repro.bpf.interpreter import run
 from repro.bpf.seccomp_data import SeccompData
 from repro.bpf.verifier import verify
 from repro.seccomp.actions import SECCOMP_RET_ALLOW, action_of, most_restrictive
+from repro.seccomp import compiler as compiler_module
 from repro.seccomp.compiler import (
     compile_binary_tree,
     compile_linear,
@@ -107,6 +111,30 @@ class TestDispatchCost:
         early = run(linear, SeccompData.from_event(make_event("read", (1, 2)))).instructions_executed
         late = run(linear, SeccompData.from_event(make_event("openat", (0, 0, 0)))).instructions_executed
         assert late > early
+
+
+@pytest.mark.parametrize("compiler", [compile_linear, compile_binary_tree])
+def test_builder_freed_at_return(compiler, monkeypatch):
+    """No reference cycle holds a compiler's ``ProgramBuilder``: with
+    the cyclic collector off, the builder is gone once the compiler
+    returns, its pending instructions with it."""
+    builders = []
+
+    class TrackedBuilder(compiler_module.ProgramBuilder):
+        def __init__(self):
+            super().__init__()
+            builders.append(weakref.ref(self))
+
+    monkeypatch.setattr(compiler_module, "ProgramBuilder", TrackedBuilder)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        compiler(build_docker_default())
+        assert len(builders) == 1
+        assert builders[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestChunking:
